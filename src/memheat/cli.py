@@ -12,6 +12,7 @@ import argparse
 import dataclasses
 import hashlib
 import json
+import math
 import sys
 import time
 from dataclasses import dataclass
@@ -99,6 +100,10 @@ def _check_keys(user: dict, schema: dict, prefix: str = "") -> None:
         elif val is not None:
             if want is float and isinstance(val, (int, float)) \
                     and not isinstance(val, bool):
+                # JSON admits NaN and Infinity; ints are always finite
+                if isinstance(val, float) and not math.isfinite(val):
+                    raise ConfigError(f"config key {path!r} must be finite, "
+                                      f"got {val}")
                 continue
             if want is int and isinstance(val, bool):
                 raise ConfigError(f"config key {path!r} must be {want.__name__}")

@@ -18,8 +18,8 @@ from scipy.optimize import least_squares
 from .domain import DiscreteDomain, StateField, norm_x2_sq
 from .memory import build_history_grid, history_from_profile, memory_norm_sq
 from .physics import SmallnessReport, check_smallness, estimate_embedding_constant
-from .solver import (ProblemConfig, SystemState, TrajectoryRecord,
-                     build_problem, evolve, lift, step_p0, step_peps)
+from .solver import (ProblemConfig, SystemState, TrajectoryRecord, _n_steps,
+                     build_problem, evolve, lift, march, step_p0, step_peps)
 
 Array = np.ndarray
 
@@ -97,6 +97,21 @@ def _with_eps(cfg: ProblemConfig, eps: float, grid=None) -> ProblemConfig:
                          alpha=cfg.alpha, beta=cfg.beta, eps=eps,
                          dt=cfg.dt, t_final=cfg.t_final,
                          record_stride=cfg.record_stride, grid=grid)
+
+
+def _sup_gap(states: tuple, step, cfg: ProblemConfig, t_lo: float,
+             t_hi: float, gap_sq) -> float:
+    """Largest sqrt(gap_sq(*states)) over the states ``march`` observes
+    at times in [t_lo, t_hi], advancing the tuple ``states`` with ``step``."""
+    sup = 0.0
+
+    def observe(states, k):
+        nonlocal sup
+        if t_lo - 1e-12 <= k * cfg.dt <= t_hi + 1e-12:
+            sup = max(sup, math.sqrt(gap_sq(*states)))
+
+    march(states, step, 0, _n_steps(cfg, 0), cfg.record_stride, observe)
+    return sup
 
 
 # -- absorbing-set energy decay ----------------------------------------------
@@ -213,19 +228,14 @@ def phi_decay_experiment(cfg: ProblemConfig, eps_list: Sequence[float],
         grid = build_history_grid(cfg.kernel, float(eps), n_s=n_s,
                                   spacing="uniform", s_max=10.0 * float(eps))
         dt = float(grid.s_nodes[1] - grid.s_nodes[0])
+        # every step up to the first one at or past t = eps
         run = build_problem(d, cfg.kernel, cfg.nonlinearity, alpha=cfg.alpha,
                             beta=cfg.beta, eps=float(eps), dt=dt,
-                            t_final=14 * dt, grid=grid)
+                            t_final=math.ceil(eps / dt - 1e-9) * dt, grid=grid)
         phi0 = history_from_profile(grid, d, lambda s: np.minimum(s, eps),
                                     u0 * phi_scale)
-        y = SystemState(u0.copy(), phi0, 0, 0.0)
-        ts = [0.0]
-        ms = [memory_norm_sq(y.phi, 1, d, cfg.alpha, cfg.beta)]
-        while y.t < eps - 1e-12:
-            y = step_peps(y, run)
-            ts.append(y.t)
-            ms.append(memory_norm_sq(y.phi, 1, d, cfg.alpha, cfg.beta))
-        early_rates[i] = -np.polyfit(ts, np.log(ms), 1)[0]
+        rec = evolve(SystemState(u0.copy(), phi0, 0, 0.0), run)
+        early_rates[i] = -np.polyfit(rec.times, np.log(rec.norm_m1_sq), 1)[0]
 
     passed = spread <= 2.0 and bool(np.all(early_rates >= early_targets))
     return PhiDecayReport(eps_arr, c_emp, spread, early_rates, early_targets,
@@ -266,26 +276,19 @@ def robustness_sweep(cfg: ProblemConfig, eps_list: Sequence[float],
     """
     d = cfg.domain
     eps_arr = np.asarray(sorted(eps_list, reverse=True), dtype=float)
-    n = round(cfg.t_final / cfg.dt)
-    stride = cfg.record_stride
+
+    def gap_sq(y, z):
+        return (norm_x2_sq(y.u - z.u, d)
+                + memory_norm_sq(y.phi, 1, d, cfg.alpha, cfg.beta))
 
     limit = _with_eps(cfg, 0.0)
     errors = np.empty(eps_arr.size)
     for i, eps in enumerate(eps_arr):
         run = _with_eps(cfg, float(eps))
-        y = lift(u0, run)
-        z = lift(u0, limit)
-        window = math.sqrt(eps)
-        sup = 0.0
-        for s in range(n):
-            y = step_peps(y, run)
-            z = step_p0(z, limit)
-            t = (s + 1) * cfg.dt
-            if t >= window - 1e-12 and ((s + 1) % stride == 0 or s == n - 1):
-                gap_sq = (norm_x2_sq(y.u - z.u, d)
-                          + memory_norm_sq(y.phi, 1, d, cfg.alpha, cfg.beta))
-                sup = max(sup, math.sqrt(gap_sq))
-        errors[i] = sup
+        errors[i] = _sup_gap(
+            (lift(u0, run), lift(u0, limit)),
+            lambda yz: (step_peps(yz[0], run), step_p0(yz[1], limit)),
+            cfg, math.sqrt(eps), math.inf, gap_sq)
 
     if np.any(errors <= 0.0):
         raise ValueError("sweep errors must be positive; the audit window "
@@ -333,19 +336,14 @@ def holder_pair_gap(cfg: ProblemConfig, eps1: float, eps2: float,
                             s_max=s_max)
     c1 = _with_eps(cfg, eps1, grid=g1)
     c2 = _with_eps(cfg, eps2, grid=g2)
-    y1 = lift(u0, c1)
-    y2 = lift(u0, c2)
-    n = round(cfg.t_final / cfg.dt)
-    sup = 0.0
-    for s in range(n):
-        y1 = step_peps(y1, c1)
-        y2 = step_peps(y2, c2)
-        t = (s + 1) * cfg.dt
-        if t_star - 1e-12 <= t <= 2.0 * t_star + 1e-12 and (s + 1) % cfg.record_stride == 0:
-            gap_sq = (norm_x2_sq(y1.u - y2.u, d)
-                      + memory_norm_sq(y1.phi - y2.phi, 1, d, cfg.alpha, cfg.beta))
-            sup = max(sup, math.sqrt(gap_sq))
-    return sup
+
+    def gap_sq(y1, y2):
+        return (norm_x2_sq(y1.u - y2.u, d)
+                + memory_norm_sq(y1.phi - y2.phi, 1, d, cfg.alpha, cfg.beta))
+
+    return _sup_gap((lift(u0, c1), lift(u0, c2)),
+                    lambda ys: (step_peps(ys[0], c1), step_peps(ys[1], c2)),
+                    cfg, t_star, 2.0 * t_star, gap_sq)
 
 
 def holder_sweep(cfg: ProblemConfig, pairs: Sequence[tuple],

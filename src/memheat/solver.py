@@ -16,6 +16,11 @@ coefficients alpha (1 - omega), beta (1 - omega) implicit and the raw
 reactions f, g explicit. The coefficient bookkeeping is what the memory
 term converges to and is locked by regression tests.
 
+Every time loop is ``march``, which owns the one sampling rule: observe
+the start state, each state whose absolute step index is a multiple of
+``record_stride``, and the final state. Every step solves through the
+one implicit solve ``_imex_solve``.
+
 Time is tracked as an integer step count times dt, so a run that is
 checkpointed and resumed reproduces the direct run bitwise.
 """
@@ -67,6 +72,7 @@ __all__ = [
     "project",
     "step_peps",
     "step_p0",
+    "march",
     "TrajectoryRecord",
     "evolve",
     "ContractionRecord",
@@ -187,21 +193,34 @@ def _budget_check(cfg: ProblemConfig, u0: StateField) -> None:
         )
 
 
+def _imex_solve(cfg: ProblemConfig, u: StateField, *sources: StateField,
+                limit: bool = False) -> StateField:
+    """Implicit half of one step: solve for u_new from M u / dt - sources.
+
+    The memory operator is omega K_{0,beta}; the limit operator (``limit``)
+    is unit diffusion with the residues alpha (1 - omega), beta (1 - omega).
+    The sources are subtracted in the order given.
+    """
+    dt, om = cfg.dt, cfg.omega
+    bulk, boundary = u.bulk / dt, u.boundary / dt
+    for src in sources:
+        bulk, boundary = bulk - src.bulk, boundary - src.boundary
+    c_a, a, b = ((1.0, cfg.alpha * (1.0 - om), cfg.beta * (1.0 - om)) if limit
+                 else (om, 0.0, cfg.beta))
+    return solve_wentzell_shifted(1.0 / dt, c_a, StateField(bulk, boundary),
+                                  cfg.domain, a, b)
+
+
 def step_peps(state: SystemState, cfg: ProblemConfig) -> SystemState:
     """One IMEX step of the memory problem."""
     if cfg.eps <= 0.0:
         raise ValueError("step_peps needs eps > 0; use step_p0 for the limit")
-    d, dt = cfg.domain, cfg.dt
-    load = convolve_wentzell(state.phi, d, cfg.alpha, cfg.beta)
+    load = convolve_wentzell(state.phi, cfg.domain, cfg.alpha, cfg.beta)
     reac = eval_F(state.u, cfg.nonlinearity, cfg.omega, cfg.beta)
-    rhs = StateField(
-        state.u.bulk / dt - load.bulk - reac.bulk,
-        state.u.boundary / dt - load.boundary - reac.boundary,
-    )
-    u_new = solve_wentzell_shifted(1.0 / dt, cfg.omega, rhs, d, 0.0, cfg.beta)
-    phi_new = advance_history(state.phi, u_new, dt, u_prev=state.u)
+    u_new = _imex_solve(cfg, state.u, load, reac)
+    phi_new = advance_history(state.phi, u_new, cfg.dt, u_prev=state.u)
     step = state.step + 1
-    return SystemState(u_new, phi_new, step, step * dt)
+    return SystemState(u_new, phi_new, step, step * cfg.dt)
 
 
 def step_p0(state: SystemState, cfg: ProblemConfig) -> SystemState:
@@ -211,16 +230,28 @@ def step_p0(state: SystemState, cfg: ProblemConfig) -> SystemState:
     memory, alpha (1 - omega) in the bulk and beta (1 - omega) on the
     boundary, sit in the implicit operator.
     """
-    d, dt = cfg.domain, cfg.dt
-    om = cfg.omega
-    rhs = StateField(
-        state.u.bulk / dt - eval_f(cfg.nonlinearity, state.u.bulk),
-        state.u.boundary / dt - eval_g(cfg.nonlinearity, state.u.boundary),
-    )
-    u_new = solve_wentzell_shifted(1.0 / dt, 1.0, rhs, d,
-                                   cfg.alpha * (1.0 - om), cfg.beta * (1.0 - om))
+    reac = StateField(eval_f(cfg.nonlinearity, state.u.bulk),
+                      eval_g(cfg.nonlinearity, state.u.boundary))
+    u_new = _imex_solve(cfg, state.u, reac, limit=True)
     step = state.step + 1
-    return SystemState(u_new, state.phi, step, step * dt)
+    return SystemState(u_new, state.phi, step, step * cfg.dt)
+
+
+def march(state, step, start: int, stop: int, stride: int, observe):
+    """Advance ``state`` from step index ``start`` to ``stop`` with ``step``.
+
+    The one sampling rule: ``observe(state, k)`` sees the start state, each
+    state whose absolute step index k is a multiple of ``stride``, and the
+    final state, each once. ``state`` is whatever ``step`` maps to its
+    successor, e.g. a tuple of states advanced in lockstep. Returns the
+    final state.
+    """
+    observe(state, start)
+    for k in range(start + 1, stop + 1):
+        state = step(state)
+        if k % stride == 0 or k == stop:
+            observe(state, k)
+    return state
 
 
 @dataclass
@@ -301,16 +332,11 @@ def evolve(y0: SystemState, cfg: ProblemConfig) -> TrajectoryRecord:
     step_fn = step_peps if cfg.eps > 0.0 else step_p0
     if cfg.eps > 0.0 and y0.phi is None:
         raise ValueError("memory problem needs a history in the initial state")
-    n_steps = _n_steps(cfg, y0.step)
-
+    stop = y0.step + _n_steps(cfg, y0.step)
     rec = _Recorder(cfg)
-    state = y0.copy()
-    rec.add(state)
-    for k in range(n_steps):
-        state = step_fn(state, cfg)
-        if state.step % cfg.record_stride == 0 or k == n_steps - 1:
-            rec.add(state)
-    return rec.finish(state)
+    final = march(y0.copy(), lambda s: step_fn(s, cfg), y0.step, stop,
+                  cfg.record_stride, lambda s, k: rec.add(s))
+    return rec.finish(final)
 
 
 @dataclass
@@ -339,8 +365,7 @@ def evolve_contraction_pair(y0: SystemState, z0: SystemState,
     system; its flat-plus-memory energy must decay monotonically. Reports
     the energy series and the fitted decay rate of the gap norm.
     """
-    d, dt = cfg.domain, cfg.dt
-    v = y0.u - z0.u
+    d, dt, a, b = cfg.domain, cfg.dt, cfg.alpha, cfg.beta
     psi = None
     if cfg.eps > 0.0:
         if y0.phi is None or z0.phi is None:
@@ -348,29 +373,20 @@ def evolve_contraction_pair(y0: SystemState, z0: SystemState,
         psi = y0.phi - z0.phi
     n_steps = _n_steps(cfg, 0)
 
+    def step(pair):
+        v, psi = pair
+        if psi is None:
+            return _imex_solve(cfg, v, limit=True), None
+        v_new = _imex_solve(cfg, v, convolve_wentzell(psi, d, a, b))
+        return v_new, advance_history(psi, v_new, dt, u_prev=v)
+
     times, gaps = [], []
 
-    def record(step):
-        g = norm_x2_sq(v, d) + memory_norm_sq(psi, 1, d, cfg.alpha, cfg.beta)
-        times.append(step * dt)
-        gaps.append(g)
+    def record(pair, k):
+        times.append(k * dt)
+        gaps.append(norm_x2_sq(pair[0], d) + memory_norm_sq(pair[1], 1, d, a, b))
 
-    record(0)
-    for k in range(n_steps):
-        if cfg.eps > 0.0:
-            load = convolve_wentzell(psi, d, cfg.alpha, cfg.beta)
-            rhs = StateField(v.bulk / dt - load.bulk, v.boundary / dt - load.boundary)
-            v_new = solve_wentzell_shifted(1.0 / dt, cfg.omega, rhs, d, 0.0, cfg.beta)
-            psi = advance_history(psi, v_new, dt, u_prev=v)
-        else:
-            rhs = StateField(v.bulk / dt, v.boundary / dt)
-            v_new = solve_wentzell_shifted(1.0 / dt, 1.0, rhs, d,
-                                           cfg.alpha * (1.0 - cfg.omega),
-                                           cfg.beta * (1.0 - cfg.omega))
-        v = v_new
-        if (k + 1) % cfg.record_stride == 0 or k == n_steps - 1:
-            record(k + 1)
-
+    march((y0.u - z0.u, psi), step, 0, n_steps, cfg.record_stride, record)
     times = np.array(times)
     gaps = np.array(gaps)
     zero_gap = bool(np.all(gaps == 0.0))
@@ -401,56 +417,41 @@ def evolve_compact_split(y0: SystemState, cfg: ProblemConfig) -> SplitRecord:
     """
     if cfg.eps <= 0.0:
         raise ValueError("the splitting is defined for the memory problem")
-    d, dt = cfg.domain, cfg.dt
+    d, dt, a, b = cfg.domain, cfg.dt, cfg.alpha, cfg.beta
+    nl, om = cfg.nonlinearity, cfg.omega
     _budget_check(cfg, y0.u)
     n_steps = _n_steps(cfg, 0)
-    mf = monotonicity_shift(cfg.nonlinearity, cfg.omega, cfg.beta)
+    mf = monotonicity_shift(nl, om, b)
 
-    v, w = y0.u.copy(), d.zero_field()
-    psi = y0.phi.copy()
-    theta = zero_history(cfg.grid, d)
-    ud, phid = y0.u.copy(), y0.phi.copy()
+    def step(parts):
+        v, w, psi, theta, direct = parts
+        f_w = eval_F(w, nl, om, b)
+        # V-part: F0(U) - F0(W) = F(U) - F(W) + M_F V
+        v_new = _imex_solve(cfg, v, convolve_wentzell(psi, d, a, b),
+                            eval_F(v + w, nl, om, b) - f_w + mf * v)
+        # W-part: F0(W) - M_F U = F(W) - M_F V
+        w_new = _imex_solve(cfg, w, convolve_wentzell(theta, d, a, b),
+                            f_w - mf * v)
+        return (v_new, w_new, advance_history(psi, v_new, dt, u_prev=v),
+                advance_history(theta, w_new, dt, u_prev=w),
+                step_peps(direct, cfg))
 
     times, z_rows, k_rows = [], [], []
     mismatch = 0.0
 
-    def record(step):
+    def record(parts, k):
         nonlocal mismatch
-        times.append(step * dt)
-        z_rows.append(norm_x2_sq(v, d) + memory_norm_sq(psi, 1, d, cfg.alpha, cfg.beta))
-        k_rows.append(norm_v2_sq(w, d, cfg.alpha, cfg.beta)
-                      + k2_norm_sq(theta, d, cfg.alpha, cfg.beta))
-        gap = (v + w) - ud
-        rel = math.sqrt(norm_x2_sq(gap, d)) / max(math.sqrt(norm_x2_sq(ud, d)), 1e-300)
+        v, w, psi, theta, direct = parts
+        times.append(k * dt)
+        z_rows.append(norm_x2_sq(v, d) + memory_norm_sq(psi, 1, d, a, b))
+        k_rows.append(norm_v2_sq(w, d, a, b) + k2_norm_sq(theta, d, a, b))
+        gap = (v + w) - direct.u
+        rel = math.sqrt(norm_x2_sq(gap, d)) / max(math.sqrt(norm_x2_sq(direct.u, d)), 1e-300)
         mismatch = max(mismatch, rel)
 
-    def imex(u_part, load, extra):
-        rhs = StateField(u_part.bulk / dt - load.bulk - extra.bulk,
-                         u_part.boundary / dt - load.boundary - extra.boundary)
-        return solve_wentzell_shifted(1.0 / dt, cfg.omega, rhs, d, 0.0, cfg.beta)
-
-    record(0)
-    for k in range(n_steps):
-        u_sum = v + w
-        f_u = eval_F(u_sum, cfg.nonlinearity, cfg.omega, cfg.beta)
-        f_w = eval_F(w, cfg.nonlinearity, cfg.omega, cfg.beta)
-        # V-part: F0(U) - F0(W) = F(U) - F(W) + M_F V
-        v_extra = f_u - f_w + mf * v
-        # W-part: F0(W) - M_F U = F(W) - M_F V
-        w_extra = f_w - mf * v
-
-        v_new = imex(v, convolve_wentzell(psi, d, cfg.alpha, cfg.beta), v_extra)
-        w_new = imex(w, convolve_wentzell(theta, d, cfg.alpha, cfg.beta), w_extra)
-        ud_new = imex(ud, convolve_wentzell(phid, d, cfg.alpha, cfg.beta),
-                      eval_F(ud, cfg.nonlinearity, cfg.omega, cfg.beta))
-
-        psi = advance_history(psi, v_new, dt, u_prev=v)
-        theta = advance_history(theta, w_new, dt, u_prev=w)
-        phid = advance_history(phid, ud_new, dt, u_prev=ud)
-        v, w, ud = v_new, w_new, ud_new
-        if (k + 1) % cfg.record_stride == 0 or k == n_steps - 1:
-            record(k + 1)
-
+    parts = (y0.u.copy(), d.zero_field(), y0.phi.copy(),
+             zero_history(cfg.grid, d), y0.copy())
+    march(parts, step, 0, n_steps, cfg.record_stride, record)
     times = np.array(times)
     z_arr = np.array(z_rows)
     return SplitRecord(times=times, z_h0_sq=z_arr, k_strong_sq=np.array(k_rows),

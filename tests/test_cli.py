@@ -264,3 +264,24 @@ def test_plot_script_is_compilable(tmp_path, capsys):
     target = tmp_path / "plot.py"
     assert main(["plot-script", "--out", str(target)]) == 0
     assert target.read_text() == src
+
+
+@pytest.mark.parametrize("key,value", [("dt", float("nan")),
+                                       ("alpha", float("nan")),
+                                       ("t_final", float("inf"))])
+def test_non_finite_numbers_are_refused(tmp_path, capsys, key, value):
+    path = write_cfg(tmp_path, **{key: value})
+    assert main(["validate", "--config", str(path)]) == 2
+    assert "must be finite" in capsys.readouterr().err
+    assert main(["run", "--config", str(path),
+                 "--out", str(tmp_path / "r")]) == 2
+
+
+def test_sweep_refuses_a_horizon_off_the_step_grid(tmp_path, capsys):
+    path = write_cfg(tmp_path, dt=0.003, t_final=1.0, checkpoint_step=None)
+    assert main(["run", "--config", str(path),
+                 "--out", str(tmp_path / "r")]) == 2
+    assert "integer multiple" in capsys.readouterr().err
+    assert main(["sweep-eps", "--config", str(path), "--eps", "0.2,0.1",
+                 "--out", str(tmp_path / "s")]) == 2
+    assert "integer multiple" in capsys.readouterr().err

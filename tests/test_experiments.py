@@ -1,5 +1,6 @@
 """Decay fitting, integral-inequality audits, and the sweep validators."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -18,10 +19,13 @@ from memheat.experiments import (
     gronwall_instance,
     gronwall_random_suite,
     holder_pair_gap,
+    robustness_sweep,
     smooth_profile,
     transitivity_chain_check,
     transitivity_combine,
 )
+
+SHIFTED = make_nonlinearity([-0.125, 0.0, 0.0, 1.0], [-0.375, 0.0, 0.0, 1.0])
 
 
 # -- decay fitting -------------------------------------------------------------
@@ -196,3 +200,27 @@ def test_holder_pair_gap_validates_the_horizon_order(interval):
         holder_pair_gap(cfg, 0.1, 0.2, u0, t_star=0.005)
     with pytest.raises(ValueError):
         holder_pair_gap(cfg, 1.5, 0.2, u0, t_star=0.005)
+
+
+def test_holder_pair_gap_sees_the_final_state():
+    # stride 300 of 400 steps: the only observed state in [0.8, 1.6] is the
+    # final one at t = 1, which the gap must not drop
+    d = build_domain("interval", 33)
+    cfg = build_problem(d, exponential_kernel(0.5, rate=3.0), SHIFTED,
+                        alpha=0.0, beta=1.0, eps=0.2, dt=0.0025, t_final=1.0,
+                        record_stride=300)
+    u0 = d.constant_field(0.5)
+    gap = holder_pair_gap(cfg, 0.2, 0.1, u0, t_star=0.8)
+    assert gap == pytest.approx(0.0091, rel=0.01)
+    every = dataclasses.replace(cfg, record_stride=1)
+    assert gap == holder_pair_gap(every, 0.2, 0.1, u0, t_star=1.0)
+
+
+def test_pair_gaps_refuse_a_horizon_off_the_step_grid(interval):
+    cfg = build_problem(interval, exponential_kernel(0.5, rate=3.0), SHIFTED,
+                        alpha=0.0, beta=1.0, eps=0.2, dt=0.003, t_final=0.1)
+    u0 = interval.constant_field(0.5)
+    with pytest.raises(ValueError, match="integer multiple"):
+        holder_pair_gap(cfg, 0.2, 0.1, u0, t_star=0.05)
+    with pytest.raises(ValueError, match="integer multiple"):
+        robustness_sweep(cfg, [0.2, 0.1], u0)

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from memheat.domain import build_domain
+from memheat.domain import build_domain, norm_x2_sq
 from memheat.memory import (build_history_grid, exponential_kernel,
                             history_from_profile)
 from memheat.physics import make_nonlinearity
@@ -15,6 +15,7 @@ from memheat.solver import (
     evolve_compact_split,
     evolve_contraction_pair,
     lift,
+    march,
     project,
     step_p0,
     step_peps,
@@ -211,3 +212,43 @@ def test_compact_split_reconstructs_the_trajectory(interval):
                           eps=0.0, dt=0.02, t_final=1.0)
     with pytest.raises(ValueError):
         evolve_compact_split(lift(interval.zero_field(), limit), limit)
+
+
+# -- the one time-stepping schedule -------------------------------------------
+
+
+def _schedule(start, stop, stride):
+    seen = []
+    final = march(start, lambda k: k + 1, start, stop, stride,
+                  lambda state, k: seen.append((state, k)))
+    assert final == stop
+    assert all(state == k for state, k in seen)
+    return [k for _, k in seen]
+
+
+def test_march_observes_start_stride_multiples_and_final():
+    assert _schedule(0, 10, 3) == [0, 3, 6, 9, 10]
+    assert _schedule(0, 9, 3) == [0, 3, 6, 9]
+    assert _schedule(4, 4, 3) == [4]
+
+
+def test_march_split_at_a_stride_multiple_adds_one_seam():
+    direct = _schedule(0, 10, 3)
+    head, tail = _schedule(0, 6, 3), _schedule(6, 10, 3)
+    assert head[-1] == tail[0] == 6
+    assert head + tail[1:] == direct
+
+
+def test_limit_contraction_pair_is_the_difference_of_two_runs(interval):
+    # f = g = 0 makes the limit problem linear, so the pair's gap is the
+    # squared distance between two direct runs
+    zero = make_nonlinearity([0.0], [0.0])
+    limit = build_problem(interval, KERNEL, zero, alpha=1.0, beta=1.0,
+                          eps=0.0, dt=0.02, t_final=1.0, record_stride=5)
+    y0 = lift(smooth_profile(interval) * 0.5, limit)
+    z0 = lift(interval.constant_field(0.2), limit)
+    rec = evolve_contraction_pair(y0, z0, limit)
+    gap = (evolve(y0, limit).final_state.u
+           - evolve(z0, limit).final_state.u)
+    assert rec.gap_sq[-1] == pytest.approx(norm_x2_sq(gap, interval),
+                                           rel=1e-12)
