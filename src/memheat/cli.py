@@ -27,7 +27,8 @@ from .memory import (HistoryField, build_history_grid, exponential_kernel,
                      validate_kernel)
 from .physics import (NonlinearitySpec, check_smallness,
                       estimate_embedding_constant, make_nonlinearity)
-from .solver import ProblemConfig, SystemState, TrajectoryRecord, build_problem, evolve, lift
+from .solver import (ProblemConfig, SystemState, TrajectoryRecord, _n_steps, build_problem,
+                     evolve, lift)
 from .experiments import (GateError, energy_decay_experiment, fit_decay,
                           robustness_sweep, smooth_profile)
 
@@ -193,6 +194,7 @@ def build_from_canonical(canon: dict) -> LoadedConfig:
                                 dt=canon["dt"], t_final=canon["t_final"],
                                 record_stride=canon["record_stride"],
                                 grid=grid)
+        _n_steps(problem, 0)  # refuse here a t_final that run would refuse
     except ValueError as e:
         raise ConfigError(str(e)) from e
 

@@ -10,7 +10,9 @@ The history state Phi^t(s) accumulates the recent past of the primary field,
 Phi^t(s) = int_0^s U(t - y) dy, and evolves by pure transport in s with
 inflow Phi^t(0) = 0. The discretization is semi-Lagrangian on a grid graded
 toward s = 0: values are pulled back along characteristics and the fresh
-segment is added by exact quadrature of the step's inflow.
+segment is added by exact quadrature of the step's inflow. The pull-back
+depends only on the grid and dt: it is a sparse operator cached on the grid
+per dt. The oracle keeps its own interpolation, an independent check.
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
+import scipy.sparse as sp
 from numpy.typing import NDArray
 
 from .domain import DiscreteDomain, StateField
@@ -38,6 +41,7 @@ __all__ = [
     "zero_history",
     "history_from_profile",
     "memory_norm_sq",
+    "history_norms",
     "convolve_wentzell",
     "advance_history",
     "history_oracle",
@@ -235,7 +239,8 @@ class HistoryGrid:
 
     ``s_nodes`` carry the field values; ``edges`` bound the quadrature cells
     (edges[0] = 0, edges[-1] = s_max); ``weights[j]`` is the exact mu_eps
-    mass of cell j, so sums over nodes integrate against mu_eps.
+    mass of cell j, so sums over nodes integrate against mu_eps. ``_cache``
+    holds grid-only work: the last dt's transport operator, the tail windows.
     """
 
     kernel: KernelSpec
@@ -243,6 +248,7 @@ class HistoryGrid:
     s_nodes: Array
     edges: Array
     weights: Array
+    _cache: dict = field(default_factory=dict, repr=False, compare=False)
 
     @property
     def n_s(self) -> int:
@@ -445,42 +451,55 @@ def _interp_rows(s_nodes: Array, values: Array, q: Array) -> Array:
     return (1.0 - t)[:, None] * vals_ext[idx] + t[:, None] * vals_ext[idx + 1]
 
 
+def _pullback(g: HistoryGrid, dt: float) -> tuple[sp.csr_matrix, int]:
+    """The characteristic pull-back s -> s - dt as a CSR operator on history
+    rows, cached on the grid for the last dt, and the number k of nodes with
+    s <= dt. Those nodes are a prefix; their rows are empty (the inflow fills
+    them) and the zero inflow-anchor column is dropped."""
+    hit = g._cache.get("transport")
+    if hit is None or hit[0] != dt:
+        s = g.s_nodes
+        k = int(np.searchsorted(s, dt, side="right"))
+        q = s[k:] - dt
+        s_ext = np.concatenate([[0.0], s])
+        idx = np.clip(np.searchsorted(s_ext, q, side="right") - 1, 0, s.size - 1)
+        t = (q - s_ext[idx]) / (s_ext[idx + 1] - s_ext[idx])
+        cols, vals = np.stack([idx - 1, idx], axis=1), np.stack([1.0 - t, t], axis=1)
+        keep = cols >= 0
+        indptr = np.concatenate([np.zeros(k + 1, dtype=int), np.cumsum(keep.sum(axis=1))])
+        hit = g._cache["transport"] = (
+            dt, sp.csr_matrix((vals[keep], cols[keep], indptr), shape=(s.size, s.size)), k)
+    return hit[1], hit[2]
+
+
 def advance_history(phi: HistoryField, u_new: StateField, dt: float,
                     u_prev: Optional[StateField] = None) -> HistoryField:
     """One transport step of the history under the field's motion.
 
-    Values are pulled back along the characteristic s -> s - dt; nodes with
-    s <= dt are filled by exact integration of the step's inflow. With only
-    ``u_new`` the inflow is treated as constant over the step; passing
-    ``u_prev`` integrates the linear-in-time inflow exactly (trapezoid),
-    which is what the evolution steppers use.
+    Values are pulled back along the characteristic s -> s - dt by a sparse
+    operator cached per grid and dt; nodes with s <= dt are filled by exact
+    integration of the step's inflow. With only ``u_new`` the inflow is
+    constant over the step; passing ``u_prev`` integrates the linear-in-time
+    inflow exactly (trapezoid), which is what the evolution steppers use.
     """
     if dt <= 0.0:
         raise ValueError("dt must be positive")
-    g = phi.grid
-    s = g.s_nodes
-    q = np.maximum(s - dt, 0.0)
+    P, k = _pullback(phi.grid, dt)
+    s = phi.grid.s_nodes[:k, None]
 
-    new_bulk = _interp_rows(s, phi.bulk, q)
-    new_bdry = _interp_rows(s, phi.boundary, q)
+    def moved(values: Array, new: Array, prev: Optional[Array]) -> Array:
+        out = P @ values
+        if prev is None:
+            out[k:] += dt * new
+            out[:k] = s * new
+        else:
+            out[k:] += 0.5 * dt * (prev + new)
+            out[:k] = s * new + s**2 / (2.0 * dt) * (prev - new)
+        return out
 
-    full = s > dt
-    part = ~full
-    if u_prev is None:
-        new_bulk[full] += dt * u_new.bulk
-        new_bdry[full] += dt * u_new.boundary
-        new_bulk[part] = s[part, None] * u_new.bulk
-        new_bdry[part] = s[part, None] * u_new.boundary
-    else:
-        inc_b = 0.5 * dt * (u_prev.bulk + u_new.bulk)
-        inc_g = 0.5 * dt * (u_prev.boundary + u_new.boundary)
-        new_bulk[full] += inc_b
-        new_bdry[full] += inc_g
-        sp_ = s[part, None]
-        curv = sp_**2 / (2.0 * dt)
-        new_bulk[part] = sp_ * u_new.bulk + curv * (u_prev.bulk - u_new.bulk)
-        new_bdry[part] = sp_ * u_new.boundary + curv * (u_prev.boundary - u_new.boundary)
-    return HistoryField(g, new_bulk, new_bdry)
+    pb, pg = (None, None) if u_prev is None else (u_prev.bulk, u_prev.boundary)
+    return HistoryField(phi.grid, moved(phi.bulk, u_new.bulk, pb),
+                        moved(phi.boundary, u_new.boundary, pg))
 
 
 def history_oracle(times: Array, path: list[StateField],
@@ -558,10 +577,25 @@ def tail_function(phi: Optional[HistoryField], tau: float, d: DiscreteDomain,
         raise ValueError("tau must be >= 1")
     if phi is None:
         return 0.0
-    g = phi.grid
-    w = g.window_weights(0.0, 1.0 / tau) + g.window_weights(tau, g.s_max)
     rows = _v1_rows(phi.bulk, phi.boundary, d, alpha, beta)
-    return float(g.eps * (w @ rows))
+    return float(phi.grid.eps * (_tail_window(phi.grid, tau) @ rows))
+
+
+def _tail_window(g: HistoryGrid, tau: float) -> Array:
+    return g.window_weights(0.0, 1.0 / tau) + g.window_weights(tau, g.s_max)
+
+
+def _tail_sup(g: HistoryGrid, v1: Array) -> float:
+    """sup of tau * tail from the V1 rows over the dyadic tau = 1, 2, 4, ...
+    up to twice the grid horizon; the windows are cached on the grid."""
+    windows = g._cache.get("tails")
+    if windows is None:
+        windows, tau = [], 1.0
+        while tau <= 2.0 * max(1.0, g.s_max):
+            windows.append((tau, _tail_window(g, tau)))
+            tau *= 2.0
+        g._cache["tails"] = windows
+    return max([0.0] + [tau * float(g.eps * (w @ v1)) for tau, w in windows])
 
 
 def _ds_rows(phi: HistoryField) -> tuple[Array, Array]:
@@ -591,25 +625,28 @@ def sup_tau_tail(phi: Optional[HistoryField], d: DiscreteDomain,
     the grid horizon (the tail vanishes beyond it)."""
     if phi is None:
         return 0.0
-    tau = 1.0
-    sup_t = 0.0
-    while tau <= 2.0 * max(1.0, phi.grid.s_max):
-        sup_t = max(sup_t, tau * tail_function(phi, tau, d, alpha, beta))
-        tau *= 2.0
-    return sup_t
+    return _tail_sup(phi.grid, _v1_rows(phi.bulk, phi.boundary, d, alpha, beta))
+
+
+def history_norms(phi: Optional[HistoryField], d: DiscreteDomain,
+                  alpha: float, beta: float) -> tuple[float, float, float, float]:
+    """The recorded history norms of one sample: ``memory_norm_sq`` at
+    levels 1 and 2, ``sup_tau_tail`` and ``k2_norm_sq``, from one pass of
+    the V1, pair and d/ds rows. ``phi=None`` gives zeros."""
+    if phi is None:
+        return 0.0, 0.0, 0.0, 0.0
+    v1 = _v1_rows(phi.bulk, phi.boundary, d, alpha, beta)
+    m2 = memory_norm_sq(phi, 2, d, alpha, beta)
+    tail_sup = _tail_sup(phi.grid, v1)
+    k2 = m2 + phi.grid.eps * ds_flat_energy(phi, d) + tail_sup
+    return float(phi.grid.weights @ v1), m2, tail_sup, k2
 
 
 def k2_norm_sq(phi: Optional[HistoryField], d: DiscreteDomain,
                alpha: float, beta: float) -> float:
     """Squared strong history norm: level-2 energy, eps-scaled s-derivative
     energy, and the dyadic sup of tau * tail."""
-    if phi is None:
-        return 0.0
-    return (
-        memory_norm_sq(phi, 2, d, alpha, beta)
-        + phi.grid.eps * ds_flat_energy(phi, d)
-        + sup_tau_tail(phi, d, alpha, beta)
-    )
+    return history_norms(phi, d, alpha, beta)[3]
 
 
 @dataclass

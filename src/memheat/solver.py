@@ -49,9 +49,9 @@ from .memory import (
     advance_history,
     build_history_grid,
     convolve_wentzell,
+    history_norms,
     k2_norm_sq,
     memory_norm_sq,
-    sup_tau_tail,
     zero_history,
 )
 from .physics import (
@@ -287,11 +287,8 @@ class _Recorder:
         cfg = self.cfg
         d, a, b = cfg.domain, cfg.alpha, cfg.beta
         x2 = norm_x2_sq(state.u, d)
-        m1 = memory_norm_sq(state.phi, 1, d, a, b)
         v1 = norm_v1_sq(state.u, d, a, b)
-        m2 = memory_norm_sq(state.phi, 2, d, a, b)
-        ts = sup_tau_tail(state.phi, d, a, b)
-        k2 = k2_norm_sq(state.phi, d, a, b)
+        m1, m2, ts, k2 = history_norms(state.phi, d, a, b)
         r = self.rows
         r["t"].append(state.t)
         r["norm_x2_sq"].append(x2)

@@ -277,6 +277,13 @@ def test_non_finite_numbers_are_refused(tmp_path, capsys, key, value):
                  "--out", str(tmp_path / "r")]) == 2
 
 
+def test_validate_refuses_a_horizon_off_the_step_grid(tmp_path, capsys):
+    path = write_cfg(tmp_path, domain={"kind": "interval", "n": 17},
+                     dt=0.003, t_final=1.0, checkpoint_step=None)
+    assert main(["validate", "--config", str(path)]) == 2
+    assert "integer multiple" in capsys.readouterr().err
+
+
 def test_sweep_refuses_a_horizon_off_the_step_grid(tmp_path, capsys):
     path = write_cfg(tmp_path, dt=0.003, t_final=1.0, checkpoint_step=None)
     assert main(["run", "--config", str(path),

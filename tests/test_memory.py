@@ -17,6 +17,7 @@ from memheat.memory import (
     ds_flat_energy,
     exponential_kernel,
     history_from_profile,
+    history_norms,
     history_oracle,
     k2_norm_sq,
     KernelSpec,
@@ -28,6 +29,7 @@ from memheat.memory import (
     validate_kernel,
     zero_history,
 )
+from memheat.memory import _interp_rows
 from memheat.experiments import smooth_profile
 
 
@@ -249,6 +251,65 @@ def test_advance_history_rejects_nonpositive_step(interval):
                         interval.constant_field(1.0), 0.0)
 
 
+def _per_call_transport(phi, u_new, dt, u_prev=None):
+    # the per-call interpolation plus masked inflow that the cached
+    # operator replaced, kept here as the bitwise reference
+    s = phi.grid.s_nodes
+    q = np.maximum(s - dt, 0.0)
+    new_bulk = _interp_rows(s, phi.bulk, q)
+    new_bdry = _interp_rows(s, phi.boundary, q)
+    full = s > dt
+    part = ~full
+    if u_prev is None:
+        new_bulk[full] += dt * u_new.bulk
+        new_bdry[full] += dt * u_new.boundary
+        new_bulk[part] = s[part, None] * u_new.bulk
+        new_bdry[part] = s[part, None] * u_new.boundary
+    else:
+        inc_b = 0.5 * dt * (u_prev.bulk + u_new.bulk)
+        inc_g = 0.5 * dt * (u_prev.boundary + u_new.boundary)
+        new_bulk[full] += inc_b
+        new_bdry[full] += inc_g
+        sp_ = s[part, None]
+        curv = sp_**2 / (2.0 * dt)
+        new_bulk[part] = sp_ * u_new.bulk + curv * (u_prev.bulk - u_new.bulk)
+        new_bdry[part] = sp_ * u_new.boundary + curv * (u_prev.boundary - u_new.boundary)
+    return new_bulk, new_bdry
+
+
+@pytest.mark.parametrize("spacing, n_below", [("geometric", "several"),
+                                              ("uniform", "none")])
+def test_cached_transport_equals_the_per_call_interpolation(square, spacing,
+                                                            n_below):
+    k = exponential_kernel(0.5, rate=3.0)
+    dt = 0.0025
+    if spacing == "geometric":
+        g = build_history_grid(k, 0.2, n_s=128)
+    else:  # the Hoelder pair's grid: the first node lies past dt
+        g = build_history_grid(k, 0.2, n_s=192, spacing="uniform", s_max=2.0)
+    below = int(np.sum(g.s_nodes <= dt))
+    assert (below > 1) if n_below == "several" else (below == 0)
+    rng = np.random.default_rng(7)
+    phi = HistoryField(g, rng.normal(size=(g.n_s, square.n_bulk)),
+                       rng.normal(size=(g.n_s, square.n_boundary)))
+    u_prev, u_new = (square.field_from_bulk(rng.normal(size=square.n_bulk))
+                     for _ in range(2))
+    for prev in (u_prev, None):
+        out = advance_history(phi, u_new, dt, u_prev=prev)
+        ref_b, ref_g = _per_call_transport(phi, u_new, dt, u_prev=prev)
+        assert np.array_equal(out.bulk, ref_b)
+        assert np.array_equal(out.boundary, ref_g)
+    cached = g._cache["transport"]
+    assert cached[0] == dt and cached[2] == below
+    advance_history(phi, u_new, dt)
+    assert g._cache["transport"] is cached
+    out = advance_history(phi, u_new, 2.0 * dt, u_prev=u_prev)
+    assert g._cache["transport"][0] == 2.0 * dt
+    assert g._cache["transport"][1] is not cached[1]
+    assert np.array_equal(out.bulk,
+                          _per_call_transport(phi, u_new, 2.0 * dt, u_prev)[0])
+
+
 def test_transport_matches_oracle_on_step_aligned_grid(interval):
     k = exponential_kernel(0.5, rate=1.0)
     g = build_history_grid(k, 0.5, n_s=64, spacing="uniform", s_max=8.0)
@@ -315,6 +376,29 @@ def test_strong_history_norm_dominates_its_parts(interval):
     assert total >= m2
     assert total >= sup_tau_tail(phi, interval, 0.5, 1.0)
     assert ds_flat_energy(phi, interval) > 0.0
+
+
+@pytest.mark.parametrize("kind, n", [("interval", 65), ("square", 9)])
+def test_history_norms_equal_the_separate_norms(kind, n):
+    d = build_domain(kind, n)
+    g = build_history_grid(exponential_kernel(0.5, rate=3.0), 0.2, n_s=64)
+    rng = np.random.default_rng(11)
+    phi = HistoryField(g, rng.normal(size=(g.n_s, d.n_bulk)),
+                       rng.normal(size=(g.n_s, d.n_boundary)))
+    alpha, beta = 0.7, 1.3
+    fused = history_norms(phi, d, alpha, beta)
+    assert fused == (memory_norm_sq(phi, 1, d, alpha, beta),
+                     memory_norm_sq(phi, 2, d, alpha, beta),
+                     sup_tau_tail(phi, d, alpha, beta),
+                     k2_norm_sq(phi, d, alpha, beta))
+    # the cached dyadic windows give the per-tau tail_function sup
+    sup_t, tau = 0.0, 1.0
+    while tau <= 2.0 * max(1.0, g.s_max):
+        sup_t = max(sup_t, tau * tail_function(phi, tau, d, alpha, beta))
+        tau *= 2.0
+    assert fused[2] == sup_t > 0.0
+    assert fused[3] == fused[1] + g.eps * ds_flat_energy(phi, d) + sup_t
+    assert history_norms(None, d, alpha, beta) == (0.0, 0.0, 0.0, 0.0)
 
 
 def test_dissipation_inequality_holds_for_smooth_histories(interval):

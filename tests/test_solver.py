@@ -1,8 +1,11 @@
 """Time stepping: validation, determinism, steady states, and the splittings."""
 
+from collections import Counter
+
 import numpy as np
 import pytest
 
+from memheat import memory
 from memheat.domain import build_domain, norm_x2_sq
 from memheat.memory import (build_history_grid, exponential_kernel,
                             history_from_profile)
@@ -10,6 +13,7 @@ from memheat.physics import make_nonlinearity
 from memheat.solver import (
     ProblemConfig,
     SystemState,
+    _Recorder,
     build_problem,
     evolve,
     evolve_compact_split,
@@ -252,3 +256,18 @@ def test_limit_contraction_pair_is_the_difference_of_two_runs(interval):
            - evolve(z0, limit).final_state.u)
     assert rec.gap_sq[-1] == pytest.approx(norm_x2_sq(gap, interval),
                                            rel=1e-12)
+
+
+def test_one_recorded_sample_builds_each_history_row_set_once(interval,
+                                                              monkeypatch):
+    calls = Counter()
+    for name in ("_v1_rows", "_pair_rows", "_ds_rows"):
+        def counted(*args, _fn=getattr(memory, name), _name=name):
+            calls[_name] += 1
+            return _fn(*args)
+        monkeypatch.setattr(memory, name, counted)
+    cfg = _memory_cfg(interval, alpha=0.5)
+    y = lift(smooth_profile(interval), cfg)
+    y = step_peps(y, cfg)
+    _Recorder(cfg).add(y)
+    assert calls == {"_v1_rows": 1, "_pair_rows": 1, "_ds_rows": 1}
