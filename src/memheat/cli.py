@@ -13,6 +13,7 @@ import dataclasses
 import hashlib
 import json
 import math
+import os
 import sys
 import time
 from dataclasses import dataclass
@@ -157,11 +158,27 @@ def _build_initial(canon: dict, d: DiscreteDomain) -> StateField:
     raise ConfigError(f"unknown initial kind {spec['kind']!r}")
 
 
+def _check_history_size(canon: dict) -> None:
+    """Refuse a history array (n_s rows of bulk and boundary nodes) larger
+    than the machine's physical memory, from the integers alone, before
+    anything is allocated."""
+    n, kind = max(canon["domain"]["n"], 0), canon["domain"]["kind"]
+    nodes = {"interval": n + 2, "square": n * n + 4 * max(n - 1, 0)}.get(kind, 0)
+    need = 8 * max(canon["history"]["n_s"], 0) * nodes
+    have = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    if need > have:
+        raise ConfigError(
+            f"the history array needs {need} bytes ({need / 2**30:.3g} GiB), "
+            f"more than the {have} bytes ({have / 2**30:.3g} GiB) of physical "
+            "memory; lower domain.n or history.n_s")
+
+
 def build_from_canonical(canon: dict) -> LoadedConfig:
     """Assemble and validate the full problem from a canonical config."""
     exp = canon["experiment"]
     if exp not in ("trajectory", "energy_decay"):
         raise ConfigError(f"unknown experiment {exp!r}")
+    _check_history_size(canon)
 
     try:
         d = build_domain(canon["domain"]["kind"], canon["domain"]["n"])

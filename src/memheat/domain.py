@@ -129,7 +129,7 @@ class DiscreteDomain:
     trace: sp.csr_matrix
     lap_stencil: sp.csr_matrix
     lb_stencil: sp.csr_matrix
-    _solve_cache: dict = field(default_factory=dict, repr=False)
+    _cache: dict = field(default_factory=dict, repr=False)
 
     # -- field constructors -------------------------------------------------
 
@@ -175,6 +175,23 @@ class DiscreteDomain:
             + tr.T @ (self.stiff_gamma + beta * w_sig) @ tr
         )
         return k.tocsr()
+
+    def stacked_operators(self, alpha: float,
+                          beta: float) -> tuple[sp.csr_matrix, sp.csr_matrix]:
+        """The first-order form of ``inner_v1`` and the equation pair of
+        ``apply_wentzell`` as matrices on stacked [bulk; boundary] vectors,
+        cached per (alpha, beta)."""
+        key = ("stacked", float(alpha), float(beta))
+        if key not in self._cache:
+            form = sp.block_diag([self.stiff_bulk + alpha * sp.diags(self.dx),
+                                  self.stiff_gamma + beta * sp.diags(self.dsigma)],
+                                 format="csr")
+            pair = sp.bmat([[alpha * sp.identity(self.n_bulk) - self.lap_stencil, None],
+                            [self.normal_deriv,
+                             beta * sp.identity(self.n_boundary) - self.lb_stencil]],
+                           format="csr")
+            self._cache[key] = (form, pair)
+        return self._cache[key]
 
     def weigh_pair(self, rhs: StateField) -> Array:
         """Measure-weighted load vector of a (bulk, boundary) pair."""
@@ -384,11 +401,11 @@ def solve_wentzell_shifted(c0: float, c_a: float, rhs: StateField,
     if c0 <= 0.0 or c_a < 0.0:
         raise ValueError("need c0 > 0 and c_a >= 0")
     key = ("solve", float(c0), float(c_a), float(alpha), float(beta))
-    if key not in d._solve_cache:
+    if key not in d._cache:
         m_diag = d.mass_diag()
         sys = (c0 * sp.diags(m_diag) + c_a * d.stiffness_merged(alpha, beta)).tocsc()
-        d._solve_cache[key] = (spla.splu(sys), sys, m_diag)
-    lu, sys, m_diag = d._solve_cache[key]
+        d._cache[key] = (spla.splu(sys), sys, m_diag)
+    lu, sys, m_diag = d._cache[key]
 
     b = d.weigh_pair(rhs)
     sol = lu.solve(b)

@@ -13,6 +13,11 @@ toward s = 0: values are pulled back along characteristics and the fresh
 segment is added by exact quadrature of the step's inflow. The pull-back
 depends only on the grid and dt: it is a sparse operator cached on the grid
 per dt. The oracle keeps its own interpolation, an independent check.
+
+The history norms walk the history in cache-sized blocks of consecutive
+s-rows. Each block is copied once to node-major order, bulk over boundary,
+and meets each stacked domain operator in one sparse product, so no norm
+allocates an array the size of the history.
 """
 
 from __future__ import annotations
@@ -369,28 +374,77 @@ def history_from_profile(grid: HistoryGrid, d: DiscreteDomain,
 
 # -- weighted norms ----------------------------------------------------------
 
+# Size of one block of the history walk, as a node-major copy of its rows.
+# The copy and its sparse image stay in cache, and no norm allocates an
+# array the size of the history.
+_BLOCK_BYTES = 512 * 1024
+
+
+def _blocks(phi: HistoryField) -> list[slice]:
+    """Consecutive s-row blocks of about ``_BLOCK_BYTES`` each."""
+    n_s, n_bulk = phi.bulk.shape
+    step = max(1, _BLOCK_BYTES // (8 * (n_bulk + phi.boundary.shape[1])))
+    return [slice(a, min(a + step, n_s)) for a in range(0, n_s, step)]
+
+
+def _node_major(bulk: Array, boundary: Array) -> Array:
+    """(rows, nodes) bulk and boundary values as one C-order (nodes, rows)
+    copy, bulk over boundary."""
+    n_bulk = bulk.shape[1]
+    out = np.empty((n_bulk + boundary.shape[1], bulk.shape[0]))
+    out[:n_bulk] = bulk.T
+    out[n_bulk:] = boundary.T
+    return out
+
+
+def _s_diff(values: Array, r: slice) -> Array:
+    """One-sided s-differences of rows ``r``, anchored at the zero inflow
+    value."""
+    out = values[r].copy()
+    out[1:] -= values[r.start:r.stop - 1]
+    if r.start > 0:
+        out[0] -= values[r.start - 1]
+    return out
+
 
 def _x2_rows(bulk: Array, boundary: Array, d: DiscreteDomain) -> Array:
-    return (bulk**2) @ d.dx + (boundary**2) @ d.dsigma
+    """Flat energy of each row of (rows, nodes) bulk and boundary values."""
+    return (np.einsum("jn,jn,n->j", bulk, bulk, d.dx)
+            + np.einsum("jn,jn,n->j", boundary, boundary, d.dsigma))
 
 
-def _v1_rows(bulk: Array, boundary: Array, d: DiscreteDomain,
+def _v1_rows(phi: HistoryField, d: DiscreteDomain,
              alpha: float, beta: float) -> Array:
-    sb = d.stiff_bulk @ bulk.T
-    rows = np.einsum("jn,nj->j", bulk, sb)
-    if alpha != 0.0:
-        rows = rows + alpha * ((bulk**2) @ d.dx)
-    sg = d.stiff_gamma @ boundary.T
-    rows = rows + np.einsum("jn,nj->j", boundary, sg)
-    rows = rows + beta * ((boundary**2) @ d.dsigma)
+    """First-order energy of each history row."""
+    form, _ = d.stacked_operators(alpha, beta)
+    rows = np.empty(phi.grid.n_s)
+    for r in _blocks(phi):
+        x = _node_major(phi.bulk[r], phi.boundary[r])
+        rows[r] = np.einsum("nj,nj->j", form @ x, x)
     return rows
 
 
-def _pair_rows(bulk: Array, boundary: Array, d: DiscreteDomain,
-               alpha: float, beta: float) -> tuple[Array, Array]:
-    pb = -(d.lap_stencil @ bulk.T).T + alpha * bulk
-    pg = (d.normal_deriv @ bulk.T).T - (d.lb_stencil @ boundary.T).T + beta * boundary
-    return pb, pg
+def _pair_rows(phi: HistoryField, d: DiscreteDomain,
+               alpha: float, beta: float) -> Array:
+    """Flat energy of the equation-pair image of each history row."""
+    _, pair = d.stacked_operators(alpha, beta)
+    w = np.concatenate([d.dx, d.dsigma])
+    rows = np.empty(phi.grid.n_s)
+    for r in _blocks(phi):
+        p = pair @ _node_major(phi.bulk[r], phi.boundary[r])
+        p *= p
+        rows[r] = w @ p
+    return rows
+
+
+def _ds_rows(phi: HistoryField, d: DiscreteDomain) -> Array:
+    """Flat energy of the one-sided s-derivative of each history row."""
+    h2 = np.diff(phi.grid.s_nodes, prepend=0.0) ** 2
+    rows = np.empty(phi.grid.n_s)
+    for r in _blocks(phi):
+        rows[r] = _x2_rows(_s_diff(phi.bulk, r), _s_diff(phi.boundary, r),
+                           d) / h2[r]
+    return rows
 
 
 def memory_norm_sq(phi: Optional[HistoryField], level: int, d: DiscreteDomain,
@@ -403,17 +457,15 @@ def memory_norm_sq(phi: Optional[HistoryField], level: int, d: DiscreteDomain,
     """
     if phi is None:
         return 0.0
-    w = phi.grid.weights
     if level == 0:
         rows = _x2_rows(phi.bulk, phi.boundary, d)
     elif level == 1:
-        rows = _v1_rows(phi.bulk, phi.boundary, d, alpha, beta)
+        rows = _v1_rows(phi, d, alpha, beta)
     elif level == 2:
-        pb, pg = _pair_rows(phi.bulk, phi.boundary, d, alpha, beta)
-        rows = _x2_rows(pb, pg, d)
+        rows = _pair_rows(phi, d, alpha, beta)
     else:
         raise ValueError(f"level must be 0, 1 or 2, got {level}")
-    return float(w @ rows)
+    return float(phi.grid.weights @ rows)
 
 
 def convolve_wentzell(phi: Optional[HistoryField], d: DiscreteDomain,
@@ -577,7 +629,7 @@ def tail_function(phi: Optional[HistoryField], tau: float, d: DiscreteDomain,
         raise ValueError("tau must be >= 1")
     if phi is None:
         return 0.0
-    rows = _v1_rows(phi.bulk, phi.boundary, d, alpha, beta)
+    rows = _v1_rows(phi, d, alpha, beta)
     return float(phi.grid.eps * (_tail_window(phi.grid, tau) @ rows))
 
 
@@ -598,25 +650,11 @@ def _tail_sup(g: HistoryGrid, v1: Array) -> float:
     return max([0.0] + [tau * float(g.eps * (w @ v1)) for tau, w in windows])
 
 
-def _ds_rows(phi: HistoryField) -> tuple[Array, Array]:
-    """One-sided s-derivative rows, anchored at the zero inflow value."""
-    s = phi.grid.s_nodes
-    db = np.empty_like(phi.bulk)
-    dg = np.empty_like(phi.boundary)
-    db[0] = phi.bulk[0] / s[0]
-    dg[0] = phi.boundary[0] / s[0]
-    ds = np.diff(s)[:, None]
-    db[1:] = np.diff(phi.bulk, axis=0) / ds
-    dg[1:] = np.diff(phi.boundary, axis=0) / ds
-    return db, dg
-
-
 def ds_flat_energy(phi: Optional[HistoryField], d: DiscreteDomain) -> float:
     """mu_eps-weighted flat energy of the one-sided s-derivative."""
     if phi is None:
         return 0.0
-    db, dg = _ds_rows(phi)
-    return float(phi.grid.weights @ _x2_rows(db, dg, d))
+    return float(phi.grid.weights @ _ds_rows(phi, d))
 
 
 def sup_tau_tail(phi: Optional[HistoryField], d: DiscreteDomain,
@@ -625,7 +663,7 @@ def sup_tau_tail(phi: Optional[HistoryField], d: DiscreteDomain,
     the grid horizon (the tail vanishes beyond it)."""
     if phi is None:
         return 0.0
-    return _tail_sup(phi.grid, _v1_rows(phi.bulk, phi.boundary, d, alpha, beta))
+    return _tail_sup(phi.grid, _v1_rows(phi, d, alpha, beta))
 
 
 def history_norms(phi: Optional[HistoryField], d: DiscreteDomain,
@@ -635,7 +673,7 @@ def history_norms(phi: Optional[HistoryField], d: DiscreteDomain,
     the V1, pair and d/ds rows. ``phi=None`` gives zeros."""
     if phi is None:
         return 0.0, 0.0, 0.0, 0.0
-    v1 = _v1_rows(phi.bulk, phi.boundary, d, alpha, beta)
+    v1 = _v1_rows(phi, d, alpha, beta)
     m2 = memory_norm_sq(phi, 2, d, alpha, beta)
     tail_sup = _tail_sup(phi.grid, v1)
     k2 = m2 + phi.grid.eps * ds_flat_energy(phi, d) + tail_sup
@@ -667,15 +705,14 @@ def dissipation_check(phi: HistoryField, d: DiscreteDomain,
     inequality holds).
     """
     g = phi.grid
-    db, dg = _ds_rows(phi)
+    form, _ = d.stacked_operators(alpha, beta)
+    h = np.diff(g.s_nodes, prepend=0.0)
     # <T phi, phi> = - sum_j w_j <d_s phi_j, phi_j>_V1, computed rowwise
-    sb = d.stiff_bulk @ phi.bulk.T
-    rows = np.einsum("jn,nj->j", db, sb)
-    if alpha != 0.0:
-        rows = rows + alpha * ((db * phi.bulk) @ d.dx)
-    sg = d.stiff_gamma @ phi.boundary.T
-    rows = rows + np.einsum("jn,nj->j", dg, sg)
-    rows = rows + beta * ((dg * phi.boundary) @ d.dsigma)
+    rows = np.empty(g.n_s)
+    for r in _blocks(phi):
+        ds = _node_major(_s_diff(phi.bulk, r), _s_diff(phi.boundary, r))
+        x = _node_major(phi.bulk[r], phi.boundary[r])
+        rows[r] = np.einsum("nj,nj->j", form @ ds, x) / h[r]
     lhs = -float(g.weights @ rows)
 
     m1 = memory_norm_sq(phi, 1, d, alpha, beta)

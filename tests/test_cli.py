@@ -1,6 +1,7 @@
 """Command-line front end: config validation, artifacts, checkpoint safety."""
 
 import json
+import time
 
 import numpy as np
 import pytest
@@ -292,3 +293,17 @@ def test_sweep_refuses_a_horizon_off_the_step_grid(tmp_path, capsys):
     assert main(["sweep-eps", "--config", str(path), "--eps", "0.2,0.1",
                  "--out", str(tmp_path / "s")]) == 2
     assert "integer multiple" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("override", [
+    {"domain": {"kind": "square", "n": 10**7}},
+    {"history": {"n_s": 10**8}},
+])
+def test_history_larger_than_memory_is_refused_at_once(tmp_path, capsys,
+                                                       override):
+    path = write_cfg(tmp_path, **override)
+    start = time.perf_counter()
+    assert main(["validate", "--config", str(path)]) == 2
+    assert time.perf_counter() - start < 5.0
+    err = capsys.readouterr().err
+    assert "history array needs" in err and "physical memory" in err

@@ -1,6 +1,7 @@
 """Kernels, history grids, weighted norms, and the transport step."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -29,6 +30,7 @@ from memheat.memory import (
     validate_kernel,
     zero_history,
 )
+from memheat import memory
 from memheat.memory import _interp_rows
 from memheat.experiments import smooth_profile
 
@@ -399,6 +401,106 @@ def test_history_norms_equal_the_separate_norms(kind, n):
     assert fused[2] == sup_t > 0.0
     assert fused[3] == fused[1] + g.eps * ds_flat_energy(phi, d) + sup_t
     assert history_norms(None, d, alpha, beta) == (0.0, 0.0, 0.0, 0.0)
+
+
+# The unblocked row formulas of the norms before the block walk, kept as its
+# reference.
+def _unblocked_x2_rows(bulk, boundary, d):
+    return (bulk**2) @ d.dx + (boundary**2) @ d.dsigma
+
+
+def _unblocked_v1_rows(bulk, boundary, d, alpha, beta):
+    sb = d.stiff_bulk @ bulk.T
+    rows = np.einsum("jn,nj->j", bulk, sb)
+    if alpha != 0.0:
+        rows = rows + alpha * ((bulk**2) @ d.dx)
+    sg = d.stiff_gamma @ boundary.T
+    rows = rows + np.einsum("jn,nj->j", boundary, sg)
+    rows = rows + beta * ((boundary**2) @ d.dsigma)
+    return rows
+
+
+def _unblocked_pair_rows(bulk, boundary, d, alpha, beta):
+    pb = -(d.lap_stencil @ bulk.T).T + alpha * bulk
+    pg = (d.normal_deriv @ bulk.T).T - (d.lb_stencil @ boundary.T).T + beta * boundary
+    return pb, pg
+
+
+def _unblocked_ds_rows(phi):
+    s = phi.grid.s_nodes
+    db = np.empty_like(phi.bulk)
+    dg = np.empty_like(phi.boundary)
+    db[0] = phi.bulk[0] / s[0]
+    dg[0] = phi.boundary[0] / s[0]
+    ds = np.diff(s)[:, None]
+    db[1:] = np.diff(phi.bulk, axis=0) / ds
+    dg[1:] = np.diff(phi.boundary, axis=0) / ds
+    return db, dg
+
+
+def _unblocked_norms(phi, d, alpha, beta):
+    g = phi.grid
+    v1 = _unblocked_v1_rows(phi.bulk, phi.boundary, d, alpha, beta)
+    m2 = g.weights @ _unblocked_x2_rows(
+        *_unblocked_pair_rows(phi.bulk, phi.boundary, d, alpha, beta), d)
+    tail_sup, tau = 0.0, 1.0
+    while tau <= 2.0 * max(1.0, g.s_max):
+        window = g.window_weights(0.0, 1.0 / tau) + g.window_weights(tau, g.s_max)
+        tail_sup = max(tail_sup, tau * g.eps * (window @ v1))
+        tau *= 2.0
+    db, dg = _unblocked_ds_rows(phi)
+    k2 = m2 + g.eps * (g.weights @ _unblocked_x2_rows(db, dg, d)) + tail_sup
+    # the transport pairing of dissipation_check
+    sb = d.stiff_bulk @ phi.bulk.T
+    rows = np.einsum("jn,nj->j", db, sb)
+    if alpha != 0.0:
+        rows = rows + alpha * ((db * phi.bulk) @ d.dx)
+    sg = d.stiff_gamma @ phi.boundary.T
+    rows = rows + np.einsum("jn,nj->j", dg, sg)
+    rows = rows + beta * ((dg * phi.boundary) @ d.dsigma)
+    return (g.weights @ v1, m2, tail_sup, k2,
+            g.weights @ _unblocked_x2_rows(phi.bulk, phi.boundary, d),
+            -(g.weights @ rows))
+
+
+@pytest.mark.parametrize("kind, n", [("interval", 65), ("square", 9)])
+def test_blocked_norms_match_the_unblocked_formulas(kind, n, monkeypatch):
+    d = build_domain(kind, n)
+    g = build_history_grid(exponential_kernel(0.5, rate=3.0), 0.2, n_s=64)
+    rng = np.random.default_rng(13)
+    phi = HistoryField(g, rng.normal(size=(g.n_s, d.n_bulk)),
+                       rng.normal(size=(g.n_s, d.n_boundary)))
+    alpha, beta = 0.7, 1.3
+    monkeypatch.setattr(memory, "_BLOCK_BYTES", 3000)
+    blocks = memory._blocks(phi)
+    step = blocks[0].stop
+    assert len(blocks) > 1 and g.n_s % step != 0
+    assert blocks[-1].stop - blocks[-1].start == g.n_s % step
+    m1, m2, tail_sup, k2, m0, lhs = _unblocked_norms(phi, d, alpha, beta)
+    assert history_norms(phi, d, alpha, beta) == pytest.approx(
+        (m1, m2, tail_sup, k2), rel=1e-12, abs=0.0)
+    assert memory_norm_sq(phi, 0, d, alpha, beta) == pytest.approx(
+        m0, rel=1e-12, abs=0.0)
+    assert dissipation_check(phi, d, alpha, beta).lhs == pytest.approx(
+        lhs, rel=1e-12, abs=0.0)
+
+
+def test_history_norms_allocate_no_history_sized_arrays():
+    d = build_domain("square", 65)
+    g = build_history_grid(exponential_kernel(0.5, rate=3.0), 0.2, n_s=128)
+    rng = np.random.default_rng(17)
+    phi = HistoryField(g, rng.normal(size=(g.n_s, d.n_bulk)),
+                       rng.normal(size=(g.n_s, d.n_boundary)))
+    assert phi.bulk.nbytes > 4 * 2**20
+    d.stacked_operators(0.7, 1.3)  # domain-only, built once per run
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        history_norms(phi, d, 0.7, 1.3)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 2**20
 
 
 def test_dissipation_inequality_holds_for_smooth_histories(interval):

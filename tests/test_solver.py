@@ -271,3 +271,21 @@ def test_one_recorded_sample_builds_each_history_row_set_once(interval,
     y = step_peps(y, cfg)
     _Recorder(cfg).add(y)
     assert calls == {"_v1_rows": 1, "_pair_rows": 1, "_ds_rows": 1}
+
+
+def test_one_recorded_sample_on_a_multi_block_history_builds_each_row_set_once(
+        monkeypatch):
+    calls = Counter()
+    for name in ("_v1_rows", "_pair_rows", "_ds_rows"):
+        def counted(*args, _fn=getattr(memory, name), _name=name):
+            calls[_name] += 1
+            return _fn(*args)
+        monkeypatch.setattr(memory, name, counted)
+    d = build_domain("square", 65)
+    cfg = _memory_cfg(d, alpha=0.5)
+    y = step_peps(lift(smooth_profile(d), cfg), cfg)
+    assert len(memory._blocks(y.phi)) > 1
+    recorder = _Recorder(cfg)
+    recorder.add(y)
+    recorder.add(y)
+    assert calls == {"_v1_rows": 2, "_pair_rows": 2, "_ds_rows": 2}
