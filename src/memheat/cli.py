@@ -33,7 +33,7 @@ from .solver import (ProblemConfig, SystemState, TrajectoryRecord, _n_steps, bui
 from .experiments import (GateError, energy_decay_experiment, fit_decay,
                           robustness_sweep, smooth_profile)
 
-CHECKPOINT_FORMAT = "memheat-checkpoint-1"
+CHECKPOINT_FORMAT = "memheat-checkpoint-2"
 
 EXIT_PASS = 0
 EXIT_ASSERTION = 1
@@ -159,11 +159,11 @@ def _build_initial(canon: dict, d: DiscreteDomain) -> StateField:
 
 
 def _check_history_size(canon: dict) -> None:
-    """Refuse a history array (n_s rows of bulk and boundary nodes) larger
-    than the machine's physical memory, from the integers alone, before
-    anything is allocated."""
+    """Refuse a history array (n_s rows of bulk nodes) larger than the
+    machine's physical memory, from the integers alone, before anything is
+    allocated."""
     n, kind = max(canon["domain"]["n"], 0), canon["domain"]["kind"]
-    nodes = {"interval": n + 2, "square": n * n + 4 * max(n - 1, 0)}.get(kind, 0)
+    nodes = {"interval": n, "square": n * n}.get(kind, 0)
     need = 8 * max(canon["history"]["n_s"], 0) * nodes
     have = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
     if need > have:
@@ -273,9 +273,7 @@ class Checkpoint:
 def _state_arrays(state: SystemState, grid) -> list:
     arrays = [("u_bulk", state.u.bulk), ("u_boundary", state.u.boundary)]
     if state.phi is not None:
-        arrays += [("phi_bulk", state.phi.bulk),
-                   ("phi_boundary", state.phi.boundary),
-                   ("s_nodes", grid.s_nodes)]
+        arrays += [("phi_bulk", state.phi.bulk), ("s_nodes", grid.s_nodes)]
     return arrays
 
 
@@ -317,8 +315,10 @@ def checkpoint_load(path, expect_canon: Optional[dict] = None) -> Checkpoint:
     with open(path, "rb") as fh:
         header = json.loads(fh.readline().decode())
         blob = fh.read()
-    if header.get("format") != CHECKPOINT_FORMAT:
-        raise ConfigError(f"not a checkpoint file: {path}")
+    found = header.get("format") if isinstance(header, dict) else None
+    if found != CHECKPOINT_FORMAT:
+        raise ConfigError(f"checkpoint refused: {path} has format {found!r}, "
+                          f"expected {CHECKPOINT_FORMAT!r}")
     canon = header["config"]
     if config_hash(canon) != header["config_sha256"]:
         raise ConfigError("checkpoint refused: embedded config does not "
@@ -348,7 +348,8 @@ def checkpoint_load(path, expect_canon: Optional[dict] = None) -> Checkpoint:
         if not np.array_equal(arrays["s_nodes"], grid.s_nodes):
             raise ConfigError("checkpoint refused: stored history grid "
                               "differs from the one the config rebuilds")
-        phi = HistoryField(grid, arrays["phi_bulk"], arrays["phi_boundary"])
+        phi = HistoryField(grid, arrays["phi_bulk"],
+                           loaded.problem.domain.boundary_index)
     state = SystemState(u, phi, int(header["step"]), float(header["t"]))
 
     records = {name[4:]: arrays[name] for name in arrays

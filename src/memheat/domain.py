@@ -48,9 +48,10 @@ class StateField:
     """Bulk values on the closed grid plus boundary values.
 
     States produced by constructors and time steppers are trace compatible
-    (``boundary == bulk[domain.boundary_index]``). Operator images in general
-    are not: ``apply_wentzell`` returns the pair of residuals of the two
-    coupled equations, which differ at the boundary by design.
+    (``boundary == bulk[domain.boundary_index]``), and so is every history
+    row, which is why a history stores the bulk only. Operator images in
+    general are not: ``apply_wentzell`` returns the pair of residuals of the
+    two coupled equations, which differ at the boundary by design.
     """
 
     bulk: Array
@@ -176,21 +177,19 @@ class DiscreteDomain:
         )
         return k.tocsr()
 
-    def stacked_operators(self, alpha: float,
-                          beta: float) -> tuple[sp.csr_matrix, sp.csr_matrix]:
-        """The first-order form of ``inner_v1`` and the equation pair of
-        ``apply_wentzell`` as matrices on stacked [bulk; boundary] vectors,
-        cached per (alpha, beta)."""
-        key = ("stacked", float(alpha), float(beta))
+    def bulk_operators(self, alpha: float,
+                       beta: float) -> tuple[sp.csr_matrix, sp.csr_matrix]:
+        """K of ``stiffness_merged`` and the equation pair of
+        ``apply_wentzell`` restricted to trace-compatible fields, both as
+        matrices on bulk vectors, cached per (alpha, beta). The pair is
+        (n_bulk + n_boundary) x n_bulk, bulk equation over boundary one."""
+        key = ("bulk", float(alpha), float(beta))
         if key not in self._cache:
-            form = sp.block_diag([self.stiff_bulk + alpha * sp.diags(self.dx),
-                                  self.stiff_gamma + beta * sp.diags(self.dsigma)],
-                                 format="csr")
-            pair = sp.bmat([[alpha * sp.identity(self.n_bulk) - self.lap_stencil, None],
-                            [self.normal_deriv,
-                             beta * sp.identity(self.n_boundary) - self.lb_stencil]],
-                           format="csr")
-            self._cache[key] = (form, pair)
+            pair = sp.vstack([alpha * sp.identity(self.n_bulk) - self.lap_stencil,
+                              self.normal_deriv
+                              + (beta * sp.identity(self.n_boundary)
+                                 - self.lb_stencil) @ self.trace], format="csr")
+            self._cache[key] = (self.stiffness_merged(alpha, beta), pair)
         return self._cache[key]
 
     def weigh_pair(self, rhs: StateField) -> Array:

@@ -14,10 +14,13 @@ segment is added by exact quadrature of the step's inflow. The pull-back
 depends only on the grid and dt: it is a sparse operator cached on the grid
 per dt. The oracle keeps its own interpolation, an independent check.
 
-The history norms walk the history in cache-sized blocks of consecutive
-s-rows. Each block is copied once to node-major order, bulk over boundary,
-and meets each stacked domain operator in one sparse product, so no norm
-allocates an array the size of the history.
+The memory response on the boundary matches the one in the interior, so
+the boundary history is the trace of the bulk history, not a second
+unknown: a history stores its bulk rows only and derives the boundary rows
+on demand. The history norms walk the bulk in cache-sized blocks of
+consecutive s-rows. Each block is copied once to node-major order and meets
+the domain's merged operators on bulk vectors (``bulk_operators``) in one
+sparse product each, so no norm allocates an array the size of the history.
 """
 
 from __future__ import annotations
@@ -30,7 +33,7 @@ import numpy as np
 import scipy.sparse as sp
 from numpy.typing import NDArray
 
-from .domain import DiscreteDomain, StateField
+from .domain import DiscreteDomain, StateField, apply_wentzell
 
 __all__ = [
     "KernelSpec",
@@ -327,17 +330,23 @@ def build_history_grid(kernel: KernelSpec, eps: float, n_s: int = 128,
 
 @dataclass
 class HistoryField:
-    """History values at the s-nodes: arrays of shape (n_s, n_bulk/n_boundary)."""
+    """History values at the s-nodes: ``bulk`` of shape (n_s, n_bulk).
+
+    Every history row is trace compatible, so only the bulk is stored, with
+    the domain's ``boundary_index``; ``boundary`` derives the boundary rows.
+    """
 
     grid: HistoryGrid
     bulk: Array
-    boundary: Array
+    boundary_index: NDArray[np.int64]
+
+    @property
+    def boundary(self) -> Array:
+        """The boundary rows, shape (n_s, n_boundary), as a derived copy."""
+        return self.bulk[:, self.boundary_index]
 
     def copy(self) -> "HistoryField":
-        return HistoryField(self.grid, self.bulk.copy(), self.boundary.copy())
-
-    def field_at(self, j: int) -> StateField:
-        return StateField(self.bulk[j].copy(), self.boundary[j].copy())
+        return HistoryField(self.grid, self.bulk.copy(), self.boundary_index)
 
     def _check_mate(self, other: "HistoryField"):
         if not self.grid.same_nodes(other.grid):
@@ -345,56 +354,47 @@ class HistoryField:
 
     def __add__(self, other: "HistoryField") -> "HistoryField":
         self._check_mate(other)
-        return HistoryField(self.grid, self.bulk + other.bulk,
-                            self.boundary + other.boundary)
+        return HistoryField(self.grid, self.bulk + other.bulk, self.boundary_index)
 
     def __sub__(self, other: "HistoryField") -> "HistoryField":
         self._check_mate(other)
-        return HistoryField(self.grid, self.bulk - other.bulk,
-                            self.boundary - other.boundary)
+        return HistoryField(self.grid, self.bulk - other.bulk, self.boundary_index)
 
     def __mul__(self, c: float) -> "HistoryField":
-        return HistoryField(self.grid, self.bulk * c, self.boundary * c)
+        return HistoryField(self.grid, self.bulk * c, self.boundary_index)
 
     __rmul__ = __mul__
 
 
 def zero_history(grid: HistoryGrid, d: DiscreteDomain) -> HistoryField:
-    return HistoryField(grid, np.zeros((grid.n_s, d.n_bulk)),
-                        np.zeros((grid.n_s, d.n_boundary)))
+    return HistoryField(grid, np.zeros((grid.n_s, d.n_bulk)), d.boundary_index)
 
 
 def history_from_profile(grid: HistoryGrid, d: DiscreteDomain,
                          profile: Callable[[Array], Array],
                          shape: StateField) -> HistoryField:
-    """Separable history Phi(s) = profile(s) * shape."""
+    """Separable history Phi(s) = profile(s) * shape, for a trace-compatible
+    shape; any other shape is refused, since its boundary half is lost."""
+    if not d.is_trace_compatible(shape):
+        raise ValueError("a history shape must be trace compatible")
     p = np.asarray(profile(grid.s_nodes), dtype=float)
-    return HistoryField(grid, np.outer(p, shape.bulk), np.outer(p, shape.boundary))
+    return HistoryField(grid, np.outer(p, shape.bulk), d.boundary_index)
 
 
 # -- weighted norms ----------------------------------------------------------
 
-# Size of one block of the history walk, as a node-major copy of its rows.
-# The copy and its sparse image stay in cache, and no norm allocates an
-# array the size of the history.
+# Size of one block of the history walk, as its largest temporary: the
+# equation-pair image, one row per bulk and per boundary node. The block and
+# its sparse images stay in cache, and no norm allocates an array the size
+# of the history.
 _BLOCK_BYTES = 512 * 1024
 
 
 def _blocks(phi: HistoryField) -> list[slice]:
     """Consecutive s-row blocks of about ``_BLOCK_BYTES`` each."""
     n_s, n_bulk = phi.bulk.shape
-    step = max(1, _BLOCK_BYTES // (8 * (n_bulk + phi.boundary.shape[1])))
+    step = max(1, _BLOCK_BYTES // (8 * (n_bulk + phi.boundary_index.size)))
     return [slice(a, min(a + step, n_s)) for a in range(0, n_s, step)]
-
-
-def _node_major(bulk: Array, boundary: Array) -> Array:
-    """(rows, nodes) bulk and boundary values as one C-order (nodes, rows)
-    copy, bulk over boundary."""
-    n_bulk = bulk.shape[1]
-    out = np.empty((n_bulk + boundary.shape[1], bulk.shape[0]))
-    out[:n_bulk] = bulk.T
-    out[n_bulk:] = boundary.T
-    return out
 
 
 def _s_diff(values: Array, r: slice) -> Array:
@@ -407,31 +407,31 @@ def _s_diff(values: Array, r: slice) -> Array:
     return out
 
 
-def _x2_rows(bulk: Array, boundary: Array, d: DiscreteDomain) -> Array:
-    """Flat energy of each row of (rows, nodes) bulk and boundary values."""
-    return (np.einsum("jn,jn,n->j", bulk, bulk, d.dx)
-            + np.einsum("jn,jn,n->j", boundary, boundary, d.dsigma))
+def _x2_rows(bulk: Array, mass: Array) -> Array:
+    """Flat energy of each row of (rows, nodes) trace-compatible bulk values,
+    against the merged measure ``mass_diag``."""
+    return np.einsum("jn,jn,n->j", bulk, bulk, mass)
 
 
 def _v1_rows(phi: HistoryField, d: DiscreteDomain,
              alpha: float, beta: float) -> Array:
     """First-order energy of each history row."""
-    form, _ = d.stacked_operators(alpha, beta)
+    k, _ = d.bulk_operators(alpha, beta)
     rows = np.empty(phi.grid.n_s)
     for r in _blocks(phi):
-        x = _node_major(phi.bulk[r], phi.boundary[r])
-        rows[r] = np.einsum("nj,nj->j", form @ x, x)
+        x = phi.bulk[r].T.copy()
+        rows[r] = np.einsum("nj,nj->j", k @ x, x)
     return rows
 
 
 def _pair_rows(phi: HistoryField, d: DiscreteDomain,
                alpha: float, beta: float) -> Array:
     """Flat energy of the equation-pair image of each history row."""
-    _, pair = d.stacked_operators(alpha, beta)
+    _, pair = d.bulk_operators(alpha, beta)
     w = np.concatenate([d.dx, d.dsigma])
     rows = np.empty(phi.grid.n_s)
     for r in _blocks(phi):
-        p = pair @ _node_major(phi.bulk[r], phi.boundary[r])
+        p = pair @ phi.bulk[r].T.copy()
         p *= p
         rows[r] = w @ p
     return rows
@@ -440,10 +440,10 @@ def _pair_rows(phi: HistoryField, d: DiscreteDomain,
 def _ds_rows(phi: HistoryField, d: DiscreteDomain) -> Array:
     """Flat energy of the one-sided s-derivative of each history row."""
     h2 = np.diff(phi.grid.s_nodes, prepend=0.0) ** 2
+    mass = d.mass_diag()
     rows = np.empty(phi.grid.n_s)
     for r in _blocks(phi):
-        rows[r] = _x2_rows(_s_diff(phi.bulk, r), _s_diff(phi.boundary, r),
-                           d) / h2[r]
+        rows[r] = _x2_rows(_s_diff(phi.bulk, r), mass) / h2[r]
     return rows
 
 
@@ -458,7 +458,7 @@ def memory_norm_sq(phi: Optional[HistoryField], level: int, d: DiscreteDomain,
     if phi is None:
         return 0.0
     if level == 0:
-        rows = _x2_rows(phi.bulk, phi.boundary, d)
+        rows = _x2_rows(phi.bulk, d.mass_diag())
     elif level == 1:
         rows = _v1_rows(phi, d, alpha, beta)
     elif level == 2:
@@ -477,10 +477,8 @@ def convolve_wentzell(phi: Optional[HistoryField], d: DiscreteDomain,
     """
     if phi is None:
         return d.zero_field()
-    w = phi.grid.weights
-    u_w = StateField(w @ phi.bulk, w @ phi.boundary)
-    from .domain import apply_wentzell
-    return apply_wentzell(u_w, d, alpha, beta)
+    return apply_wentzell(d.field_from_bulk(phi.grid.weights @ phi.bulk),
+                          d, alpha, beta)
 
 
 # -- transport ----------------------------------------------------------------
@@ -533,25 +531,22 @@ def advance_history(phi: HistoryField, u_new: StateField, dt: float,
     integration of the step's inflow. With only ``u_new`` the inflow is
     constant over the step; passing ``u_prev`` integrates the linear-in-time
     inflow exactly (trapezoid), which is what the evolution steppers use.
+    The inflow fields are trace compatible, so only their bulk is read.
     """
     if dt <= 0.0:
         raise ValueError("dt must be positive")
     P, k = _pullback(phi.grid, dt)
     s = phi.grid.s_nodes[:k, None]
-
-    def moved(values: Array, new: Array, prev: Optional[Array]) -> Array:
-        out = P @ values
-        if prev is None:
-            out[k:] += dt * new
-            out[:k] = s * new
-        else:
-            out[k:] += 0.5 * dt * (prev + new)
-            out[:k] = s * new + s**2 / (2.0 * dt) * (prev - new)
-        return out
-
-    pb, pg = (None, None) if u_prev is None else (u_prev.bulk, u_prev.boundary)
-    return HistoryField(phi.grid, moved(phi.bulk, u_new.bulk, pb),
-                        moved(phi.boundary, u_new.boundary, pg))
+    out = P @ phi.bulk
+    new = u_new.bulk
+    if u_prev is None:
+        out[k:] += dt * new
+        out[:k] = s * new
+    else:
+        prev = u_prev.bulk
+        out[k:] += 0.5 * dt * (prev + new)
+        out[:k] = s * new + s**2 / (2.0 * dt) * (prev - new)
+    return HistoryField(phi.grid, out, phi.boundary_index)
 
 
 def history_oracle(times: Array, path: list[StateField],
@@ -573,46 +568,31 @@ def history_oracle(times: Array, path: list[StateField],
     t = float(min(max(t, 0.0), times[-1]))
 
     bulk_path = np.stack([u.bulk for u in path])
-    bdry_path = np.stack([u.boundary for u in path])
     dt_cells = np.diff(times)
     cum_b = np.vstack([
         np.zeros((1, bulk_path.shape[1])),
         np.cumsum(0.5 * (bulk_path[1:] + bulk_path[:-1]) * dt_cells[:, None], axis=0),
     ])
-    cum_g = np.vstack([
-        np.zeros((1, bdry_path.shape[1])),
-        np.cumsum(0.5 * (bdry_path[1:] + bdry_path[:-1]) * dt_cells[:, None], axis=0),
-    ])
 
-    def path_cum(a: Array) -> tuple[Array, Array]:
+    def path_cum(a: Array) -> Array:
         # exact integral of the piecewise-linear path from 0 to each a
         i = np.clip(np.searchsorted(times, a, side="right") - 1, 0, times.size - 2)
         th = a - times[i]
         frac = th / dt_cells[i]
         ub = bulk_path[i] + frac[:, None] * (bulk_path[i + 1] - bulk_path[i])
-        ug = bdry_path[i] + frac[:, None] * (bdry_path[i + 1] - bdry_path[i])
-        ib = cum_b[i] + 0.5 * th[:, None] * (bulk_path[i] + ub)
-        ig = cum_g[i] + 0.5 * th[:, None] * (bdry_path[i] + ug)
-        return ib, ig
+        return cum_b[i] + 0.5 * th[:, None] * (bulk_path[i] + ub)
 
     s = grid.s_nodes
     recent = s <= t
     out_b = np.zeros((grid.n_s, d.n_bulk))
-    out_g = np.zeros((grid.n_s, d.n_boundary))
-
+    it_b = path_cum(np.array([t]))
     if np.any(recent):
-        it_b, it_g = path_cum(np.array([t]))
-        ia_b, ia_g = path_cum(t - s[recent])
-        out_b[recent] = it_b - ia_b
-        out_g[recent] = it_g - ia_g
+        out_b[recent] = it_b - path_cum(t - s[recent])
     if np.any(~recent):
-        it_b, it_g = path_cum(np.array([t]))
         if phi0 is not None:
             out_b[~recent] = _interp_rows(s, phi0.bulk, s[~recent] - t)
-            out_g[~recent] = _interp_rows(s, phi0.boundary, s[~recent] - t)
         out_b[~recent] += it_b
-        out_g[~recent] += it_g
-    return HistoryField(grid, out_b, out_g)
+    return HistoryField(grid, out_b, d.boundary_index)
 
 
 # -- tails and strong norms ----------------------------------------------------
@@ -705,14 +685,14 @@ def dissipation_check(phi: HistoryField, d: DiscreteDomain,
     inequality holds).
     """
     g = phi.grid
-    form, _ = d.stacked_operators(alpha, beta)
+    k, _ = d.bulk_operators(alpha, beta)
     h = np.diff(g.s_nodes, prepend=0.0)
-    # <T phi, phi> = - sum_j w_j <d_s phi_j, phi_j>_V1, computed rowwise
+    # <T phi, phi> = - sum_j w_j <d_s phi_j, phi_j>_V1, computed rowwise;
+    # K is symmetric, so each row pairs d_s phi_j with K phi_j
     rows = np.empty(g.n_s)
     for r in _blocks(phi):
-        ds = _node_major(_s_diff(phi.bulk, r), _s_diff(phi.boundary, r))
-        x = _node_major(phi.bulk[r], phi.boundary[r])
-        rows[r] = np.einsum("nj,nj->j", form @ ds, x) / h[r]
+        kx = k @ phi.bulk[r].T.copy()
+        rows[r] = np.einsum("nj,jn->j", kx, _s_diff(phi.bulk, r)) / h[r]
     lhs = -float(g.weights @ rows)
 
     m1 = memory_norm_sq(phi, 1, d, alpha, beta)

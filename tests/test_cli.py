@@ -172,6 +172,27 @@ def test_resume_refuses_a_non_checkpoint_file(tmp_path, capsys):
                  "--out", str(tmp_path / "r")]) == 2
 
 
+def test_resume_refuses_a_checkpoint_of_another_format(tmp_path, capsys):
+    path = write_cfg(tmp_path)
+    out = tmp_path / "direct"
+    assert main(["run", "--config", str(path), "--out", str(out)]) == 0
+    header = json.loads((out / "checkpoint.bin").read_bytes().split(b"\n")[0])
+    assert header["format"] == "memheat-checkpoint-2"
+    assert [name for name, _ in header["arrays"]][:4] == [
+        "u_bulk", "u_boundary", "phi_bulk", "s_nodes"]
+    # format 1 also stored the boundary history, the trace of phi_bulk
+    old = tmp_path / "old.bin"
+    old.write_bytes(json.dumps({
+        "format": "memheat-checkpoint-1",
+        "arrays": [["u_bulk", [65]], ["u_boundary", [2]],
+                   ["phi_bulk", [128, 65]], ["phi_boundary", [128, 2]],
+                   ["s_nodes", [128]]]}).encode() + b"\n")
+    assert main(["resume", "--checkpoint", str(old),
+                 "--out", str(tmp_path / "r")]) == 2
+    err = capsys.readouterr().err
+    assert "'memheat-checkpoint-1'" in err and "'memheat-checkpoint-2'" in err
+
+
 def test_checkpoint_roundtrip_preserves_state_bitwise(tmp_path):
     loaded = load_config(write_cfg(tmp_path))
     d = loaded.problem.domain
@@ -179,7 +200,7 @@ def test_checkpoint_roundtrip_preserves_state_bitwise(tmp_path):
     rng = np.random.default_rng(42)
     u = d.field_from_bulk(rng.normal(size=d.n_bulk))
     phi = HistoryField(grid, rng.normal(size=(grid.n_s, d.n_bulk)),
-                       rng.normal(size=(grid.n_s, d.n_boundary)))
+                       d.boundary_index)
     state = SystemState(u, phi, step=10, t=0.05)
     records = {"t": np.array([0.0, 0.05]), "energy": np.array([1.0, 0.5])}
     ck_path = tmp_path / "state.bin"

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from memheat.domain import build_domain, norm_v1_sq, norm_x2_sq
+from memheat.domain import apply_wentzell, build_domain, norm_v1_sq, norm_x2_sq
 from memheat.memory import (
     HistoryField,
     advance_history,
@@ -181,6 +181,16 @@ def test_memory_norm_scales_quadratically(interval):
         6.25 * base, rel=1e-12)
 
 
+def test_history_from_profile_refuses_a_shape_off_the_trace(interval):
+    # the history stores its bulk only, so it cannot hold a boundary half
+    # that differs from the bulk trace
+    g = build_history_grid(exponential_kernel(0.5, rate=1.0), 0.5, n_s=64)
+    image = apply_wentzell(smooth_profile(interval), interval, 0.7, 1.3)
+    assert not interval.is_trace_compatible(image)
+    with pytest.raises(ValueError, match="trace compatible"):
+        history_from_profile(g, interval, np.exp, image)
+
+
 def test_history_fields_on_different_grids_do_not_mix(interval):
     k = exponential_kernel(0.5, rate=1.0)
     g1 = build_history_grid(k, 0.5, n_s=64)
@@ -293,7 +303,7 @@ def test_cached_transport_equals_the_per_call_interpolation(square, spacing,
     assert (below > 1) if n_below == "several" else (below == 0)
     rng = np.random.default_rng(7)
     phi = HistoryField(g, rng.normal(size=(g.n_s, square.n_bulk)),
-                       rng.normal(size=(g.n_s, square.n_boundary)))
+                       square.boundary_index)
     u_prev, u_new = (square.field_from_bulk(rng.normal(size=square.n_bulk))
                      for _ in range(2))
     for prev in (u_prev, None):
@@ -386,7 +396,7 @@ def test_history_norms_equal_the_separate_norms(kind, n):
     g = build_history_grid(exponential_kernel(0.5, rate=3.0), 0.2, n_s=64)
     rng = np.random.default_rng(11)
     phi = HistoryField(g, rng.normal(size=(g.n_s, d.n_bulk)),
-                       rng.normal(size=(g.n_s, d.n_boundary)))
+                       d.boundary_index)
     alpha, beta = 0.7, 1.3
     fused = history_norms(phi, d, alpha, beta)
     assert fused == (memory_norm_sq(phi, 1, d, alpha, beta),
@@ -469,7 +479,7 @@ def test_blocked_norms_match_the_unblocked_formulas(kind, n, monkeypatch):
     g = build_history_grid(exponential_kernel(0.5, rate=3.0), 0.2, n_s=64)
     rng = np.random.default_rng(13)
     phi = HistoryField(g, rng.normal(size=(g.n_s, d.n_bulk)),
-                       rng.normal(size=(g.n_s, d.n_boundary)))
+                       d.boundary_index)
     alpha, beta = 0.7, 1.3
     monkeypatch.setattr(memory, "_BLOCK_BYTES", 3000)
     blocks = memory._blocks(phi)
@@ -490,9 +500,9 @@ def test_history_norms_allocate_no_history_sized_arrays():
     g = build_history_grid(exponential_kernel(0.5, rate=3.0), 0.2, n_s=128)
     rng = np.random.default_rng(17)
     phi = HistoryField(g, rng.normal(size=(g.n_s, d.n_bulk)),
-                       rng.normal(size=(g.n_s, d.n_boundary)))
+                       d.boundary_index)
     assert phi.bulk.nbytes > 4 * 2**20
-    d.stacked_operators(0.7, 1.3)  # domain-only, built once per run
+    d.bulk_operators(0.7, 1.3)  # domain-only, built once per run
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
