@@ -144,7 +144,6 @@ class LoadedConfig:
     problem: ProblemConfig
     initial: StateField
     kernel_report: object
-    gate: object
     seed: int
 
 
@@ -228,13 +227,10 @@ def build_from_canonical(canon: dict) -> LoadedConfig:
                               "record_stride so split runs record the "
                               "same samples")
 
-    gate = check_smallness(nl, kernel.omega, canon["beta"],
-                           estimate_embedding_constant(d, 1.0, 1.0),
-                           delta=kernel.delta)
     initial = _build_initial(canon, d)
     return LoadedConfig(canon=canon, sha256=config_hash(canon),
                         experiment=exp, problem=problem, initial=initial,
-                        kernel_report=report, gate=gate, seed=canon["seed"])
+                        kernel_report=report, seed=canon["seed"])
 
 
 def load_config(path, seed: Optional[int] = None) -> LoadedConfig:
@@ -308,17 +304,26 @@ def checkpoint_save(state: SystemState, path, canon: dict,
 def checkpoint_load(path, expect_canon: Optional[dict] = None) -> Checkpoint:
     """Load a checkpoint, rebuilding the problem from the embedded config.
 
-    Refuses on any inconsistency: corrupted header hash, a caller config
+    Refuses on any inconsistency: an unreadable file, a header of another
+    format or with entries missing, corrupted header hash, a caller config
     that differs from the stored one, or a rebuilt history grid whose
     nodes do not match the stored ones bit for bit.
     """
-    with open(path, "rb") as fh:
-        header = json.loads(fh.readline().decode())
-        blob = fh.read()
+    try:
+        with open(path, "rb") as fh:
+            header = json.loads(fh.readline().decode())
+            blob = fh.read()
+    except OSError as e:
+        raise ConfigError(f"cannot read checkpoint {path}: {e}") from e
     found = header.get("format") if isinstance(header, dict) else None
     if found != CHECKPOINT_FORMAT:
         raise ConfigError(f"checkpoint refused: {path} has format {found!r}, "
                           f"expected {CHECKPOINT_FORMAT!r}")
+    missing = sorted({"config", "config_sha256", "step", "t", "arrays"}
+                     - header.keys())
+    if missing:
+        raise ConfigError(f"checkpoint refused: the header of {path} lacks "
+                          + ", ".join(missing))
     canon = header["config"]
     if config_hash(canon) != header["config_sha256"]:
         raise ConfigError("checkpoint refused: embedded config does not "
@@ -474,14 +479,19 @@ def _run_energy_decay(loaded: LoadedConfig, out: Path) -> tuple:
     return code, summary, ["trajectory.csv"]
 
 
-def run_experiment(loaded: LoadedConfig, out_dir,
-                   start: Optional[Checkpoint] = None) -> int:
-    """Execute the configured experiment, writing all artifacts."""
+def _output_dir(out_dir) -> Path:
     out = Path(out_dir)
     try:
         out.mkdir(parents=True, exist_ok=True)
     except OSError as e:
         raise ConfigError(f"cannot create output dir {out}: {e}") from e
+    return out
+
+
+def run_experiment(loaded: LoadedConfig, out_dir,
+                   start: Optional[Checkpoint] = None) -> int:
+    """Execute the configured experiment, writing all artifacts."""
+    out = _output_dir(out_dir)
     t0 = time.perf_counter()
     # the manifest lists the comparable artifacts only, so a resumed run
     # and its uninterrupted twin write identical summaries
@@ -497,8 +507,7 @@ def run_experiment(loaded: LoadedConfig, out_dir,
 
 def run_sweep(loaded: LoadedConfig, eps_list, out_dir) -> int:
     """Robustness sweep against the instantaneous limit problem."""
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    out = _output_dir(out_dir)
     t0 = time.perf_counter()
     sw = robustness_sweep(loaded.problem, eps_list, loaded.initial)
     summary = {
@@ -551,7 +560,10 @@ for name in ("trajectory.csv", "sweep.csv"):
 
 
 def _print_gate(loaded: LoadedConfig) -> None:
-    g = loaded.gate
+    cfg = loaded.problem
+    g = check_smallness(cfg.nonlinearity, cfg.omega, cfg.beta,
+                        estimate_embedding_constant(cfg.domain, 1.0, 1.0),
+                        delta=cfg.kernel.delta)
     if g.passes:
         print(f"gate: C_F={g.c_f:.6g} < {g.threshold:.6g} -> pass "
               f"(m0={g.m0:.6g}, p0={g.p0:.6g})")
@@ -620,10 +632,7 @@ def main(argv=None) -> int:
                 Path(args.out).write_text(PLOT_TEMPLATE)
             return EXIT_PASS
         raise ConfigError(f"unknown command {args.command!r}")
-    except (ConfigError, GateError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_CONFIG
-    except ValueError as e:
+    except (GateError, ValueError) as e:  # ConfigError is a ValueError
         print(f"error: {e}", file=sys.stderr)
         return EXIT_CONFIG
 

@@ -162,34 +162,27 @@ class DiscreteDomain:
         np.add.at(m, self.boundary_index, self.dsigma)
         return m
 
-    def stiffness_merged(self, alpha: float, beta: float) -> sp.csr_matrix:
-        """K = A + alpha H + Tr'(A_Gamma + beta W_sigma)Tr, symmetric PSD.
-
-        Satisfies ``u' K v == <A_W u, v>_X2`` exactly for trace-compatible
-        fields, where A_W is the pair operator of ``apply_wentzell``.
-        """
-        tr = self.trace
-        w_sig = sp.diags(self.dsigma)
-        k = (
-            self.stiff_bulk
-            + alpha * sp.diags(self.dx)
-            + tr.T @ (self.stiff_gamma + beta * w_sig) @ tr
-        )
-        return k.tocsr()
-
     def bulk_operators(self, alpha: float,
                        beta: float) -> tuple[sp.csr_matrix, sp.csr_matrix]:
-        """K of ``stiffness_merged`` and the equation pair of
-        ``apply_wentzell`` restricted to trace-compatible fields, both as
-        matrices on bulk vectors, cached per (alpha, beta). The pair is
-        (n_bulk + n_boundary) x n_bulk, bulk equation over boundary one."""
+        """The merged stiffness K and the trace-restricted equation pair P,
+        both as matrices on bulk vectors, cached per (alpha, beta).
+
+        K = A + alpha H + Tr'(A_Gamma + beta W_sigma)Tr is symmetric PSD
+        and satisfies ``u' K v == <A_W u, v>_X2`` exactly for trace-compatible
+        fields, where A_W is the pair operator of ``apply_wentzell``. P is
+        that operator restricted to trace-compatible fields, (n_bulk +
+        n_boundary) x n_bulk, bulk equation over boundary one.
+        """
         key = ("bulk", float(alpha), float(beta))
         if key not in self._cache:
+            tr = self.trace
+            k = (self.stiff_bulk + alpha * sp.diags(self.dx)
+                 + tr.T @ (self.stiff_gamma + beta * sp.diags(self.dsigma)) @ tr)
             pair = sp.vstack([alpha * sp.identity(self.n_bulk) - self.lap_stencil,
                               self.normal_deriv
                               + (beta * sp.identity(self.n_boundary)
-                                 - self.lb_stencil) @ self.trace], format="csr")
-            self._cache[key] = (self.stiffness_merged(alpha, beta), pair)
+                                 - self.lb_stencil) @ tr], format="csr")
+            self._cache[key] = (k.tocsr(), pair)
         return self._cache[key]
 
     def weigh_pair(self, rhs: StateField) -> Array:
@@ -390,10 +383,10 @@ def solve_wentzell_shifted(c0: float, c_a: float, rhs: StateField,
     """Solve ``(c0 I + c_a A_W) u = rhs`` in the merged variational sense.
 
     The assembled symmetric system is ``(c0 M + c_a K) u = H rhs_bulk +
-    Tr' W_sigma rhs_boundary`` with M the measure matrix and K the stiffness
-    of ``stiffness_merged``. The returned state is trace compatible. The
-    residual of the assembled system, measured in the X2 norm against
-    ``||rhs||_X2``, is checked to be <= 1e-8.
+    Tr' W_sigma rhs_boundary`` with M the measure matrix and K the cached
+    stiffness of ``DiscreteDomain.bulk_operators``. The returned state is
+    trace compatible. The residual of the assembled system, measured in the
+    X2 norm against ``||rhs||_X2``, is checked to be <= 1e-8.
 
     Factorizations are cached per (c0, c_a, alpha, beta) on the domain.
     """
@@ -402,7 +395,8 @@ def solve_wentzell_shifted(c0: float, c_a: float, rhs: StateField,
     key = ("solve", float(c0), float(c_a), float(alpha), float(beta))
     if key not in d._cache:
         m_diag = d.mass_diag()
-        sys = (c0 * sp.diags(m_diag) + c_a * d.stiffness_merged(alpha, beta)).tocsc()
+        k = d.bulk_operators(alpha, beta)[0]
+        sys = (c0 * sp.diags(m_diag) + c_a * k).tocsc()
         d._cache[key] = (spla.splu(sys), sys, m_diag)
     lu, sys, m_diag = d._cache[key]
 

@@ -33,7 +33,7 @@ import numpy as np
 import scipy.sparse as sp
 from numpy.typing import NDArray
 
-from .domain import DiscreteDomain, StateField, apply_wentzell
+from .domain import DiscreteDomain, StateField
 
 __all__ = [
     "KernelSpec",
@@ -473,12 +473,15 @@ def convolve_wentzell(phi: Optional[HistoryField], d: DiscreteDomain,
     """Memory load: the mu_eps-weighted integral of the equation pair.
 
     By linearity this equals applying the coupled operator to the weighted
-    sum of the history slices, which is how it is evaluated.
+    sum of the history slices. The slices are trace compatible, so it is
+    evaluated as the trace-restricted pair of ``bulk_operators`` applied to
+    the weighted sum of the bulk rows.
     """
     if phi is None:
         return d.zero_field()
-    return apply_wentzell(d.field_from_bulk(phi.grid.weights @ phi.bulk),
-                          d, alpha, beta)
+    _, pair = d.bulk_operators(alpha, beta)
+    load = pair @ (phi.grid.weights @ phi.bulk)
+    return StateField(load[:d.n_bulk], load[d.n_bulk:])
 
 
 # -- transport ----------------------------------------------------------------
@@ -523,29 +526,23 @@ def _pullback(g: HistoryGrid, dt: float) -> tuple[sp.csr_matrix, int]:
 
 
 def advance_history(phi: HistoryField, u_new: StateField, dt: float,
-                    u_prev: Optional[StateField] = None) -> HistoryField:
+                    u_prev: StateField) -> HistoryField:
     """One transport step of the history under the field's motion.
 
     Values are pulled back along the characteristic s -> s - dt by a sparse
     operator cached per grid and dt; nodes with s <= dt are filled by exact
-    integration of the step's inflow. With only ``u_new`` the inflow is
-    constant over the step; passing ``u_prev`` integrates the linear-in-time
-    inflow exactly (trapezoid), which is what the evolution steppers use.
-    The inflow fields are trace compatible, so only their bulk is read.
+    integration of the step's inflow, linear in time from ``u_prev`` to
+    ``u_new`` (trapezoid). The inflow fields are trace compatible, so only
+    their bulk is read.
     """
     if dt <= 0.0:
         raise ValueError("dt must be positive")
     P, k = _pullback(phi.grid, dt)
     s = phi.grid.s_nodes[:k, None]
     out = P @ phi.bulk
-    new = u_new.bulk
-    if u_prev is None:
-        out[k:] += dt * new
-        out[:k] = s * new
-    else:
-        prev = u_prev.bulk
-        out[k:] += 0.5 * dt * (prev + new)
-        out[:k] = s * new + s**2 / (2.0 * dt) * (prev - new)
+    new, prev = u_new.bulk, u_prev.bulk
+    out[k:] += 0.5 * dt * (prev + new)
+    out[:k] = s * new + s**2 / (2.0 * dt) * (prev - new)
     return HistoryField(phi.grid, out, phi.boundary_index)
 
 

@@ -275,7 +275,7 @@ def estimate_embedding_constant(d: DiscreteDomain, alpha: float, beta: float,
     """
     if alpha <= 0.0 and beta <= 0.0:
         raise ValueError("the (alpha, beta) form is only a norm for alpha > 0 or beta > 0")
-    k_mat = d.stiffness_merged(alpha, beta).tocsc()
+    k_mat = d.bulk_operators(alpha, beta)[0].tocsc()
     m_diag = d.mass_diag()
     lu = spla.splu(k_mat)
 

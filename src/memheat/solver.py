@@ -18,8 +18,9 @@ term converges to and is locked by regression tests.
 
 Every time loop is ``march``, which owns the one sampling rule: observe
 the start state, each state whose absolute step index is a multiple of
-``record_stride``, and the final state. Every step solves through the
-one implicit solve ``_imex_solve``.
+``record_stride``, and the final state. Every integrator, the difference
+pair and both parts of the compact split included, advances through the
+one IMEX step ``_advance``.
 
 Time is tracked as an integer step count times dt, so a run that is
 checkpointed and resumed reproduces the direct run bitwise.
@@ -193,32 +194,38 @@ def _budget_check(cfg: ProblemConfig, u0: StateField) -> None:
         )
 
 
-def _imex_solve(cfg: ProblemConfig, u: StateField, *sources: StateField,
-                limit: bool = False) -> StateField:
-    """Implicit half of one step: solve for u_new from M u / dt - sources.
+def _advance(cfg: ProblemConfig, u: StateField, phi: Optional[HistoryField],
+             *sources: StateField) -> tuple[StateField, Optional[HistoryField]]:
+    """One IMEX step of the pair (u, phi): solve for u_new from
+    M u / dt - sources, then transport phi with inflow (u, u_new).
 
-    The memory operator is omega K_{0,beta}; the limit operator (``limit``)
-    is unit diffusion with the residues alpha (1 - omega), beta (1 - omega).
-    The sources are subtracted in the order given.
+    With a history (memory problem) its load comes first among the sources
+    and the implicit operator is omega K_{0,beta}; without one (limit
+    problem) it is unit diffusion with the residues alpha (1 - omega),
+    beta (1 - omega). The sources are subtracted in the order given.
     """
     dt, om = cfg.dt, cfg.omega
+    if phi is None:
+        c_a, a, b = 1.0, cfg.alpha * (1.0 - om), cfg.beta * (1.0 - om)
+    else:
+        sources = (convolve_wentzell(phi, cfg.domain, cfg.alpha, cfg.beta),
+                   *sources)
+        c_a, a, b = om, 0.0, cfg.beta
     bulk, boundary = u.bulk / dt, u.boundary / dt
     for src in sources:
         bulk, boundary = bulk - src.bulk, boundary - src.boundary
-    c_a, a, b = ((1.0, cfg.alpha * (1.0 - om), cfg.beta * (1.0 - om)) if limit
-                 else (om, 0.0, cfg.beta))
-    return solve_wentzell_shifted(1.0 / dt, c_a, StateField(bulk, boundary),
-                                  cfg.domain, a, b)
+    u_new = solve_wentzell_shifted(1.0 / dt, c_a, StateField(bulk, boundary),
+                                   cfg.domain, a, b)
+    return u_new, (None if phi is None
+                   else advance_history(phi, u_new, dt, u_prev=u))
 
 
 def step_peps(state: SystemState, cfg: ProblemConfig) -> SystemState:
     """One IMEX step of the memory problem."""
     if cfg.eps <= 0.0:
         raise ValueError("step_peps needs eps > 0; use step_p0 for the limit")
-    load = convolve_wentzell(state.phi, cfg.domain, cfg.alpha, cfg.beta)
     reac = eval_F(state.u, cfg.nonlinearity, cfg.omega, cfg.beta)
-    u_new = _imex_solve(cfg, state.u, load, reac)
-    phi_new = advance_history(state.phi, u_new, cfg.dt, u_prev=state.u)
+    u_new, phi_new = _advance(cfg, state.u, state.phi, reac)
     step = state.step + 1
     return SystemState(u_new, phi_new, step, step * cfg.dt)
 
@@ -232,7 +239,7 @@ def step_p0(state: SystemState, cfg: ProblemConfig) -> SystemState:
     """
     reac = StateField(eval_f(cfg.nonlinearity, state.u.bulk),
                       eval_g(cfg.nonlinearity, state.u.boundary))
-    u_new = _imex_solve(cfg, state.u, reac, limit=True)
+    u_new, _ = _advance(cfg, state.u, None, reac)
     step = state.step + 1
     return SystemState(u_new, state.phi, step, step * cfg.dt)
 
@@ -369,21 +376,14 @@ def evolve_contraction_pair(y0: SystemState, z0: SystemState,
             raise ValueError("memory problem needs histories on both states")
         psi = y0.phi - z0.phi
     n_steps = _n_steps(cfg, 0)
-
-    def step(pair):
-        v, psi = pair
-        if psi is None:
-            return _imex_solve(cfg, v, limit=True), None
-        v_new = _imex_solve(cfg, v, convolve_wentzell(psi, d, a, b))
-        return v_new, advance_history(psi, v_new, dt, u_prev=v)
-
     times, gaps = [], []
 
     def record(pair, k):
         times.append(k * dt)
         gaps.append(norm_x2_sq(pair[0], d) + memory_norm_sq(pair[1], 1, d, a, b))
 
-    march((y0.u - z0.u, psi), step, 0, n_steps, cfg.record_stride, record)
+    march((y0.u - z0.u, psi), lambda p: _advance(cfg, *p), 0, n_steps,
+          cfg.record_stride, record)
     times = np.array(times)
     gaps = np.array(gaps)
     zero_gap = bool(np.all(gaps == 0.0))
@@ -424,14 +424,11 @@ def evolve_compact_split(y0: SystemState, cfg: ProblemConfig) -> SplitRecord:
         v, w, psi, theta, direct = parts
         f_w = eval_F(w, nl, om, b)
         # V-part: F0(U) - F0(W) = F(U) - F(W) + M_F V
-        v_new = _imex_solve(cfg, v, convolve_wentzell(psi, d, a, b),
-                            eval_F(v + w, nl, om, b) - f_w + mf * v)
+        v_new, psi_new = _advance(cfg, v, psi,
+                                  eval_F(v + w, nl, om, b) - f_w + mf * v)
         # W-part: F0(W) - M_F U = F(W) - M_F V
-        w_new = _imex_solve(cfg, w, convolve_wentzell(theta, d, a, b),
-                            f_w - mf * v)
-        return (v_new, w_new, advance_history(psi, v_new, dt, u_prev=v),
-                advance_history(theta, w_new, dt, u_prev=w),
-                step_peps(direct, cfg))
+        w_new, theta_new = _advance(cfg, w, theta, f_w - mf * v)
+        return v_new, w_new, psi_new, theta_new, step_peps(direct, cfg)
 
     times, z_rows, k_rows = [], [], []
     mismatch = 0.0

@@ -1,11 +1,16 @@
 """Command-line front end: config validation, artifacts, checkpoint safety."""
 
 import json
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import memheat
 from memheat.cli import (
     ConfigError,
     checkpoint_load,
@@ -328,3 +333,36 @@ def test_history_larger_than_memory_is_refused_at_once(tmp_path, capsys,
     assert time.perf_counter() - start < 5.0
     err = capsys.readouterr().err
     assert "history array needs" in err and "physical memory" in err
+
+
+def _bad_input(tmp_path):
+    """Three kinds of bad input, each as the argument list of one command."""
+    cfg = write_cfg(tmp_path, t_final=0.5, checkpoint_step=None, dt=0.0025)
+    afile = tmp_path / "afile"
+    afile.write_text("")
+    headless = tmp_path / "headless.bin"
+    headless.write_bytes(json.dumps({"format": "memheat-checkpoint-2"}).encode()
+                         + b"\n")
+    return {
+        "sweep-out-under-a-file": ["sweep-eps", "--config", str(cfg), "--eps",
+                                   "0.2,0.1", "--out", str(afile / "sub")],
+        "resume-missing-checkpoint": ["resume", "--checkpoint",
+                                      str(tmp_path / "nope.bin"),
+                                      "--out", str(tmp_path / "r")],
+        "resume-header-without-config": ["resume", "--checkpoint", str(headless),
+                                         "--out", str(tmp_path / "r")],
+    }
+
+
+@pytest.mark.parametrize("case", ["sweep-out-under-a-file",
+                                  "resume-missing-checkpoint",
+                                  "resume-header-without-config"])
+def test_bad_input_exits_2_without_a_traceback(tmp_path, case):
+    src = Path(memheat.__file__).resolve().parent.parent
+    env = dict(os.environ, PYTHONPATH=str(src))
+    proc = subprocess.run([sys.executable, "-m", "memheat.cli",
+                           *_bad_input(tmp_path)[case]],
+                          capture_output=True, text=True, env=env)
+    assert proc.returncode == 2, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith("error: ")

@@ -201,19 +201,21 @@ def test_history_fields_on_different_grids_do_not_mix(interval):
         _ = a + b
 
 
-def test_convolution_matches_weighted_slice_sum(interval):
+@pytest.mark.parametrize("kind", ["interval", "square"])
+def test_convolution_matches_weighted_slice_sum(kind, request):
+    d = request.getfixturevalue(kind)
     g = build_history_grid(exponential_kernel(0.5, rate=1.0), 0.5, n_s=64)
-    shape = smooth_profile(interval)
-    phi = history_from_profile(g, interval, lambda s: np.exp(-s), shape)
-    load = convolve_wentzell(phi, interval, 0.7, 1.3)
+    shape = smooth_profile(d)
+    phi = history_from_profile(g, d, lambda s: np.exp(-s), shape)
+    load = convolve_wentzell(phi, d, 0.7, 1.3)
     # linearity: the load is A_W applied to the weighted profile sum
     from memheat.domain import apply_wentzell
     coeff = float(g.weights @ np.exp(-g.s_nodes))
-    ref = apply_wentzell(coeff * shape, interval, 0.7, 1.3)
+    ref = apply_wentzell(coeff * shape, d, 0.7, 1.3)
     assert np.allclose(load.bulk, ref.bulk, rtol=1e-10, atol=1e-11)
     assert np.allclose(load.boundary, ref.boundary, rtol=1e-10, atol=1e-11)
-    assert np.array_equal(convolve_wentzell(None, interval, 0.7, 1.3).bulk,
-                          np.zeros(interval.n_bulk))
+    assert np.array_equal(convolve_wentzell(None, d, 0.7, 1.3).bulk,
+                          np.zeros(d.n_bulk))
 
 
 # -- transport ------------------------------------------------------------------
@@ -258,12 +260,12 @@ def test_transport_without_inflow_cannot_grow(interval):
 
 def test_advance_history_rejects_nonpositive_step(interval):
     g = build_history_grid(exponential_kernel(0.5, rate=1.0), 0.5, n_s=64)
+    u = interval.constant_field(1.0)
     with pytest.raises(ValueError):
-        advance_history(zero_history(g, interval),
-                        interval.constant_field(1.0), 0.0)
+        advance_history(zero_history(g, interval), u, 0.0, u_prev=u)
 
 
-def _per_call_transport(phi, u_new, dt, u_prev=None):
+def _per_call_transport(phi, u_new, dt, u_prev):
     # the per-call interpolation plus masked inflow that the cached
     # operator replaced, kept here as the bitwise reference
     s = phi.grid.s_nodes
@@ -272,20 +274,14 @@ def _per_call_transport(phi, u_new, dt, u_prev=None):
     new_bdry = _interp_rows(s, phi.boundary, q)
     full = s > dt
     part = ~full
-    if u_prev is None:
-        new_bulk[full] += dt * u_new.bulk
-        new_bdry[full] += dt * u_new.boundary
-        new_bulk[part] = s[part, None] * u_new.bulk
-        new_bdry[part] = s[part, None] * u_new.boundary
-    else:
-        inc_b = 0.5 * dt * (u_prev.bulk + u_new.bulk)
-        inc_g = 0.5 * dt * (u_prev.boundary + u_new.boundary)
-        new_bulk[full] += inc_b
-        new_bdry[full] += inc_g
-        sp_ = s[part, None]
-        curv = sp_**2 / (2.0 * dt)
-        new_bulk[part] = sp_ * u_new.bulk + curv * (u_prev.bulk - u_new.bulk)
-        new_bdry[part] = sp_ * u_new.boundary + curv * (u_prev.boundary - u_new.boundary)
+    inc_b = 0.5 * dt * (u_prev.bulk + u_new.bulk)
+    inc_g = 0.5 * dt * (u_prev.boundary + u_new.boundary)
+    new_bulk[full] += inc_b
+    new_bdry[full] += inc_g
+    sp_ = s[part, None]
+    curv = sp_**2 / (2.0 * dt)
+    new_bulk[part] = sp_ * u_new.bulk + curv * (u_prev.bulk - u_new.bulk)
+    new_bdry[part] = sp_ * u_new.boundary + curv * (u_prev.boundary - u_new.boundary)
     return new_bulk, new_bdry
 
 
@@ -306,14 +302,13 @@ def test_cached_transport_equals_the_per_call_interpolation(square, spacing,
                        square.boundary_index)
     u_prev, u_new = (square.field_from_bulk(rng.normal(size=square.n_bulk))
                      for _ in range(2))
-    for prev in (u_prev, None):
-        out = advance_history(phi, u_new, dt, u_prev=prev)
-        ref_b, ref_g = _per_call_transport(phi, u_new, dt, u_prev=prev)
-        assert np.array_equal(out.bulk, ref_b)
-        assert np.array_equal(out.boundary, ref_g)
+    out = advance_history(phi, u_new, dt, u_prev=u_prev)
+    ref_b, ref_g = _per_call_transport(phi, u_new, dt, u_prev)
+    assert np.array_equal(out.bulk, ref_b)
+    assert np.array_equal(out.boundary, ref_g)
     cached = g._cache["transport"]
     assert cached[0] == dt and cached[2] == below
-    advance_history(phi, u_new, dt)
+    advance_history(phi, u_new, dt, u_prev=u_prev)
     assert g._cache["transport"] is cached
     out = advance_history(phi, u_new, 2.0 * dt, u_prev=u_prev)
     assert g._cache["transport"][0] == 2.0 * dt
