@@ -30,7 +30,6 @@ from .memory import (
     exponential_kernel,
     history_from_profile,
     history_oracle,
-    k2_norm_sq,
     memory_norm_sq,
     rescale_kernel,
     tabulated_kernel,

@@ -46,46 +46,28 @@ class ConfigError(ValueError):
 
 # -- config schema -----------------------------------------------------------
 
+# Each leaf is (type, default); a nested dict is a config object.
 _SCHEMA = {
-    "experiment": str,
-    "domain": {"kind": str, "n": int},
-    "kernel": {"omega": float, "rate": float, "delta": float},
-    "nonlinearity": {"f": list, "g": list},
-    "alpha": float,
-    "beta": float,
-    "eps": float,
-    "dt": float,
-    "t_final": float,
-    "record_stride": int,
-    "history": {"n_s": int, "spacing": str, "s_max_factor": float,
-                "s_max": float},
-    "initial": {"kind": str, "value": float, "offset": float,
-                "amplitude": float},
-    "radius": float,
-    "tol_frac": float,
-    "seed": int,
-    "checkpoint_step": int,
-}
-
-_DEFAULTS = {
-    "experiment": "trajectory",
-    "domain": {"kind": "interval", "n": 65},
-    "kernel": {"omega": 0.5, "rate": 1.0, "delta": None},
-    "nonlinearity": {"f": [0.0, 0.0, 0.0, 1.0], "g": [0.0, 0.0, 0.0, 1.0]},
-    "alpha": 0.0,
-    "beta": 1.0,
-    "eps": 0.1,
-    "dt": 0.005,
-    "t_final": 1.0,
-    "record_stride": 1,
-    "history": {"n_s": 128, "spacing": "geometric", "s_max_factor": 30.0,
-                "s_max": None},
-    "initial": {"kind": "constant", "value": 0.5, "offset": 0.0,
-                "amplitude": 1.0},
-    "radius": 10.0,
-    "tol_frac": 0.05,
-    "seed": 0,
-    "checkpoint_step": None,
+    "experiment": (str, "trajectory"),
+    "domain": {"kind": (str, "interval"), "n": (int, 65)},
+    "kernel": {"omega": (float, 0.5), "rate": (float, 1.0),
+               "delta": (float, None)},
+    "nonlinearity": {"f": (list, [0.0, 0.0, 0.0, 1.0]),
+                     "g": (list, [0.0, 0.0, 0.0, 1.0])},
+    "alpha": (float, 0.0),
+    "beta": (float, 1.0),
+    "eps": (float, 0.1),
+    "dt": (float, 0.005),
+    "t_final": (float, 1.0),
+    "record_stride": (int, 1),
+    "history": {"n_s": (int, 128), "spacing": (str, "geometric"),
+                "s_max_factor": (float, 30.0), "s_max": (float, None)},
+    "initial": {"kind": (str, "constant"), "value": (float, 0.5),
+                "offset": (float, 0.0), "amplitude": (float, 1.0)},
+    "radius": (float, 10.0),
+    "tol_frac": (float, 0.05),
+    "seed": (int, 0),
+    "checkpoint_step": (int, None),
 }
 
 
@@ -94,12 +76,12 @@ def _check_keys(user: dict, schema: dict, prefix: str = "") -> None:
         path = f"{prefix}{key}"
         if key not in schema:
             raise ConfigError(f"unknown config key {path!r}")
-        want = schema[key]
-        if isinstance(want, dict):
+        if isinstance(schema[key], dict):
             if not isinstance(val, dict):
                 raise ConfigError(f"config key {path!r} must be an object")
-            _check_keys(val, want, path + ".")
+            _check_keys(val, schema[key], path + ".")
         elif val is not None:
+            want = schema[key][0]
             if want is float and isinstance(val, (int, float)) \
                     and not isinstance(val, bool):
                 # JSON admits NaN and Infinity; ints are always finite
@@ -113,15 +95,14 @@ def _check_keys(user: dict, schema: dict, prefix: str = "") -> None:
                 raise ConfigError(f"config key {path!r} must be {want.__name__}")
 
 
-def _merge(defaults: dict, user: dict) -> dict:
+def _merge(schema: dict, user: dict) -> dict:
+    """The user's values over the schema defaults, with every key present."""
     out = {}
-    for key, val in defaults.items():
+    for key, val in schema.items():
         if isinstance(val, dict):
             out[key] = _merge(val, user.get(key, {}))
-        elif key in user:
-            out[key] = user[key]
         else:
-            out[key] = val
+            out[key] = user[key] if key in user else val[1]
     return out
 
 
@@ -210,7 +191,8 @@ def build_from_canonical(canon: dict) -> LoadedConfig:
                                 dt=canon["dt"], t_final=canon["t_final"],
                                 record_stride=canon["record_stride"],
                                 grid=grid)
-        _n_steps(problem, 0)  # refuse here a t_final that run would refuse
+        # refuse here a t_final that run would refuse
+        n_total = _n_steps(problem, 0)
     except ValueError as e:
         raise ConfigError(str(e)) from e
 
@@ -219,7 +201,6 @@ def build_from_canonical(canon: dict) -> LoadedConfig:
         if exp != "trajectory":
             raise ConfigError("checkpoint_step only applies to the "
                               "trajectory experiment")
-        n_total = round(canon["t_final"] / canon["dt"])
         if not 0 < ck < n_total:
             raise ConfigError(f"checkpoint_step must lie in (0, {n_total})")
         if ck % canon["record_stride"] != 0:
@@ -248,7 +229,7 @@ def load_config(path, seed: Optional[int] = None) -> LoadedConfig:
     if not isinstance(user, dict):
         raise ConfigError("config must be a JSON object")
     _check_keys(user, _SCHEMA)
-    canon = _merge(_DEFAULTS, user)
+    canon = _merge(_SCHEMA, user)
     if canon["kernel"]["delta"] is None:
         canon["kernel"]["delta"] = canon["kernel"]["rate"]
     if seed is not None:
@@ -271,6 +252,41 @@ def _state_arrays(state: SystemState, grid) -> list:
     if state.phi is not None:
         arrays += [("phi_bulk", state.phi.bulk), ("s_nodes", grid.s_nodes)]
     return arrays
+
+
+def _check_arrays(declared, problem: ProblemConfig) -> None:
+    """Refuse a header's [name, shape] list unless it holds each state
+    array ``problem`` needs, in the shape it implies, and either no recorded
+    columns or all of them, 1-d and of equal lengths."""
+    if not isinstance(declared, list) or not all(
+            isinstance(e, list) and len(e) == 2 and isinstance(e[0], str)
+            and isinstance(e[1], list)
+            and all(type(n) is int and n >= 0 for n in e[1])
+            for e in declared):
+        raise ConfigError("checkpoint refused: the header's array list is "
+                          "not a list of [name, shape] pairs")
+    shapes = dict(declared)
+    d = problem.domain
+    want = {"u_bulk": [d.n_bulk], "u_boundary": [d.n_boundary]}
+    if problem.eps > 0.0:
+        want.update(phi_bulk=[problem.grid.n_s, d.n_bulk],
+                    s_nodes=[problem.grid.n_s])
+    missing = [name for name in want if name not in shapes]
+    if missing:
+        raise ConfigError("checkpoint refused: it lacks the state arrays "
+                          + ", ".join(missing))
+    wrong = [f"{name} has shape {shapes[name]}, the config implies {shape}"
+             for name, shape in want.items() if shapes[name] != shape]
+    if wrong:
+        raise ConfigError("checkpoint refused: " + "; ".join(wrong))
+    recs = {name[4:]: tuple(shape) for name, shape in shapes.items()
+            if name.startswith("rec_")}
+    lengths = set(recs.values())
+    if recs and (recs.keys() != set(TrajectoryRecord.COLUMNS)
+                 or len(lengths) != 1 or len(lengths.pop()) != 1):
+        raise ConfigError("checkpoint refused: its recorded columns must be "
+                          "none or all of " + ", ".join(TrajectoryRecord.COLUMNS)
+                          + ", 1-d and of equal lengths")
 
 
 def checkpoint_save(state: SystemState, path, canon: dict,
@@ -306,8 +322,10 @@ def checkpoint_load(path, expect_canon: Optional[dict] = None) -> Checkpoint:
 
     Refuses on any inconsistency: an unreadable file, a header of another
     format or with entries missing, corrupted header hash, a caller config
-    that differs from the stored one, or a rebuilt history grid whose
-    nodes do not match the stored ones bit for bit.
+    that differs from the stored one, a state array that is missing or of
+    another shape than the config implies, a partial set of recorded
+    columns, or a rebuilt history grid whose nodes do not match the stored
+    ones bit for bit.
     """
     try:
         with open(path, "rb") as fh:
@@ -334,14 +352,16 @@ def checkpoint_load(path, expect_canon: Optional[dict] = None) -> Checkpoint:
                           f"current {config_hash(expect_canon)[:12]}...)")
 
     loaded = build_from_canonical(canon)
+    declared = header["arrays"]
+    _check_arrays(declared, loaded.problem)
     counts = [int(np.prod(shape, dtype=np.int64)) if shape else 1
-              for _, shape in header["arrays"]]
+              for _, shape in declared]
     if 8 * sum(counts) != len(blob):
         raise ConfigError("checkpoint refused: binary payload size does not "
                           "match the declared shapes")
     arrays = {}
     offset = 0
-    for (name, shape), count in zip(header["arrays"], counts):
+    for (name, shape), count in zip(declared, counts):
         arr = np.frombuffer(blob, dtype="<f8", count=count, offset=offset)
         arrays[name] = arr.reshape(shape).copy()
         offset += count * 8
@@ -402,20 +422,15 @@ def _fit_summary(times, energy) -> dict:
                        "offset": fit.offset, "residual": fit.residual}}
 
 
-def _record_columns(rec_dict: dict) -> list:
-    return [(name, rec_dict[name]) for name in TrajectoryRecord.COLUMNS]
-
-
 # -- experiment drivers ------------------------------------------------------
 
 
-def _merge_records(head: dict, tail: TrajectoryRecord) -> dict:
+def _merge_records(head: dict, tail: TrajectoryRecord) -> TrajectoryRecord:
     """Concatenate stored rows with a continuation record, dropping the
     duplicated seam sample (the continuation re-records its start state)."""
-    out = {}
-    for name, col in tail.columns():
-        out[name] = np.concatenate([head[name], col[1:]])
-    return out
+    return TrajectoryRecord(*(np.concatenate([head[name], col[1:]])
+                              for name, col in tail.columns()),
+                            final_state=tail.final_state)
 
 
 def _run_trajectory(loaded: LoadedConfig, out: Path,
@@ -437,22 +452,24 @@ def _run_trajectory(loaded: LoadedConfig, out: Path,
         head = start.records
 
     rec = evolve(state, cfg)
-    rows = dict(rec.columns()) if head is None else _merge_records(head, rec)
+    if head is not None:
+        rec = _merge_records(head, rec)
+    columns = rec.columns()
 
     d = cfg.domain
-    finite = bool(all(np.all(np.isfinite(col)) for col in rows.values()))
+    finite = bool(all(np.all(np.isfinite(col)) for _, col in columns))
     compatible = bool(d.is_trace_compatible(rec.final_state.u, tol=1e-9))
     summary = {
         "experiment": "trajectory",
         "eps": cfg.eps,
         "assertions": {"all_samples_finite": finite,
                        "final_state_trace_compatible": compatible},
-        "fits": _fit_summary(rows["t"], rows["energy_h0"]),
-        "results": {"t_final": float(rows["t"][-1]),
-                    "energy_h0_final": float(rows["energy_h0"][-1]),
-                    "energy_v1_final": float(rows["energy_v1"][-1])},
+        "fits": _fit_summary(rec.times, rec.energy_h0),
+        "results": {"t_final": float(rec.times[-1]),
+                    "energy_h0_final": float(rec.energy_h0[-1]),
+                    "energy_v1_final": float(rec.energy_v1[-1])},
     }
-    _write_csv(out / "trajectory.csv", _record_columns(rows))
+    _write_csv(out / "trajectory.csv", columns)
     ok = finite and compatible
     return (EXIT_PASS if ok else EXIT_ASSERTION), summary, ["trajectory.csv"]
 
@@ -461,7 +478,6 @@ def _run_energy_decay(loaded: LoadedConfig, out: Path) -> tuple:
     cfg = loaded.problem
     rep = energy_decay_experiment(cfg, loaded.canon["radius"],
                                   tol_frac=loaded.canon["tol_frac"])
-    rows = dict(rep.record.columns())
     summary = {
         "experiment": "energy_decay",
         "eps": cfg.eps,
@@ -474,7 +490,7 @@ def _run_energy_decay(loaded: LoadedConfig, out: Path) -> tuple:
                     "max_excess": rep.max_excess,
                     "t_absorb": rep.t_absorb, "t0": rep.t0},
     }
-    _write_csv(out / "trajectory.csv", _record_columns(rows))
+    _write_csv(out / "trajectory.csv", rep.record.columns())
     code = EXIT_PASS if rep.passed else EXIT_ASSERTION
     return code, summary, ["trajectory.csv"]
 

@@ -16,10 +16,11 @@ import numpy as np
 from scipy.optimize import least_squares
 
 from .domain import DiscreteDomain, StateField, norm_x2_sq
-from .memory import build_history_grid, history_from_profile, memory_norm_sq
+from .memory import build_history_grid, history_from_profile
 from .physics import SmallnessReport, check_smallness, estimate_embedding_constant
-from .solver import (ProblemConfig, SystemState, TrajectoryRecord, _n_steps,
-                     build_problem, evolve, lift, march, step_p0, step_peps)
+from .solver import (ProblemConfig, SystemState, TrajectoryRecord, _h0_sq,
+                     _n_steps, build_problem, evolve, lift, march, step_p0,
+                     step_peps)
 
 Array = np.ndarray
 
@@ -100,15 +101,19 @@ def _with_eps(cfg: ProblemConfig, eps: float, grid=None) -> ProblemConfig:
 
 
 def _sup_gap(states: tuple, step, cfg: ProblemConfig, t_lo: float,
-             t_hi: float, gap_sq) -> float:
-    """Largest sqrt(gap_sq(*states)) over the states ``march`` observes
-    at times in [t_lo, t_hi], advancing the tuple ``states`` with ``step``."""
+             t_hi: float) -> float:
+    """Largest H0 distance between the pair ``states`` over the states
+    ``march`` observes at times in [t_lo, t_hi], advancing the pair with
+    ``step``. A second state without a history (the limit problem) leaves
+    the first one's history whole in the difference."""
     sup = 0.0
 
     def observe(states, k):
         nonlocal sup
         if t_lo - 1e-12 <= k * cfg.dt <= t_hi + 1e-12:
-            sup = max(sup, math.sqrt(gap_sq(*states)))
+            y, z = states
+            phi = y.phi if z.phi is None else y.phi - z.phi
+            sup = max(sup, math.sqrt(_h0_sq(cfg, y.u - z.u, phi)))
 
     march(states, step, 0, _n_steps(cfg, 0), cfg.record_stride, observe)
     return sup
@@ -274,13 +279,7 @@ def robustness_sweep(cfg: ProblemConfig, eps_list: Sequence[float],
     is taken over recorded samples in [sqrt(eps), t_final]. The calibration
     constant comes from the two largest eps.
     """
-    d = cfg.domain
     eps_arr = np.asarray(sorted(eps_list, reverse=True), dtype=float)
-
-    def gap_sq(y, z):
-        return (norm_x2_sq(y.u - z.u, d)
-                + memory_norm_sq(y.phi, 1, d, cfg.alpha, cfg.beta))
-
     limit = _with_eps(cfg, 0.0)
     errors = np.empty(eps_arr.size)
     for i, eps in enumerate(eps_arr):
@@ -288,7 +287,7 @@ def robustness_sweep(cfg: ProblemConfig, eps_list: Sequence[float],
         errors[i] = _sup_gap(
             (lift(u0, run), lift(u0, limit)),
             lambda yz: (step_peps(yz[0], run), step_p0(yz[1], limit)),
-            cfg, math.sqrt(eps), math.inf, gap_sq)
+            cfg, math.sqrt(eps), math.inf)
 
     if np.any(errors <= 0.0):
         raise ValueError("sweep errors must be positive; the audit window "
@@ -327,7 +326,6 @@ def holder_pair_gap(cfg: ProblemConfig, eps1: float, eps2: float,
     """
     if not 0.0 < eps2 <= eps1 <= 1.0:
         raise ValueError(f"need 0 < eps2 <= eps1 <= 1, got ({eps1}, {eps2})")
-    d = cfg.domain
     if s_max is None:
         s_max = 30.0 * eps1 / cfg.kernel.delta
     g1 = build_history_grid(cfg.kernel, eps1, n_s=n_s, spacing="uniform",
@@ -336,14 +334,9 @@ def holder_pair_gap(cfg: ProblemConfig, eps1: float, eps2: float,
                             s_max=s_max)
     c1 = _with_eps(cfg, eps1, grid=g1)
     c2 = _with_eps(cfg, eps2, grid=g2)
-
-    def gap_sq(y1, y2):
-        return (norm_x2_sq(y1.u - y2.u, d)
-                + memory_norm_sq(y1.phi - y2.phi, 1, d, cfg.alpha, cfg.beta))
-
     return _sup_gap((lift(u0, c1), lift(u0, c2)),
                     lambda ys: (step_peps(ys[0], c1), step_peps(ys[1], c2)),
-                    cfg, t_star, 2.0 * t_star, gap_sq)
+                    cfg, t_star, 2.0 * t_star)
 
 
 def holder_sweep(cfg: ProblemConfig, pairs: Sequence[tuple],

@@ -17,10 +17,13 @@ per dt. The oracle keeps its own interpolation, an independent check.
 The memory response on the boundary matches the one in the interior, so
 the boundary history is the trace of the bulk history, not a second
 unknown: a history stores its bulk rows only and derives the boundary rows
-on demand. The history norms walk the bulk in cache-sized blocks of
-consecutive s-rows. Each block is copied once to node-major order and meets
-the domain's merged operators on bulk vectors (``bulk_operators``) in one
-sparse product each, so no norm allocates an array the size of the history.
+on demand. The history norms have two entry points: ``memory_norm_sq``
+gives one level, and ``history_norms`` gives the recorded set (levels 1 and
+2, the dyadic tail sup and the strong norm K2) in one pass. Both walk the
+bulk in cache-sized blocks of consecutive s-rows. Each block is copied once
+to node-major order and meets the domain's merged operators on bulk vectors
+(``bulk_operators``) in one sparse product each, so no norm allocates an
+array the size of the history.
 """
 
 from __future__ import annotations
@@ -54,9 +57,6 @@ __all__ = [
     "advance_history",
     "history_oracle",
     "tail_function",
-    "ds_flat_energy",
-    "sup_tau_tail",
-    "k2_norm_sq",
     "DissipationReport",
     "dissipation_check",
 ]
@@ -616,7 +616,8 @@ def _tail_window(g: HistoryGrid, tau: float) -> Array:
 
 def _tail_sup(g: HistoryGrid, v1: Array) -> float:
     """sup of tau * tail from the V1 rows over the dyadic tau = 1, 2, 4, ...
-    up to twice the grid horizon; the windows are cached on the grid."""
+    up to twice the grid horizon (the tail vanishes beyond it); the windows
+    are cached on the grid."""
     windows = g._cache.get("tails")
     if windows is None:
         windows, tau = [], 1.0
@@ -627,41 +628,21 @@ def _tail_sup(g: HistoryGrid, v1: Array) -> float:
     return max([0.0] + [tau * float(g.eps * (w @ v1)) for tau, w in windows])
 
 
-def ds_flat_energy(phi: Optional[HistoryField], d: DiscreteDomain) -> float:
-    """mu_eps-weighted flat energy of the one-sided s-derivative."""
-    if phi is None:
-        return 0.0
-    return float(phi.grid.weights @ _ds_rows(phi, d))
-
-
-def sup_tau_tail(phi: Optional[HistoryField], d: DiscreteDomain,
-                 alpha: float, beta: float) -> float:
-    """sup of tau * tail over the dyadic grid tau = 1, 2, 4, ... up to twice
-    the grid horizon (the tail vanishes beyond it)."""
-    if phi is None:
-        return 0.0
-    return _tail_sup(phi.grid, _v1_rows(phi, d, alpha, beta))
-
-
 def history_norms(phi: Optional[HistoryField], d: DiscreteDomain,
                   alpha: float, beta: float) -> tuple[float, float, float, float]:
-    """The recorded history norms of one sample: ``memory_norm_sq`` at
-    levels 1 and 2, ``sup_tau_tail`` and ``k2_norm_sq``, from one pass of
-    the V1, pair and d/ds rows. ``phi=None`` gives zeros."""
+    """The recorded history norms of one sample, from one pass of the V1,
+    pair and d/ds rows: ``memory_norm_sq`` at levels 1 and 2, the dyadic sup
+    of tau * tail, and the squared strong norm K2, which is the level-2
+    energy plus eps times the d/ds flat energy plus that sup. ``phi=None``
+    gives zeros."""
     if phi is None:
         return 0.0, 0.0, 0.0, 0.0
+    w = phi.grid.weights
     v1 = _v1_rows(phi, d, alpha, beta)
     m2 = memory_norm_sq(phi, 2, d, alpha, beta)
     tail_sup = _tail_sup(phi.grid, v1)
-    k2 = m2 + phi.grid.eps * ds_flat_energy(phi, d) + tail_sup
-    return float(phi.grid.weights @ v1), m2, tail_sup, k2
-
-
-def k2_norm_sq(phi: Optional[HistoryField], d: DiscreteDomain,
-               alpha: float, beta: float) -> float:
-    """Squared strong history norm: level-2 energy, eps-scaled s-derivative
-    energy, and the dyadic sup of tau * tail."""
-    return history_norms(phi, d, alpha, beta)[3]
+    k2 = m2 + phi.grid.eps * float(w @ _ds_rows(phi, d)) + tail_sup
+    return float(w @ v1), m2, tail_sup, k2
 
 
 @dataclass

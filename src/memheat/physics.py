@@ -7,8 +7,10 @@ brute-force grid oracle:
 * sign conditions  s f(s) >= -kappa1 s^2 - kappa2  (same for g with
   kappa3/kappa4), with kappa1 minimal so the smallness gate is as sharp as
   the data allow;
-* semiconvexity constants  M_f = -min f' (cut at 0), likewise M_g;
-* polynomial growth of the derivatives, |f'(s)| <= ell (1 + |s|^r), r < 5/2.
+* semiconvexity constants  M_f = -min f' (cut at 0), likewise M_g.
+
+The growth assumption on the derivatives, |f'(s)| <= ell (1 + |s|^r) with
+r < 5/2, holds with r = 2, since a degree above three is refused.
 
 The coupled-system vector reaction is F(u) = (f(u), g(u) - omega beta u) on
 (bulk, boundary); adding M_F u with M_F = max(M_f, M_g + omega beta) + 1e-6
@@ -127,10 +129,6 @@ class NonlinearitySpec:
     kappa4: float
     m_f: float
     m_g: float
-    ell_f: float
-    ell_g: float
-    r_f: float
-    r_g: float
 
 
 def _validate_coeffs(coeffs, which: str) -> tuple[float, ...]:
@@ -166,22 +164,10 @@ def make_nonlinearity(f_coeffs, g_coeffs) -> NonlinearitySpec:
     m_f = max(0.0, -_deriv_min(fc))
     m_g = max(0.0, -_deriv_min(gc))
 
-    def growth(c):
-        deg = 3
-        while deg > 0 and c[deg] == 0.0:
-            deg -= 1
-        r = float(max(1, deg - 1))
-        ell = float(sum(k * abs(c[k]) for k in range(1, 4)))
-        return ell, r
-
-    ell_f, r_f = growth(fc)
-    ell_g, r_g = growth(gc)
-
     return NonlinearitySpec(
         f_coeffs=fc, g_coeffs=gc,
         kappa1=k1, kappa2=k2, kappa3=k3, kappa4=k4,
         m_f=m_f, m_g=m_g,
-        ell_f=ell_f, ell_g=ell_g, r_f=r_f, r_g=r_g,
     )
 
 
@@ -265,13 +251,18 @@ def check_smallness(spec: NonlinearitySpec, omega: float, beta: float,
                            c_embed=c_embed, m0=m0, p0=p0)
 
 
-def estimate_embedding_constant(d: DiscreteDomain, alpha: float, beta: float,
-                                tol: float = 1e-8, max_iter: int = 50000) -> float:
+# stopping rule of the embedding constant's power iteration
+_EMBED_TOL = 1e-8
+_EMBED_MAX_ITER = 50000
+
+
+def estimate_embedding_constant(d: DiscreteDomain, alpha: float,
+                                beta: float) -> float:
     """Best constant in ||u||_X2^2 <= C ||u||_V1^2 for the (alpha, beta) form.
 
     Computed as the top eigenvalue of M u = lambda K u by power iteration on
     the inverse operator, deterministic start, relative eigenvalue residual
-    below ``tol``.
+    below ``_EMBED_TOL``.
     """
     if alpha <= 0.0 and beta <= 0.0:
         raise ValueError("the (alpha, beta) form is only a norm for alpha > 0 or beta > 0")
@@ -282,12 +273,12 @@ def estimate_embedding_constant(d: DiscreteDomain, alpha: float, beta: float,
     x = np.ones(d.n_bulk) + 0.01 * d.x_bulk[:, 0]
     x /= np.sqrt(x @ (m_diag * x))
     lam = 0.0
-    for _ in range(max_iter):
+    for _ in range(_EMBED_MAX_ITER):
         y = lu.solve(m_diag * x)
         y /= np.sqrt(y @ (m_diag * y))
         lam = float((y @ (m_diag * y)) / (y @ (k_mat @ y)))
         res = m_diag * y - (k_mat @ y) * lam
-        if np.linalg.norm(res) <= tol * np.linalg.norm(m_diag * y):
+        if np.linalg.norm(res) <= _EMBED_TOL * np.linalg.norm(m_diag * y):
             return lam
         x = y
     raise RuntimeError("power iteration did not reach the residual target")

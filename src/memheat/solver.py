@@ -29,7 +29,7 @@ checkpointed and resumed reproduces the direct run bitwise.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Optional
 
 import numpy as np
@@ -51,7 +51,6 @@ from .memory import (
     build_history_grid,
     convolve_wentzell,
     history_norms,
-    k2_norm_sq,
     memory_norm_sq,
     zero_history,
 )
@@ -143,16 +142,20 @@ def build_problem(domain: DiscreteDomain, kernel: KernelSpec,
                          record_stride=record_stride, grid=grid)
 
 
+def _reaction_dt(nonlinearity: NonlinearitySpec, omega: float, beta: float,
+                 amplitude: float) -> float:
+    """The reaction stability budget 1 / (2 Lip F), with the Lipschitz
+    constant taken over the envelope 1.5 |amplitude| + 0.5 that dissipative
+    runs stay inside."""
+    lip = lipschitz_bound(nonlinearity, omega, beta, 1.5 * abs(amplitude) + 0.5)
+    return 0.5 / max(lip, 1e-12)
+
+
 def suggest_dt(nonlinearity: NonlinearitySpec, omega: float, beta: float,
                eps: float, amplitude: float, cap: float = 0.05) -> float:
-    """Largest dt inside the stability budget for data of the given size.
-
-    The budget is min(0.1 eps, 1 / (2 Lip F)) with the Lipschitz constant
-    taken over the envelope 1.5 amplitude + 0.5 that dissipative runs stay
-    inside, cut additionally at ``cap``.
-    """
-    lip = lipschitz_bound(nonlinearity, omega, beta, 1.5 * abs(amplitude) + 0.5)
-    dt = min(cap, 0.5 / max(lip, 1e-12))
+    """Largest dt inside the stability budget for data of the given size:
+    min(0.1 eps, the reaction budget), cut additionally at ``cap``."""
+    dt = min(cap, _reaction_dt(nonlinearity, omega, beta, amplitude))
     if eps > 0.0:
         dt = min(dt, 0.1 * eps)
     return dt
@@ -186,12 +189,20 @@ def project(y: SystemState) -> StateField:
 
 def _budget_check(cfg: ProblemConfig, u0: StateField) -> None:
     amp = float(np.max(np.abs(u0.bulk))) if u0.bulk.size else 0.0
-    lip = lipschitz_bound(cfg.nonlinearity, cfg.omega, cfg.beta, 1.5 * amp + 0.5)
-    if cfg.dt > 0.5 / max(lip, 1e-12) * (1.0 + 1e-9):
+    budget = _reaction_dt(cfg.nonlinearity, cfg.omega, cfg.beta, amp)
+    if cfg.dt > budget * (1.0 + 1e-9):
         raise ValueError(
             f"dt = {cfg.dt} exceeds the reaction stability budget "
-            f"{0.5 / lip:.3e} for data of amplitude {amp:.3g}"
+            f"{budget:.3e} for data of amplitude {amp:.3g}"
         )
+
+
+def _h0_sq(cfg: ProblemConfig, u: StateField,
+           phi: Optional[HistoryField]) -> float:
+    """Squared H0 = X2 x M1 norm of (u, phi), the distance the paper states
+    its estimates in; a missing history (eps = 0) contributes 0."""
+    return (norm_x2_sq(u, cfg.domain)
+            + memory_norm_sq(phi, 1, cfg.domain, cfg.alpha, cfg.beta))
 
 
 def _advance(cfg: ProblemConfig, u: StateField, phi: Optional[HistoryField],
@@ -263,7 +274,11 @@ def march(state, step, start: int, stop: int, stride: int, observe):
 
 @dataclass
 class TrajectoryRecord:
-    """Recorded norms along a run; columns match the CSV the CLI writes."""
+    """Recorded norms along a run; columns match the CSV the CLI writes.
+
+    ``COLUMNS`` names the columns; the array fields follow it in order,
+    ``times`` holding the column ``t``.
+    """
 
     times: Array
     norm_x2_sq: Array
@@ -278,17 +293,17 @@ class TrajectoryRecord:
     COLUMNS = ("t", "norm_x2_sq", "norm_m1_sq", "norm_v1_sq",
                "norm_m2_sq", "tail_sup", "energy_h0", "energy_v1")
 
-    def columns(self):
-        return list(zip(self.COLUMNS,
-                        (self.times, self.norm_x2_sq, self.norm_m1_sq,
-                         self.norm_v1_sq, self.norm_m2_sq, self.tail_sup,
-                         self.energy_h0, self.energy_v1)))
+    def columns(self) -> list[tuple[str, Array]]:
+        return [(name, getattr(self, f.name))
+                for name, f in zip(self.COLUMNS, fields(self))]
 
 
 class _Recorder:
+    """Rows of the ``TrajectoryRecord`` columns, one per observed state."""
+
     def __init__(self, cfg: ProblemConfig):
         self.cfg = cfg
-        self.rows = {name: [] for name in TrajectoryRecord.COLUMNS}
+        self.rows = [[] for _ in TrajectoryRecord.COLUMNS]
 
     def add(self, state: SystemState):
         cfg = self.cfg
@@ -296,25 +311,14 @@ class _Recorder:
         x2 = norm_x2_sq(state.u, d)
         v1 = norm_v1_sq(state.u, d, a, b)
         m1, m2, ts, k2 = history_norms(state.phi, d, a, b)
-        r = self.rows
-        r["t"].append(state.t)
-        r["norm_x2_sq"].append(x2)
-        r["norm_m1_sq"].append(m1)
-        r["norm_v1_sq"].append(v1)
-        r["norm_m2_sq"].append(m2)
-        r["tail_sup"].append(ts)
-        r["energy_h0"].append(x2 + m1)
-        r["energy_v1"].append(v1 + k2)
+        # one value per column, in COLUMNS order
+        for col, val in zip(self.rows,
+                            (state.t, x2, m1, v1, m2, ts, x2 + m1, v1 + k2)):
+            col.append(val)
 
     def finish(self, final_state: SystemState) -> TrajectoryRecord:
-        arr = {k: np.array(v) for k, v in self.rows.items()}
-        return TrajectoryRecord(
-            times=arr["t"], norm_x2_sq=arr["norm_x2_sq"],
-            norm_m1_sq=arr["norm_m1_sq"], norm_v1_sq=arr["norm_v1_sq"],
-            norm_m2_sq=arr["norm_m2_sq"], tail_sup=arr["tail_sup"],
-            energy_h0=arr["energy_h0"], energy_v1=arr["energy_v1"],
-            final_state=final_state,
-        )
+        return TrajectoryRecord(*map(np.array, self.rows),
+                                final_state=final_state)
 
 
 def _n_steps(cfg: ProblemConfig, start_step: int) -> int:
@@ -366,10 +370,9 @@ def evolve_contraction_pair(y0: SystemState, z0: SystemState,
     """Integrate the linear difference system of two states.
 
     The difference of two trajectories obeys the memoryless-reaction linear
-    system; its flat-plus-memory energy must decay monotonically. Reports
+    system; its squared H0 distance must decay monotonically. Reports
     the energy series and the fitted decay rate of the gap norm.
     """
-    d, dt, a, b = cfg.domain, cfg.dt, cfg.alpha, cfg.beta
     psi = None
     if cfg.eps > 0.0:
         if y0.phi is None or z0.phi is None:
@@ -379,8 +382,8 @@ def evolve_contraction_pair(y0: SystemState, z0: SystemState,
     times, gaps = [], []
 
     def record(pair, k):
-        times.append(k * dt)
-        gaps.append(norm_x2_sq(pair[0], d) + memory_norm_sq(pair[1], 1, d, a, b))
+        times.append(k * cfg.dt)
+        gaps.append(_h0_sq(cfg, *pair))
 
     march((y0.u - z0.u, psi), lambda p: _advance(cfg, *p), 0, n_steps,
           cfg.record_stride, record)
@@ -437,8 +440,8 @@ def evolve_compact_split(y0: SystemState, cfg: ProblemConfig) -> SplitRecord:
         nonlocal mismatch
         v, w, psi, theta, direct = parts
         times.append(k * dt)
-        z_rows.append(norm_x2_sq(v, d) + memory_norm_sq(psi, 1, d, a, b))
-        k_rows.append(norm_v2_sq(w, d, a, b) + k2_norm_sq(theta, d, a, b))
+        z_rows.append(_h0_sq(cfg, v, psi))
+        k_rows.append(norm_v2_sq(w, d, a, b) + history_norms(theta, d, a, b)[3])
         gap = (v + w) - direct.u
         rel = math.sqrt(norm_x2_sq(gap, d)) / max(math.sqrt(norm_x2_sq(direct.u, d)), 1e-300)
         mismatch = max(mismatch, rel)

@@ -21,7 +21,7 @@ from memheat.cli import (
 )
 from memheat.domain import build_domain
 from memheat.memory import HistoryField, build_history_grid, exponential_kernel
-from memheat.solver import SystemState
+from memheat.solver import SystemState, TrajectoryRecord
 
 
 BASE = {
@@ -207,7 +207,8 @@ def test_checkpoint_roundtrip_preserves_state_bitwise(tmp_path):
     phi = HistoryField(grid, rng.normal(size=(grid.n_s, d.n_bulk)),
                        d.boundary_index)
     state = SystemState(u, phi, step=10, t=0.05)
-    records = {"t": np.array([0.0, 0.05]), "energy": np.array([1.0, 0.5])}
+    records = {name: np.array([0.0, 0.5]) + i
+               for i, name in enumerate(TrajectoryRecord.COLUMNS)}
     ck_path = tmp_path / "state.bin"
     checkpoint_save(state, ck_path, loaded.canon, records=records)
 
@@ -216,7 +217,7 @@ def test_checkpoint_roundtrip_preserves_state_bitwise(tmp_path):
     assert ck.state.u.bulk.tobytes() == u.bulk.tobytes()
     assert ck.state.phi.bulk.tobytes() == phi.bulk.tobytes()
     assert ck.state.phi.boundary.tobytes() == phi.boundary.tobytes()
-    assert ck.records["energy"].tobytes() == records["energy"].tobytes()
+    assert ck.records["energy_h0"].tobytes() == records["energy_h0"].tobytes()
 
     other = dict(loaded.canon, eps=0.1)
     with pytest.raises(ConfigError, match="different config"):
@@ -335,15 +336,64 @@ def test_history_larger_than_memory_is_refused_at_once(tmp_path, capsys,
     assert "history array needs" in err and "physical memory" in err
 
 
+def _hand_written_checkpoint(path, canon, arrays, declared=None):
+    """A format-2 checkpoint of ``canon`` at step 0 holding ``arrays``, a
+    list of (name, array), under the header entry ``declared`` (by default
+    their names and shapes)."""
+    if declared is None:
+        declared = [[name, list(a.shape)] for name, a in arrays]
+    header = {"format": "memheat-checkpoint-2", "config": canon,
+              "config_sha256": config_hash(canon), "step": 0, "t": 0.0,
+              "eps": canon["eps"], "arrays": declared}
+    path.write_bytes(json.dumps(header).encode() + b"\n"
+                     + b"".join(a.astype("<f8").tobytes() for _, a in arrays))
+    return path
+
+
+# the checkpoint refusals of _bad_input and the words that name each one
+_CHECKPOINT_REFUSALS = {
+    "resume-header-without-arrays": "lacks the state arrays u_bulk, "
+                                    "u_boundary, phi_bulk, s_nodes",
+    "resume-u-bulk-of-wrong-length": "u_bulk has shape [64], the config "
+                                     "implies [65]",
+    "resume-partial-records": "recorded columns",
+    "resume-records-of-unequal-length": "recorded columns",
+    "resume-malformed-array-list": "not a list of [name, shape] pairs",
+}
+
+
 def _bad_input(tmp_path):
-    """Three kinds of bad input, each as the argument list of one command."""
+    """Kinds of bad input, each as the argument list of one command."""
     cfg = write_cfg(tmp_path, t_final=0.5, checkpoint_step=None, dt=0.0025)
     afile = tmp_path / "afile"
     afile.write_text("")
     headless = tmp_path / "headless.bin"
     headless.write_bytes(json.dumps({"format": "memheat-checkpoint-2"}).encode()
                          + b"\n")
+    loaded = load_config(cfg)
+    d, grid = loaded.problem.domain, loaded.problem.grid
+    state = [("u_bulk", np.zeros(d.n_bulk)),
+             ("u_boundary", np.zeros(d.n_boundary)),
+             ("phi_bulk", np.zeros((grid.n_s, d.n_bulk))),
+             ("s_nodes", grid.s_nodes)]
+    records = [(f"rec_{name}", np.zeros(3)) for name in TrajectoryRecord.COLUMNS]
+    checkpoints = {
+        "resume-header-without-arrays": [],
+        "resume-u-bulk-of-wrong-length": [("u_bulk", np.zeros(d.n_bulk - 1))]
+                                         + state[1:],
+        "resume-partial-records": state + records[:1],
+        "resume-records-of-unequal-length":
+            state + records[:-1] + [(records[-1][0], np.zeros(4))],
+        "resume-malformed-array-list": state,
+    }
+    declared = {"resume-malformed-array-list": "u_bulk"}
     return {
+        **{case: ["resume", "--checkpoint",
+                  str(_hand_written_checkpoint(tmp_path / f"{case}.bin",
+                                               loaded.canon, arrays,
+                                               declared.get(case))),
+                  "--out", str(tmp_path / "r")]
+           for case, arrays in checkpoints.items()},
         "sweep-out-under-a-file": ["sweep-eps", "--config", str(cfg), "--eps",
                                    "0.2,0.1", "--out", str(afile / "sub")],
         "resume-missing-checkpoint": ["resume", "--checkpoint",
@@ -356,7 +406,8 @@ def _bad_input(tmp_path):
 
 @pytest.mark.parametrize("case", ["sweep-out-under-a-file",
                                   "resume-missing-checkpoint",
-                                  "resume-header-without-config"])
+                                  "resume-header-without-config",
+                                  *_CHECKPOINT_REFUSALS])
 def test_bad_input_exits_2_without_a_traceback(tmp_path, case):
     src = Path(memheat.__file__).resolve().parent.parent
     env = dict(os.environ, PYTHONPATH=str(src))
@@ -366,3 +417,5 @@ def test_bad_input_exits_2_without_a_traceback(tmp_path, case):
     assert proc.returncode == 2, proc.stderr
     assert "Traceback" not in proc.stderr
     assert proc.stderr.startswith("error: ")
+    assert _CHECKPOINT_REFUSALS.get(case, "") in proc.stderr
+    assert not (tmp_path / "r").exists()

@@ -15,16 +15,13 @@ from memheat.memory import (
     build_history_grid,
     convolve_wentzell,
     dissipation_check,
-    ds_flat_energy,
     exponential_kernel,
     history_from_profile,
     history_norms,
     history_oracle,
-    k2_norm_sq,
     KernelSpec,
     memory_norm_sq,
     rescale_kernel,
-    sup_tau_tail,
     tabulated_kernel,
     tail_function,
     validate_kernel,
@@ -152,10 +149,10 @@ def test_zero_history_has_zero_norms(interval):
     phi = zero_history(g, interval)
     for level in (0, 1, 2):
         assert memory_norm_sq(phi, level, interval, 1.0, 1.0) == 0.0
-    assert k2_norm_sq(phi, interval, 1.0, 1.0) == 0.0
+    assert history_norms(phi, interval, 1.0, 1.0) == (0.0, 0.0, 0.0, 0.0)
     # the limit problem carries no history at all
     assert memory_norm_sq(None, 1, interval, 1.0, 1.0) == 0.0
-    assert k2_norm_sq(None, interval, 1.0, 1.0) == 0.0
+    assert history_norms(None, interval, 1.0, 1.0) == (0.0, 0.0, 0.0, 0.0)
     assert tail_function(None, 2.0, interval, 1.0, 1.0) == 0.0
 
 
@@ -378,11 +375,10 @@ def test_strong_history_norm_dominates_its_parts(interval):
     g = build_history_grid(exponential_kernel(0.5, rate=1.0), 0.5, n_s=128)
     phi = history_from_profile(g, interval, lambda s: np.minimum(s, 1.0),
                                smooth_profile(interval))
-    m2 = memory_norm_sq(phi, 2, interval, 0.5, 1.0)
-    total = k2_norm_sq(phi, interval, 0.5, 1.0)
-    assert total >= m2
-    assert total >= sup_tau_tail(phi, interval, 0.5, 1.0)
-    assert ds_flat_energy(phi, interval) > 0.0
+    _, m2, tail_sup, total = history_norms(phi, interval, 0.5, 1.0)
+    # the s-derivative energy is the rest, and it is positive
+    assert total > m2 + tail_sup
+    assert m2 > 0.0 and tail_sup > 0.0
 
 
 @pytest.mark.parametrize("kind, n", [("interval", 65), ("square", 9)])
@@ -394,17 +390,14 @@ def test_history_norms_equal_the_separate_norms(kind, n):
                        d.boundary_index)
     alpha, beta = 0.7, 1.3
     fused = history_norms(phi, d, alpha, beta)
-    assert fused == (memory_norm_sq(phi, 1, d, alpha, beta),
-                     memory_norm_sq(phi, 2, d, alpha, beta),
-                     sup_tau_tail(phi, d, alpha, beta),
-                     k2_norm_sq(phi, d, alpha, beta))
+    assert fused[:2] == (memory_norm_sq(phi, 1, d, alpha, beta),
+                         memory_norm_sq(phi, 2, d, alpha, beta))
     # the cached dyadic windows give the per-tau tail_function sup
     sup_t, tau = 0.0, 1.0
     while tau <= 2.0 * max(1.0, g.s_max):
         sup_t = max(sup_t, tau * tail_function(phi, tau, d, alpha, beta))
         tau *= 2.0
     assert fused[2] == sup_t > 0.0
-    assert fused[3] == fused[1] + g.eps * ds_flat_energy(phi, d) + sup_t
     assert history_norms(None, d, alpha, beta) == (0.0, 0.0, 0.0, 0.0)
 
 
