@@ -28,8 +28,8 @@ from .memory import (HistoryField, build_history_grid, exponential_kernel,
                      validate_kernel)
 from .physics import (NonlinearitySpec, check_smallness,
                       estimate_embedding_constant, make_nonlinearity)
-from .solver import (ProblemConfig, SystemState, TrajectoryRecord, _n_steps, build_problem,
-                     evolve, lift)
+from .solver import (ProblemConfig, SystemState, TrajectoryRecord, _n_steps,
+                     build_problem, evolve, lift)
 from .experiments import (GateError, energy_decay_experiment, fit_decay,
                           robustness_sweep, smooth_profile)
 
@@ -192,7 +192,7 @@ def build_from_canonical(canon: dict) -> LoadedConfig:
                                 record_stride=canon["record_stride"],
                                 grid=grid)
         # refuse here a t_final that run would refuse
-        n_total = _n_steps(problem, 0)
+        n_total = _n_steps(problem)
     except ValueError as e:
         raise ConfigError(str(e)) from e
 
@@ -254,10 +254,11 @@ def _state_arrays(state: SystemState, grid) -> list:
     return arrays
 
 
-def _check_arrays(declared, problem: ProblemConfig) -> None:
-    """Refuse a header's [name, shape] list unless it holds each state
-    array ``problem`` needs, in the shape it implies, and either no recorded
-    columns or all of them, 1-d and of equal lengths."""
+def _check_arrays(declared, step, problem: ProblemConfig) -> None:
+    """Refuse a header's [name, shape] list and step unless the list holds
+    each state array ``problem`` needs, in the shape it implies, and no
+    recorded columns or all of them with one row per sample up to ``step``,
+    an integer in [0, total steps] (with columns, a stride multiple)."""
     if not isinstance(declared, list) or not all(
             isinstance(e, list) and len(e) == 2 and isinstance(e[0], str)
             and isinstance(e[1], list)
@@ -279,14 +280,26 @@ def _check_arrays(declared, problem: ProblemConfig) -> None:
              for name, shape in want.items() if shapes[name] != shape]
     if wrong:
         raise ConfigError("checkpoint refused: " + "; ".join(wrong))
-    recs = {name[4:]: tuple(shape) for name, shape in shapes.items()
+    recs = {name[4:]: shape for name, shape in shapes.items()
             if name.startswith("rec_")}
-    lengths = set(recs.values())
-    if recs and (recs.keys() != set(TrajectoryRecord.COLUMNS)
-                 or len(lengths) != 1 or len(lengths.pop()) != 1):
+    rows = next(iter(recs.values()), None)
+    if recs and (recs.keys() != set(TrajectoryRecord.COLUMNS) or len(rows) != 1
+                 or any(shape != rows for shape in recs.values())):
         raise ConfigError("checkpoint refused: its recorded columns must be "
                           "none or all of " + ", ".join(TrajectoryRecord.COLUMNS)
                           + ", 1-d and of equal lengths")
+    n_total = _n_steps(problem)
+    if type(step) is not int or not 0 <= step <= n_total:
+        raise ConfigError("checkpoint refused: its step must be an integer "
+                          f"in [0, {n_total}], found {step!r}")
+    stride = problem.record_stride
+    if recs and step % stride:
+        raise ConfigError(f"checkpoint refused: its step {step} is not a "
+                          f"multiple of record_stride {stride}")
+    if recs and rows[0] != step // stride + 1:
+        raise ConfigError(f"checkpoint refused: step {step} at record_stride "
+                          f"{stride} implies {step // stride + 1} recorded "
+                          f"rows, found {rows[0]}")
 
 
 def checkpoint_save(state: SystemState, path, canon: dict,
@@ -306,8 +319,6 @@ def checkpoint_save(state: SystemState, path, canon: dict,
         "config": canon,
         "config_sha256": config_hash(canon),
         "step": state.step,
-        "t": state.t,
-        "eps": canon["eps"],
         "arrays": [[name, list(a.shape)] for name, a in arrays],
     }
     with open(path, "wb") as fh:
@@ -323,9 +334,9 @@ def checkpoint_load(path, expect_canon: Optional[dict] = None) -> Checkpoint:
     Refuses on any inconsistency: an unreadable file, a header of another
     format or with entries missing, corrupted header hash, a caller config
     that differs from the stored one, a state array that is missing or of
-    another shape than the config implies, a partial set of recorded
-    columns, or a rebuilt history grid whose nodes do not match the stored
-    ones bit for bit.
+    another shape than the config implies, a step off the run's step grid,
+    recorded columns other than all samples up to that step, or a rebuilt
+    history grid whose nodes do not match the stored ones bit for bit.
     """
     try:
         with open(path, "rb") as fh:
@@ -337,7 +348,7 @@ def checkpoint_load(path, expect_canon: Optional[dict] = None) -> Checkpoint:
     if found != CHECKPOINT_FORMAT:
         raise ConfigError(f"checkpoint refused: {path} has format {found!r}, "
                           f"expected {CHECKPOINT_FORMAT!r}")
-    missing = sorted({"config", "config_sha256", "step", "t", "arrays"}
+    missing = sorted({"config", "config_sha256", "step", "arrays"}
                      - header.keys())
     if missing:
         raise ConfigError(f"checkpoint refused: the header of {path} lacks "
@@ -353,7 +364,7 @@ def checkpoint_load(path, expect_canon: Optional[dict] = None) -> Checkpoint:
 
     loaded = build_from_canonical(canon)
     declared = header["arrays"]
-    _check_arrays(declared, loaded.problem)
+    _check_arrays(declared, header["step"], loaded.problem)
     counts = [int(np.prod(shape, dtype=np.int64)) if shape else 1
               for _, shape in declared]
     if 8 * sum(counts) != len(blob):
@@ -375,7 +386,7 @@ def checkpoint_load(path, expect_canon: Optional[dict] = None) -> Checkpoint:
                               "differs from the one the config rebuilds")
         phi = HistoryField(grid, arrays["phi_bulk"],
                            loaded.problem.domain.boundary_index)
-    state = SystemState(u, phi, int(header["step"]), float(header["t"]))
+    state = SystemState(u, phi, header["step"])
 
     records = {name[4:]: arrays[name] for name in arrays
                if name.startswith("rec_")} or None
@@ -628,6 +639,10 @@ def main(argv=None) -> int:
                 eps_list = [float(tok) for tok in args.eps.split(",") if tok]
             except ValueError as e:
                 raise ConfigError(f"bad --eps list {args.eps!r}") from e
+            if len(eps_list) < 2:
+                raise ConfigError(f"bad --eps list {args.eps!r}: the sweep "
+                                  f"fits a slope, so it needs at least two "
+                                  f"values, found {len(eps_list)}")
             return run_sweep(loaded, eps_list, args.out)
         if args.command == "validate":
             loaded = load_config(args.config)

@@ -93,7 +93,10 @@ def smooth_profile(d: DiscreteDomain) -> StateField:
 
 
 def _with_eps(cfg: ProblemConfig, eps: float, grid=None) -> ProblemConfig:
-    """Clone a config at a different memory horizon."""
+    """Clone a config at a different memory horizon, by default on a history
+    grid built with the recipe of ``cfg.grid`` (the defaults if it has none)."""
+    if grid is None and eps > 0.0 and cfg.grid is not None:
+        grid = build_history_grid(cfg.kernel, eps, **cfg.grid.recipe)
     return build_problem(cfg.domain, cfg.kernel, cfg.nonlinearity,
                          alpha=cfg.alpha, beta=cfg.beta, eps=eps,
                          dt=cfg.dt, t_final=cfg.t_final,
@@ -106,17 +109,15 @@ def _sup_gap(states: tuple, step, cfg: ProblemConfig, t_lo: float,
     ``march`` observes at times in [t_lo, t_hi], advancing the pair with
     ``step``. A second state without a history (the limit problem) leaves
     the first one's history whole in the difference."""
-    sup = 0.0
+    def gap(states, k):
+        if not t_lo - 1e-12 <= k * cfg.dt <= t_hi + 1e-12:
+            return 0.0  # outside the window the norm is not computed
+        y, z = states
+        phi = y.phi if z.phi is None else y.phi - z.phi
+        return math.sqrt(_h0_sq(cfg, y.u - z.u, phi))
 
-    def observe(states, k):
-        nonlocal sup
-        if t_lo - 1e-12 <= k * cfg.dt <= t_hi + 1e-12:
-            y, z = states
-            phi = y.phi if z.phi is None else y.phi - z.phi
-            sup = max(sup, math.sqrt(_h0_sq(cfg, y.u - z.u, phi)))
-
-    march(states, step, 0, _n_steps(cfg, 0), cfg.record_stride, observe)
-    return sup
+    return max(march(states, step, 0, _n_steps(cfg), cfg.record_stride,
+                     gap)[1])
 
 
 # -- absorbing-set energy decay ----------------------------------------------
@@ -239,7 +240,7 @@ def phi_decay_experiment(cfg: ProblemConfig, eps_list: Sequence[float],
                             t_final=math.ceil(eps / dt - 1e-9) * dt, grid=grid)
         phi0 = history_from_profile(grid, d, lambda s: np.minimum(s, eps),
                                     u0 * phi_scale)
-        rec = evolve(SystemState(u0.copy(), phi0, 0, 0.0), run)
+        rec = evolve(SystemState(u0.copy(), phi0, 0), run)
         early_rates[i] = -np.polyfit(rec.times, np.log(rec.norm_m1_sq), 1)[0]
 
     passed = spread <= 2.0 and bool(np.all(early_rates >= early_targets))

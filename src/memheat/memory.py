@@ -249,6 +249,7 @@ class HistoryGrid:
     (edges[0] = 0, edges[-1] = s_max); ``weights[j]`` is the exact mu_eps
     mass of cell j, so sums over nodes integrate against mu_eps. ``_cache``
     holds grid-only work: the last dt's transport operator, the tail windows.
+    ``recipe`` holds the keyword arguments ``build_history_grid`` was given.
     """
 
     kernel: KernelSpec
@@ -257,6 +258,7 @@ class HistoryGrid:
     edges: Array
     weights: Array
     _cache: dict = field(default_factory=dict, repr=False, compare=False)
+    recipe: dict = field(default_factory=dict, init=False)
 
     @property
     def n_s(self) -> int:
@@ -294,6 +296,7 @@ def build_history_grid(kernel: KernelSpec, eps: float, n_s: int = 128,
     """
     if n_s < 16:
         raise ValueError(f"n_s must be >= 16, got {n_s}")
+    recipe = dict(n_s=n_s, s_max_factor=s_max_factor, spacing=spacing, s_max=s_max)
     rk = rescale_kernel(kernel, eps)
     if s_max is None:
         s_max = s_max_factor * eps / kernel.delta
@@ -321,8 +324,10 @@ def build_history_grid(kernel: KernelSpec, eps: float, n_s: int = 128,
             f"history grid truncates {truncated:.2e} of the kernel mass; "
             "increase s_max_factor or n_s"
         )
-    return HistoryGrid(kernel=kernel, eps=float(eps), s_nodes=nodes,
+    grid = HistoryGrid(kernel=kernel, eps=float(eps), s_nodes=nodes,
                        edges=edges, weights=weights)
+    grid.recipe.update(recipe)
+    return grid
 
 
 # -- history field ----------------------------------------------------------

@@ -18,12 +18,13 @@ term converges to and is locked by regression tests.
 
 Every time loop is ``march``, which owns the one sampling rule: observe
 the start state, each state whose absolute step index is a multiple of
-``record_stride``, and the final state. Every integrator, the difference
-pair and both parts of the compact split included, advances through the
-one IMEX step ``_advance``.
+``record_stride``, and the final state. It returns what its observer
+returned for each of them, so every consumer is a row function. Every
+integrator, the difference pair and both parts of the compact split
+included, advances through the one IMEX step ``_advance``.
 
-Time is tracked as an integer step count times dt, so a run that is
-checkpointed and resumed reproduces the direct run bitwise.
+A state carries its step index only; its time is that index times dt, so
+a run that is checkpointed and resumed reproduces the direct run bitwise.
 """
 
 from __future__ import annotations
@@ -132,11 +133,11 @@ class ProblemConfig:
 def build_problem(domain: DiscreteDomain, kernel: KernelSpec,
                   nonlinearity: NonlinearitySpec, *, alpha: float, beta: float,
                   eps: float, dt: float, t_final: float, record_stride: int = 1,
-                  n_s: int = 128, s_max_factor: float = 30.0,
                   grid: Optional[HistoryGrid] = None) -> ProblemConfig:
-    """Assemble a ProblemConfig, building the graded history grid if needed."""
+    """Assemble a ProblemConfig, building the default graded history grid
+    if the memory problem is given none."""
     if eps > 0.0 and grid is None:
-        grid = build_history_grid(kernel, eps, n_s=n_s, s_max_factor=s_max_factor)
+        grid = build_history_grid(kernel, eps)
     return ProblemConfig(domain=domain, kernel=kernel, nonlinearity=nonlinearity,
                          alpha=alpha, beta=beta, eps=eps, dt=dt, t_final=t_final,
                          record_stride=record_stride, grid=grid)
@@ -163,23 +164,22 @@ def suggest_dt(nonlinearity: NonlinearitySpec, omega: float, beta: float,
 
 @dataclass
 class SystemState:
-    """Field plus history at an integer multiple of dt."""
+    """Field plus history after ``step`` steps; its time is step * dt."""
 
     u: StateField
     phi: Optional[HistoryField]
     step: int
-    t: float
 
     def copy(self) -> "SystemState":
         return SystemState(self.u.copy(),
                            None if self.phi is None else self.phi.copy(),
-                           self.step, self.t)
+                           self.step)
 
 
 def lift(u: StateField, cfg: ProblemConfig) -> SystemState:
     """Embed a field as a state with vanishing history (none at eps = 0)."""
     phi = zero_history(cfg.grid, cfg.domain) if cfg.eps > 0.0 else None
-    return SystemState(u.copy(), phi, 0, 0.0)
+    return SystemState(u.copy(), phi, 0)
 
 
 def project(y: SystemState) -> StateField:
@@ -237,8 +237,7 @@ def step_peps(state: SystemState, cfg: ProblemConfig) -> SystemState:
         raise ValueError("step_peps needs eps > 0; use step_p0 for the limit")
     reac = eval_F(state.u, cfg.nonlinearity, cfg.omega, cfg.beta)
     u_new, phi_new = _advance(cfg, state.u, state.phi, reac)
-    step = state.step + 1
-    return SystemState(u_new, phi_new, step, step * cfg.dt)
+    return SystemState(u_new, phi_new, state.step + 1)
 
 
 def step_p0(state: SystemState, cfg: ProblemConfig) -> SystemState:
@@ -251,8 +250,7 @@ def step_p0(state: SystemState, cfg: ProblemConfig) -> SystemState:
     reac = StateField(eval_f(cfg.nonlinearity, state.u.bulk),
                       eval_g(cfg.nonlinearity, state.u.boundary))
     u_new, _ = _advance(cfg, state.u, None, reac)
-    step = state.step + 1
-    return SystemState(u_new, state.phi, step, step * cfg.dt)
+    return SystemState(u_new, state.phi, state.step + 1)
 
 
 def march(state, step, start: int, stop: int, stride: int, observe):
@@ -260,16 +258,17 @@ def march(state, step, start: int, stop: int, stride: int, observe):
 
     The one sampling rule: ``observe(state, k)`` sees the start state, each
     state whose absolute step index k is a multiple of ``stride``, and the
-    final state, each once. ``state`` is whatever ``step`` maps to its
-    successor, e.g. a tuple of states advanced in lockstep. Returns the
-    final state.
+    final state, each once; the time of an observed state is k * dt.
+    ``state`` is whatever ``step`` maps to its successor, e.g. a tuple of
+    states advanced in lockstep. Returns ``(final_state, rows)``, ``rows``
+    holding what ``observe`` returned, in order.
     """
-    observe(state, start)
+    rows = [observe(state, start)]
     for k in range(start + 1, stop + 1):
         state = step(state)
         if k % stride == 0 or k == stop:
-            observe(state, k)
-    return state
+            rows.append(observe(state, k))
+    return state, rows
 
 
 @dataclass
@@ -298,36 +297,22 @@ class TrajectoryRecord:
                 for name, f in zip(self.COLUMNS, fields(self))]
 
 
-class _Recorder:
-    """Rows of the ``TrajectoryRecord`` columns, one per observed state."""
-
-    def __init__(self, cfg: ProblemConfig):
-        self.cfg = cfg
-        self.rows = [[] for _ in TrajectoryRecord.COLUMNS]
-
-    def add(self, state: SystemState):
-        cfg = self.cfg
-        d, a, b = cfg.domain, cfg.alpha, cfg.beta
-        x2 = norm_x2_sq(state.u, d)
-        v1 = norm_v1_sq(state.u, d, a, b)
-        m1, m2, ts, k2 = history_norms(state.phi, d, a, b)
-        # one value per column, in COLUMNS order
-        for col, val in zip(self.rows,
-                            (state.t, x2, m1, v1, m2, ts, x2 + m1, v1 + k2)):
-            col.append(val)
-
-    def finish(self, final_state: SystemState) -> TrajectoryRecord:
-        return TrajectoryRecord(*map(np.array, self.rows),
-                                final_state=final_state)
+def _trajectory_row(cfg: ProblemConfig, state: SystemState, k: int) -> tuple:
+    """One value per ``TrajectoryRecord`` column, in ``COLUMNS`` order, for
+    the state at step k."""
+    d, a, b = cfg.domain, cfg.alpha, cfg.beta
+    x2 = norm_x2_sq(state.u, d)
+    v1 = norm_v1_sq(state.u, d, a, b)
+    m1, m2, ts, k2 = history_norms(state.phi, d, a, b)
+    return k * cfg.dt, x2, m1, v1, m2, ts, x2 + m1, v1 + k2
 
 
-def _n_steps(cfg: ProblemConfig, start_step: int) -> int:
+def _n_steps(cfg: ProblemConfig) -> int:
+    """The step count from t = 0 to t_final."""
     n_total = round(cfg.t_final / cfg.dt)
     if abs(n_total * cfg.dt - cfg.t_final) > 1e-9 * max(1.0, cfg.t_final):
         raise ValueError("t_final must be an integer multiple of dt")
-    if n_total < start_step:
-        raise ValueError("state is already past t_final")
-    return n_total - start_step
+    return n_total
 
 
 def evolve(y0: SystemState, cfg: ProblemConfig) -> TrajectoryRecord:
@@ -340,11 +325,13 @@ def evolve(y0: SystemState, cfg: ProblemConfig) -> TrajectoryRecord:
     step_fn = step_peps if cfg.eps > 0.0 else step_p0
     if cfg.eps > 0.0 and y0.phi is None:
         raise ValueError("memory problem needs a history in the initial state")
-    stop = y0.step + _n_steps(cfg, y0.step)
-    rec = _Recorder(cfg)
-    final = march(y0.copy(), lambda s: step_fn(s, cfg), y0.step, stop,
-                  cfg.record_stride, lambda s, k: rec.add(s))
-    return rec.finish(final)
+    stop = _n_steps(cfg)
+    if stop < y0.step:
+        raise ValueError("state is already past t_final")
+    final, rows = march(y0.copy(), lambda s: step_fn(s, cfg), y0.step, stop,
+                        cfg.record_stride,
+                        lambda s, k: _trajectory_row(cfg, s, k))
+    return TrajectoryRecord(*map(np.array, zip(*rows)), final_state=final)
 
 
 @dataclass
@@ -378,17 +365,10 @@ def evolve_contraction_pair(y0: SystemState, z0: SystemState,
         if y0.phi is None or z0.phi is None:
             raise ValueError("memory problem needs histories on both states")
         psi = y0.phi - z0.phi
-    n_steps = _n_steps(cfg, 0)
-    times, gaps = [], []
-
-    def record(pair, k):
-        times.append(k * cfg.dt)
-        gaps.append(_h0_sq(cfg, *pair))
-
-    march((y0.u - z0.u, psi), lambda p: _advance(cfg, *p), 0, n_steps,
-          cfg.record_stride, record)
-    times = np.array(times)
-    gaps = np.array(gaps)
+    _, rows = march((y0.u - z0.u, psi), lambda p: _advance(cfg, *p), 0,
+                    _n_steps(cfg), cfg.record_stride,
+                    lambda pair, k: (k * cfg.dt, _h0_sq(cfg, *pair)))
+    times, gaps = map(np.array, zip(*rows))
     zero_gap = bool(np.all(gaps == 0.0))
     rate = 0.0 if zero_gap else _fit_log_rate(times, gaps)
     monotone = bool(np.all(np.diff(gaps) <= 1e-12 * max(gaps.max(), 1e-300)))
@@ -420,7 +400,6 @@ def evolve_compact_split(y0: SystemState, cfg: ProblemConfig) -> SplitRecord:
     d, dt, a, b = cfg.domain, cfg.dt, cfg.alpha, cfg.beta
     nl, om = cfg.nonlinearity, cfg.omega
     _budget_check(cfg, y0.u)
-    n_steps = _n_steps(cfg, 0)
     mf = monotonicity_shift(nl, om, b)
 
     def step(parts):
@@ -433,23 +412,19 @@ def evolve_compact_split(y0: SystemState, cfg: ProblemConfig) -> SplitRecord:
         w_new, theta_new = _advance(cfg, w, theta, f_w - mf * v)
         return v_new, w_new, psi_new, theta_new, step_peps(direct, cfg)
 
-    times, z_rows, k_rows = [], [], []
-    mismatch = 0.0
-
-    def record(parts, k):
-        nonlocal mismatch
+    def observe(parts, k):
+        # time, z_h0_sq, k_strong_sq and the parts' relative X2 mismatch
         v, w, psi, theta, direct = parts
-        times.append(k * dt)
-        z_rows.append(_h0_sq(cfg, v, psi))
-        k_rows.append(norm_v2_sq(w, d, a, b) + history_norms(theta, d, a, b)[3])
         gap = (v + w) - direct.u
-        rel = math.sqrt(norm_x2_sq(gap, d)) / max(math.sqrt(norm_x2_sq(direct.u, d)), 1e-300)
-        mismatch = max(mismatch, rel)
+        return (k * dt, _h0_sq(cfg, v, psi),
+                norm_v2_sq(w, d, a, b) + history_norms(theta, d, a, b)[3],
+                math.sqrt(norm_x2_sq(gap, d))
+                / max(math.sqrt(norm_x2_sq(direct.u, d)), 1e-300))
 
     parts = (y0.u.copy(), d.zero_field(), y0.phi.copy(),
              zero_history(cfg.grid, d), y0.copy())
-    march(parts, step, 0, n_steps, cfg.record_stride, record)
-    times = np.array(times)
-    z_arr = np.array(z_rows)
-    return SplitRecord(times=times, z_h0_sq=z_arr, k_strong_sq=np.array(k_rows),
-                       z_rate=_fit_log_rate(times, z_arr), sum_mismatch=mismatch)
+    _, rows = march(parts, step, 0, _n_steps(cfg), cfg.record_stride, observe)
+    times, z_arr, k_arr, rel = map(np.array, zip(*rows))
+    return SplitRecord(times=times, z_h0_sq=z_arr, k_strong_sq=k_arr,
+                       z_rate=_fit_log_rate(times, z_arr),
+                       sum_mismatch=float(rel.max()))

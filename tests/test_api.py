@@ -2,12 +2,14 @@
 
 import ast
 import importlib
+import inspect
 import pkgutil
 from pathlib import Path
 
 import pytest
 
 import memheat
+from memheat import cli, domain, experiments, memory, solver
 
 MODULES = sorted(m.name for m in pkgutil.iter_modules(memheat.__path__))
 
@@ -34,3 +36,27 @@ def test_the_package_reexports_only_declared_names():
                   if a.name not in mod.__all__]
     assert checked > 0
     assert stray == []
+
+
+# the span tracer of the benchmark reads these arguments by position and
+# rebinds these names in the modules that call them
+TRACED_SIGNATURES = {
+    solver.evolve: ["y0", "cfg"],
+    solver.step_peps: ["state", "cfg"],
+    solver.step_p0: ["state", "cfg"],
+    memory.advance_history: ["phi", "u_new", "dt", "u_prev"],
+    domain.solve_wentzell_shifted: ["c0", "c_a", "rhs", "d", "alpha", "beta"],
+    cli.checkpoint_save: ["state", "path", "canon", "records"],
+}
+
+
+@pytest.mark.parametrize("fn", TRACED_SIGNATURES,
+                         ids=lambda fn: fn.__name__)
+def test_traced_functions_keep_their_signatures(fn):
+    assert list(inspect.signature(fn).parameters) == TRACED_SIGNATURES[fn]
+
+
+def test_traced_names_are_bound_where_they_are_called():
+    assert experiments.step_peps is solver.step_peps
+    assert cli.evolve is solver.evolve
+    assert solver.advance_history is memory.advance_history

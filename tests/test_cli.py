@@ -206,14 +206,15 @@ def test_checkpoint_roundtrip_preserves_state_bitwise(tmp_path):
     u = d.field_from_bulk(rng.normal(size=d.n_bulk))
     phi = HistoryField(grid, rng.normal(size=(grid.n_s, d.n_bulk)),
                        d.boundary_index)
-    state = SystemState(u, phi, step=10, t=0.05)
-    records = {name: np.array([0.0, 0.5]) + i
+    state = SystemState(u, phi, step=10)
+    # step 10 at record_stride 2: the samples at steps 0, 2, ..., 10
+    records = {name: np.arange(6) * 0.5 + i
                for i, name in enumerate(TrajectoryRecord.COLUMNS)}
     ck_path = tmp_path / "state.bin"
     checkpoint_save(state, ck_path, loaded.canon, records=records)
 
     ck = checkpoint_load(ck_path, expect_canon=loaded.canon)
-    assert ck.state.step == 10 and ck.state.t == 0.05
+    assert ck.state.step == 10
     assert ck.state.u.bulk.tobytes() == u.bulk.tobytes()
     assert ck.state.phi.bulk.tobytes() == phi.bulk.tobytes()
     assert ck.state.phi.boundary.tobytes() == phi.boundary.tobytes()
@@ -267,6 +268,21 @@ def test_sweep_runs_and_is_deterministic(tmp_path):
     summary = json.loads((a / "summary.json").read_text())
     assert summary["assertions"]["sqrt_envelope_holds"]
     assert len(summary["results"]["errors"]) == 2
+
+
+def test_sweep_builds_each_eps_grid_with_the_config_history(tmp_path):
+    errors = []
+    for n_s in (64, 256):
+        path = write_cfg(tmp_path, name=f"c{n_s}.json", t_final=0.5,
+                         checkpoint_step=None, dt=0.0025, record_stride=4,
+                         domain={"kind": "interval", "n": 17},
+                         history={"n_s": n_s})
+        out = tmp_path / f"s{n_s}"
+        assert main(["sweep-eps", "--config", str(path), "--eps", "0.2,0.1",
+                     "--out", str(out)]) == 0
+        errors.append(json.loads((out / "summary.json").read_text())
+                      ["results"]["errors"])
+    assert errors[0][0] != errors[1][0] and errors[0][1] != errors[1][1]
 
 
 def test_sweep_rejects_a_malformed_eps_list(tmp_path, capsys):
@@ -336,15 +352,15 @@ def test_history_larger_than_memory_is_refused_at_once(tmp_path, capsys,
     assert "history array needs" in err and "physical memory" in err
 
 
-def _hand_written_checkpoint(path, canon, arrays, declared=None):
-    """A format-2 checkpoint of ``canon`` at step 0 holding ``arrays``, a
+def _hand_written_checkpoint(path, canon, arrays, declared=None, step=0):
+    """A format-2 checkpoint of ``canon`` at ``step`` holding ``arrays``, a
     list of (name, array), under the header entry ``declared`` (by default
     their names and shapes)."""
     if declared is None:
         declared = [[name, list(a.shape)] for name, a in arrays]
     header = {"format": "memheat-checkpoint-2", "config": canon,
-              "config_sha256": config_hash(canon), "step": 0, "t": 0.0,
-              "eps": canon["eps"], "arrays": declared}
+              "config_sha256": config_hash(canon), "step": step,
+              "arrays": declared}
     path.write_bytes(json.dumps(header).encode() + b"\n"
                      + b"".join(a.astype("<f8").tobytes() for _, a in arrays))
     return path
@@ -359,6 +375,10 @@ _CHECKPOINT_REFUSALS = {
     "resume-partial-records": "recorded columns",
     "resume-records-of-unequal-length": "recorded columns",
     "resume-malformed-array-list": "not a list of [name, shape] pairs",
+    "resume-records-cut-short": "implies 6 recorded rows, found 2",
+    "resume-negative-step": "integer in [0, 200], found -4",
+    "resume-fractional-step": "integer in [0, 200], found 2.7",
+    "resume-step-off-the-stride": "step 7 is not a multiple of record_stride 2",
 }
 
 
@@ -377,6 +397,7 @@ def _bad_input(tmp_path):
              ("phi_bulk", np.zeros((grid.n_s, d.n_bulk))),
              ("s_nodes", grid.s_nodes)]
     records = [(f"rec_{name}", np.zeros(3)) for name in TrajectoryRecord.COLUMNS]
+    rows = [(name, np.zeros(2)) for name, _ in records]
     checkpoints = {
         "resume-header-without-arrays": [],
         "resume-u-bulk-of-wrong-length": [("u_bulk", np.zeros(d.n_bulk - 1))]
@@ -385,17 +406,28 @@ def _bad_input(tmp_path):
         "resume-records-of-unequal-length":
             state + records[:-1] + [(records[-1][0], np.zeros(4))],
         "resume-malformed-array-list": state,
+        "resume-records-cut-short": state + rows,
+        "resume-negative-step": state,
+        "resume-fractional-step": state,
+        "resume-step-off-the-stride": state + rows,
     }
     declared = {"resume-malformed-array-list": "u_bulk"}
+    steps = {"resume-records-cut-short": 10, "resume-negative-step": -4,
+             "resume-fractional-step": 2.7, "resume-step-off-the-stride": 7}
     return {
         **{case: ["resume", "--checkpoint",
                   str(_hand_written_checkpoint(tmp_path / f"{case}.bin",
                                                loaded.canon, arrays,
-                                               declared.get(case))),
+                                               declared.get(case),
+                                               steps.get(case, 0))),
                   "--out", str(tmp_path / "r")]
            for case, arrays in checkpoints.items()},
         "sweep-out-under-a-file": ["sweep-eps", "--config", str(cfg), "--eps",
                                    "0.2,0.1", "--out", str(afile / "sub")],
+        "sweep-one-eps": ["sweep-eps", "--config", str(cfg), "--eps", "0.2",
+                          "--out", str(tmp_path / "r")],
+        "sweep-empty-eps-list": ["sweep-eps", "--config", str(cfg), "--eps",
+                                 ",", "--out", str(tmp_path / "r")],
         "resume-missing-checkpoint": ["resume", "--checkpoint",
                                       str(tmp_path / "nope.bin"),
                                       "--out", str(tmp_path / "r")],
@@ -404,7 +436,8 @@ def _bad_input(tmp_path):
     }
 
 
-@pytest.mark.parametrize("case", ["sweep-out-under-a-file",
+@pytest.mark.parametrize("case", ["sweep-out-under-a-file", "sweep-one-eps",
+                                  "sweep-empty-eps-list",
                                   "resume-missing-checkpoint",
                                   "resume-header-without-config",
                                   *_CHECKPOINT_REFUSALS])

@@ -13,7 +13,7 @@ from memheat.physics import make_nonlinearity
 from memheat.solver import (
     ProblemConfig,
     SystemState,
-    _Recorder,
+    _trajectory_row,
     build_problem,
     evolve,
     evolve_compact_split,
@@ -82,7 +82,7 @@ def test_lift_and_project_roundtrip(interval):
     cfg = _memory_cfg(interval)
     u0 = smooth_profile(interval)
     y = lift(u0, cfg)
-    assert y.step == 0 and y.t == 0.0
+    assert y.step == 0
     assert y.phi is not None
     assert np.all(y.phi.bulk == 0.0)
     back = project(y)
@@ -102,15 +102,18 @@ def test_steppers_enforce_their_regime(interval):
         step_peps(lift(interval.zero_field(), limit), limit)
     y = lift(interval.zero_field(), cfg)
     out = step_peps(y, cfg)
-    assert out.step == 1 and out.t == pytest.approx(cfg.dt)
+    assert out.step == 1
 
 
 def test_evolve_time_grid_contract(interval):
     cfg = _memory_cfg(interval, dt=0.02, t_final=0.2, record_stride=4)
     rec = evolve(lift(smooth_profile(interval) * 0.2, cfg), cfg)
     # 10 steps, stride 4: records at steps 0, 4, 8 and the final step 10
-    assert np.allclose(rec.times, [0.0, 0.08, 0.16, 0.2])
+    assert rec.times.tolist() == [k * cfg.dt for k in (0, 4, 8, 10)]
     assert rec.final_state.step == 10
+    late = SystemState(rec.final_state.u, rec.final_state.phi, 11)
+    with pytest.raises(ValueError, match="already past t_final"):
+        evolve(late, cfg)
     bad = _memory_cfg(interval, dt=0.02, t_final=0.21)
     with pytest.raises(ValueError, match="integer multiple"):
         evolve(lift(interval.zero_field(), bad), bad)
@@ -171,7 +174,7 @@ def test_constant_equilibrium_is_steady_for_the_memory_problem(interval):
                         dt=0.01, t_final=1.0)
     phi0 = history_from_profile(cfg.grid, interval, lambda s: s,
                                 interval.constant_field(0.5))
-    y = SystemState(interval.constant_field(0.5), phi0, 0, 0.0)
+    y = SystemState(interval.constant_field(0.5), phi0, 0)
     for _ in range(100):
         y = step_peps(y, cfg)
     drift = max(np.max(np.abs(y.u.bulk - 0.5)),
@@ -222,9 +225,8 @@ def test_compact_split_reconstructs_the_trajectory(interval):
 
 
 def _schedule(start, stop, stride):
-    seen = []
-    final = march(start, lambda k: k + 1, start, stop, stride,
-                  lambda state, k: seen.append((state, k)))
+    final, seen = march(start, lambda k: k + 1, start, stop, stride,
+                        lambda state, k: (state, k))
     assert final == stop
     assert all(state == k for state, k in seen)
     return [k for _, k in seen]
@@ -269,7 +271,7 @@ def test_one_recorded_sample_builds_each_history_row_set_once(interval,
     cfg = _memory_cfg(interval, alpha=0.5)
     y = lift(smooth_profile(interval), cfg)
     y = step_peps(y, cfg)
-    _Recorder(cfg).add(y)
+    _trajectory_row(cfg, y, y.step)
     assert calls == {"_v1_rows": 1, "_pair_rows": 1, "_ds_rows": 1}
 
 
@@ -285,7 +287,6 @@ def test_one_recorded_sample_on_a_multi_block_history_builds_each_row_set_once(
     cfg = _memory_cfg(d, alpha=0.5)
     y = step_peps(lift(smooth_profile(d), cfg), cfg)
     assert len(memory._blocks(y.phi)) > 1
-    recorder = _Recorder(cfg)
-    recorder.add(y)
-    recorder.add(y)
+    _trajectory_row(cfg, y, y.step)
+    _trajectory_row(cfg, y, y.step)
     assert calls == {"_v1_rows": 2, "_pair_rows": 2, "_ds_rows": 2}
