@@ -179,13 +179,10 @@ def build_from_canonical(canon: dict) -> LoadedConfig:
     try:
         nl = make_nonlinearity(canon["nonlinearity"]["f"],
                                canon["nonlinearity"]["g"])
-        hist = canon["history"]
         grid = None
         if canon["eps"] > 0.0:
-            grid = build_history_grid(kernel, canon["eps"], n_s=hist["n_s"],
-                                      s_max_factor=hist["s_max_factor"],
-                                      spacing=hist["spacing"],
-                                      s_max=hist["s_max"])
+            grid = build_history_grid(kernel, canon["eps"],
+                                      **canon["history"])
         problem = build_problem(d, kernel, nl, alpha=canon["alpha"],
                                 beta=canon["beta"], eps=canon["eps"],
                                 dt=canon["dt"], t_final=canon["t_final"],
@@ -533,10 +530,17 @@ def run_experiment(loaded: LoadedConfig, out_dir,
 
 
 def run_sweep(loaded: LoadedConfig, eps_list, out_dir) -> int:
-    """Robustness sweep against the instantaneous limit problem."""
+    """Robustness sweep against the instantaneous limit problem. Every eps
+    runs on a history grid built with the config's ``history`` recipe, also
+    when the config's own eps is 0 and its problem carries no grid."""
+    cfg = loaded.problem
+    if cfg.grid is None:
+        eps = max(eps_list)
+        cfg = dataclasses.replace(cfg, eps=eps, grid=build_history_grid(
+            cfg.kernel, eps, **loaded.canon["history"]))
     out = _output_dir(out_dir)
     t0 = time.perf_counter()
-    sw = robustness_sweep(loaded.problem, eps_list, loaded.initial)
+    sw = robustness_sweep(cfg, eps_list, loaded.initial)
     summary = {
         "experiment": "sweep_eps",
         "assertions": {"sqrt_envelope_holds": sw.bound_ok,

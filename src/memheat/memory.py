@@ -509,11 +509,13 @@ def _interp_rows(s_nodes: Array, values: Array, q: Array) -> Array:
     return (1.0 - t)[:, None] * vals_ext[idx] + t[:, None] * vals_ext[idx + 1]
 
 
-def _pullback(g: HistoryGrid, dt: float) -> tuple[sp.csr_matrix, int]:
+def _pullback(g: HistoryGrid, dt: float) -> tuple[sp.csr_matrix, int, Array]:
     """The characteristic pull-back s -> s - dt as a CSR operator on history
-    rows, cached on the grid for the last dt, and the number k of nodes with
-    s <= dt. Those nodes are a prefix; their rows are empty (the inflow fills
-    them) and the zero inflow-anchor column is dropped."""
+    rows, cached on the grid for the last dt, the number k of nodes with
+    s <= dt, and the k x 2 inflow block C. Those nodes are a prefix; their
+    rows are empty (the inflow fills them) and the zero inflow-anchor column
+    is dropped. Row i of C holds the trapezoid weights of the step's end
+    values, s_i - s_i^2 / 2dt on u_new and s_i^2 / 2dt on u_prev."""
     hit = g._cache.get("transport")
     if hit is None or hit[0] != dt:
         s = g.s_nodes
@@ -525,9 +527,11 @@ def _pullback(g: HistoryGrid, dt: float) -> tuple[sp.csr_matrix, int]:
         cols, vals = np.stack([idx - 1, idx], axis=1), np.stack([1.0 - t, t], axis=1)
         keep = cols >= 0
         indptr = np.concatenate([np.zeros(k + 1, dtype=int), np.cumsum(keep.sum(axis=1))])
+        curv = s[:k] ** 2 / (2.0 * dt)
         hit = g._cache["transport"] = (
-            dt, sp.csr_matrix((vals[keep], cols[keep], indptr), shape=(s.size, s.size)), k)
-    return hit[1], hit[2]
+            dt, sp.csr_matrix((vals[keep], cols[keep], indptr), shape=(s.size, s.size)),
+            k, np.stack([s[:k] - curv, curv], axis=1))
+    return hit[1:]
 
 
 def advance_history(phi: HistoryField, u_new: StateField, dt: float,
@@ -537,17 +541,17 @@ def advance_history(phi: HistoryField, u_new: StateField, dt: float,
     Values are pulled back along the characteristic s -> s - dt by a sparse
     operator cached per grid and dt; nodes with s <= dt are filled by exact
     integration of the step's inflow, linear in time from ``u_prev`` to
-    ``u_new`` (trapezoid). The inflow fields are trace compatible, so only
-    their bulk is read.
+    ``u_new`` (trapezoid), written in place as one product of the cached
+    inflow block with the two end values. The inflow fields are trace
+    compatible, so only their bulk is read.
     """
     if dt <= 0.0:
         raise ValueError("dt must be positive")
-    P, k = _pullback(phi.grid, dt)
-    s = phi.grid.s_nodes[:k, None]
+    P, k, C = _pullback(phi.grid, dt)
     out = P @ phi.bulk
     new, prev = u_new.bulk, u_prev.bulk
     out[k:] += 0.5 * dt * (prev + new)
-    out[:k] = s * new + s**2 / (2.0 * dt) * (prev - new)
+    np.matmul(C, np.stack([new, prev]), out=out[:k])
     return HistoryField(phi.grid, out, phi.boundary_index)
 
 

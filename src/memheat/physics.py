@@ -23,12 +23,10 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 from numpy.polynomial import polynomial as npoly
 from numpy.typing import NDArray
 
-from .domain import DiscreteDomain, StateField
+from .domain import DiscreteDomain, StateField, _factor_symmetric
 
 __all__ = [
     "NonlinearitySpec",
@@ -268,7 +266,7 @@ def estimate_embedding_constant(d: DiscreteDomain, alpha: float,
         raise ValueError("the (alpha, beta) form is only a norm for alpha > 0 or beta > 0")
     k_mat = d.bulk_operators(alpha, beta)[0].tocsc()
     m_diag = d.mass_diag()
-    lu = spla.splu(k_mat)
+    lu = _factor_symmetric(k_mat)
 
     x = np.ones(d.n_bulk) + 0.01 * d.x_bulk[:, 0]
     x /= np.sqrt(x @ (m_diag * x))

@@ -285,6 +285,22 @@ def test_sweep_builds_each_eps_grid_with_the_config_history(tmp_path):
     assert errors[0][0] != errors[1][0] and errors[0][1] != errors[1][1]
 
 
+def test_sweep_from_a_limit_config_follows_its_history(tmp_path):
+    # the config's own eps is 0, so its problem carries no grid; the sweep
+    # must still build each eps's grid with the config's history recipe
+    csv = []
+    for n_s in (64, 256):
+        path = write_cfg(tmp_path, name=f"c{n_s}.json", eps=0.0, t_final=0.5,
+                         checkpoint_step=None, dt=0.0025, record_stride=4,
+                         domain={"kind": "interval", "n": 17},
+                         history={"n_s": n_s})
+        out = tmp_path / f"s{n_s}"
+        assert main(["sweep-eps", "--config", str(path), "--eps", "0.2,0.1",
+                     "--out", str(out)]) == 0
+        csv.append((out / "sweep.csv").read_bytes())
+    assert csv[0] != csv[1]
+
+
 def test_sweep_rejects_a_malformed_eps_list(tmp_path, capsys):
     path = write_cfg(tmp_path, checkpoint_step=None)
     assert main(["sweep-eps", "--config", str(path), "--eps", "0.2,zap",

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+import scipy.sparse.linalg as spla
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -121,6 +122,21 @@ def test_solve_rejects_bad_coefficients(interval):
         solve_wentzell_shifted(0.0, 1.0, rhs, interval, 1.0, 1.0)
     with pytest.raises(ValueError):
         solve_wentzell_shifted(1.0, -0.5, rhs, interval, 1.0, 1.0)
+
+
+def test_cached_step_matrix_is_symmetric_and_ordered_for_it(interval, square):
+    # the symmetric minimum-degree ordering of the cached factor rests on
+    # the system being exactly symmetric, and pays by filling less than COLAMD
+    key = ("solve", 400.0, 0.5, 0.0, 1.0)
+    for d in (interval, square):
+        solve_wentzell_shifted(400.0, 0.5, d.constant_field(1.0), d, 0.0, 1.0)
+        sys = d._cache[key][1]
+        assert abs(sys - sys.T).max() == 0.0
+    d = build_domain("square", 65)
+    solve_wentzell_shifted(400.0, 0.5, d.constant_field(1.0), d, 0.0, 1.0)
+    lu, sys, _ = d._cache[key]
+    colamd = spla.splu(sys, permc_spec="COLAMD")
+    assert lu.L.nnz + lu.U.nnz < colamd.L.nnz + colamd.U.nnz
 
 
 def test_manufactured_solution_second_order(interval):

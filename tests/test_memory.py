@@ -282,6 +282,22 @@ def _per_call_transport(phi, u_new, dt, u_prev):
     return new_bulk, new_bdry
 
 
+def _assert_transport_matches(out, phi, u_new, dt, u_prev):
+    # rows s > dt are the cached pull-back, pinned bitwise to the per-call
+    # reference; rows s <= dt hold the trapezoid inflow, which one product
+    # writes with its own rounding, so they are checked against the inflow
+    # in extended precision to 4 ulp of each row's largest entry
+    ref_b, ref_g = _per_call_transport(phi, u_new, dt, u_prev)
+    full = phi.grid.s_nodes > dt
+    assert np.array_equal(out.bulk[full], ref_b[full])
+    assert np.array_equal(out.boundary[full], ref_g[full])
+    s = phi.grid.s_nodes[~full, None].astype(np.longdouble)
+    new, prev = (u.bulk.astype(np.longdouble) for u in (u_new, u_prev))
+    exact = s * new + s**2 / (2 * np.longdouble(dt)) * (prev - new)
+    ulp = np.spacing(np.abs(exact).max(axis=1).astype(float))[:, None]
+    assert np.all(np.abs(out.bulk[~full] - exact) <= 4 * ulp)
+
+
 @pytest.mark.parametrize("spacing, n_below", [("geometric", "several"),
                                               ("uniform", "none")])
 def test_cached_transport_equals_the_per_call_interpolation(square, spacing,
@@ -300,9 +316,7 @@ def test_cached_transport_equals_the_per_call_interpolation(square, spacing,
     u_prev, u_new = (square.field_from_bulk(rng.normal(size=square.n_bulk))
                      for _ in range(2))
     out = advance_history(phi, u_new, dt, u_prev=u_prev)
-    ref_b, ref_g = _per_call_transport(phi, u_new, dt, u_prev)
-    assert np.array_equal(out.bulk, ref_b)
-    assert np.array_equal(out.boundary, ref_g)
+    _assert_transport_matches(out, phi, u_new, dt, u_prev)
     cached = g._cache["transport"]
     assert cached[0] == dt and cached[2] == below
     advance_history(phi, u_new, dt, u_prev=u_prev)
@@ -310,8 +324,7 @@ def test_cached_transport_equals_the_per_call_interpolation(square, spacing,
     out = advance_history(phi, u_new, 2.0 * dt, u_prev=u_prev)
     assert g._cache["transport"][0] == 2.0 * dt
     assert g._cache["transport"][1] is not cached[1]
-    assert np.array_equal(out.bulk,
-                          _per_call_transport(phi, u_new, 2.0 * dt, u_prev)[0])
+    _assert_transport_matches(out, phi, u_new, 2.0 * dt, u_prev)
 
 
 def test_transport_matches_oracle_on_step_aligned_grid(interval):
@@ -499,6 +512,27 @@ def test_history_norms_allocate_no_history_sized_arrays():
     finally:
         tracemalloc.stop()
     assert peak < 2 * 2**20
+
+
+def test_transport_allocates_only_its_output():
+    d = build_domain("square", 65)
+    g = build_history_grid(exponential_kernel(0.5, rate=3.0), 0.2, n_s=128)
+    dt = 0.0025
+    rng = np.random.default_rng(19)
+    phi = HistoryField(g, rng.normal(size=(g.n_s, d.n_bulk)),
+                       d.boundary_index)
+    u_prev, u_new = (d.field_from_bulk(rng.normal(size=d.n_bulk))
+                     for _ in range(2))
+    advance_history(phi, u_new, dt, u_prev)  # builds the cached operator
+    assert g._cache["transport"][2] == 35
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        out = advance_history(phi, u_new, dt, u_prev)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak <= out.bulk.nbytes + 2**18
 
 
 def test_dissipation_inequality_holds_for_smooth_histories(interval):

@@ -4,11 +4,13 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from memheat.domain import norm_v1_sq, norm_x2_sq
 from memheat.physics import (
+    _EMBED_TOL,
     check_smallness,
     estimate_embedding_constant,
     eval_F,
@@ -149,6 +151,15 @@ def test_embedding_constant_on_the_interval(interval):
         assert x2 <= c * v1 * (1.0 + 1e-6)
     with pytest.raises(ValueError):
         estimate_embedding_constant(interval, 0.0, 0.0)
+
+
+def test_embedding_constant_is_the_top_generalized_eigenvalue(square):
+    # dense reference for the power iteration on the sparse factor
+    k_mat = square.bulk_operators(1.0, 1.0)[0].toarray()
+    top = scipy.linalg.eigh(np.diag(square.mass_diag()), k_mat,
+                            eigvals_only=True)[-1]
+    assert estimate_embedding_constant(square, 1.0, 1.0) == pytest.approx(
+        top, rel=_EMBED_TOL, abs=0.0)
 
 
 def test_shared_equilibrium_of_both_reaction_laws():
