@@ -529,6 +529,29 @@ def run_experiment(loaded: LoadedConfig, out_dir,
     return code
 
 
+def _sweep_eps(text: str, dt: float) -> list[float]:
+    """The ``--eps`` list of a sweep, checked whole before any work: at
+    least two entries, each finite, in (0, 1] and resolved by the step
+    (dt <= eps / 10, the memory problem's own budget)."""
+    toks = [tok for tok in text.split(",") if tok]
+    try:
+        eps_list = [float(tok) for tok in toks]
+    except ValueError as e:
+        raise ConfigError(f"bad --eps list {text!r}") from e
+    if len(eps_list) < 2:
+        raise ConfigError(f"bad --eps list {text!r}: the sweep fits a slope, "
+                          f"so it needs at least two values, found "
+                          f"{len(eps_list)}")
+    for tok, eps in zip(toks, eps_list):
+        if not (math.isfinite(eps) and 0.0 < eps <= 1.0):
+            raise ConfigError(f"bad --eps entry {tok!r}: eps must be finite "
+                              "and in (0, 1]")
+        if dt > 0.1 * eps * (1.0 + 1e-9):
+            raise ConfigError(f"bad --eps entry {tok!r}: eps must be at "
+                              f"least 10 dt = {10.0 * dt}")
+    return eps_list
+
+
 def run_sweep(loaded: LoadedConfig, eps_list, out_dir) -> int:
     """Robustness sweep against the instantaneous limit problem. Every eps
     runs on a history grid built with the config's ``history`` recipe, also
@@ -639,15 +662,8 @@ def main(argv=None) -> int:
             return run_experiment(loaded, args.out)
         if args.command == "sweep-eps":
             loaded = load_config(args.config)
-            try:
-                eps_list = [float(tok) for tok in args.eps.split(",") if tok]
-            except ValueError as e:
-                raise ConfigError(f"bad --eps list {args.eps!r}") from e
-            if len(eps_list) < 2:
-                raise ConfigError(f"bad --eps list {args.eps!r}: the sweep "
-                                  f"fits a slope, so it needs at least two "
-                                  f"values, found {len(eps_list)}")
-            return run_sweep(loaded, eps_list, args.out)
+            return run_sweep(loaded, _sweep_eps(args.eps, loaded.problem.dt),
+                             args.out)
         if args.command == "validate":
             loaded = load_config(args.config)
             print(f"config ok: sha256 {loaded.sha256}")

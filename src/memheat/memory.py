@@ -11,8 +11,10 @@ Phi^t(s) = int_0^s U(t - y) dy, and evolves by pure transport in s with
 inflow Phi^t(0) = 0. The discretization is semi-Lagrangian on a grid graded
 toward s = 0: values are pulled back along characteristics and the fresh
 segment is added by exact quadrature of the step's inflow. The pull-back
-depends only on the grid and dt: it is a sparse operator cached on the grid
-per dt. The oracle keeps its own interpolation, an independent check.
+depends only on the grid and dt: it is cached on the grid per dt as a few
+dense row blocks, each of which reads a contiguous slab of old rows and is
+written straight into the new history by one BLAS product. The oracle
+keeps its own interpolation, an independent check.
 
 The memory response on the boundary matches the one in the interior, so
 the boundary history is the trace of the bulk history, not a second
@@ -33,7 +35,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
-import scipy.sparse as sp
 from numpy.typing import NDArray
 
 from .domain import DiscreteDomain, StateField
@@ -248,7 +249,7 @@ class HistoryGrid:
     ``s_nodes`` carry the field values; ``edges`` bound the quadrature cells
     (edges[0] = 0, edges[-1] = s_max); ``weights[j]`` is the exact mu_eps
     mass of cell j, so sums over nodes integrate against mu_eps. ``_cache``
-    holds grid-only work: the last dt's transport operator, the tail windows.
+    holds grid-only work: the last dt's transport blocks, the tail windows.
     ``recipe`` holds the keyword arguments ``build_history_grid`` was given.
     """
 
@@ -509,13 +510,23 @@ def _interp_rows(s_nodes: Array, values: Array, q: Array) -> Array:
     return (1.0 - t)[:, None] * vals_ext[idx] + t[:, None] * vals_ext[idx + 1]
 
 
-def _pullback(g: HistoryGrid, dt: float) -> tuple[sp.csr_matrix, int, Array]:
-    """The characteristic pull-back s -> s - dt as a CSR operator on history
-    rows, cached on the grid for the last dt, the number k of nodes with
-    s <= dt, and the k x 2 inflow block C. Those nodes are a prefix; their
-    rows are empty (the inflow fills them) and the zero inflow-anchor column
-    is dropped. Row i of C holds the trapezoid weights of the step's end
-    values, s_i - s_i^2 / 2dt on u_new and s_i^2 / 2dt on u_prev."""
+# Shape of one dense block of the pull-back: at most this many rows, and a
+# dense size (rows x source rows) at most this multiple of the nonzeros it
+# replaces. Each block is one BLAS product over a contiguous source slab.
+_PULLBACK_ROWS = 8
+_PULLBACK_FILL = 4
+
+
+def _pullback(g: HistoryGrid, dt: float) -> tuple[tuple, int, Array]:
+    """The characteristic pull-back s -> s - dt as dense row blocks, cached
+    on the grid for the last dt, the number k of nodes with s <= dt, and
+    the k x 2 inflow block C. Those nodes are a prefix, filled by the
+    inflow. Each block is ``(rows, src, D)``: rows ``rows`` of the new
+    history are ``D`` times the consecutive old rows ``src``; the blocks
+    partition rows k..n_s-1. Row i interpolates linearly between the two
+    nodes around s_i - dt, the zero inflow anchor at s = 0 dropping out.
+    Row i of C holds the trapezoid weights of the step's end values,
+    s_i - s_i^2 / 2dt on u_new and s_i^2 / 2dt on u_prev."""
     hit = g._cache.get("transport")
     if hit is None or hit[0] != dt:
         s = g.s_nodes
@@ -524,13 +535,27 @@ def _pullback(g: HistoryGrid, dt: float) -> tuple[sp.csr_matrix, int, Array]:
         s_ext = np.concatenate([[0.0], s])
         idx = np.clip(np.searchsorted(s_ext, q, side="right") - 1, 0, s.size - 1)
         t = (q - s_ext[idx]) / (s_ext[idx + 1] - s_ext[idx])
-        cols, vals = np.stack([idx - 1, idx], axis=1), np.stack([1.0 - t, t], axis=1)
-        keep = cols >= 0
-        indptr = np.concatenate([np.zeros(k + 1, dtype=int), np.cumsum(keep.sum(axis=1))])
+        # row i reads old rows idx-1 (weight 1-t) and idx (weight t);
+        # idx is nondecreasing in i, so a run of rows reads one slab
+        lo = np.maximum(idx - 1, 0)
+        nnz = idx - lo + 1
+        blocks, a = [], 0
+        while a < q.size:
+            b = a + 1
+            while (b < q.size and b - a < _PULLBACK_ROWS and
+                   (b + 1 - a) * (idx[b] - lo[a] + 1)
+                   <= _PULLBACK_FILL * nnz[a:b + 1].sum()):
+                b += 1
+            r = np.arange(b - a)
+            D = np.zeros((b - a, idx[b - 1] - lo[a] + 1))
+            D[r, idx[a:b] - lo[a]] = t[a:b]
+            inner = idx[a:b] > 0
+            D[r[inner], idx[a:b][inner] - 1 - lo[a]] = 1.0 - t[a:b][inner]
+            blocks.append((slice(k + a, k + b), slice(lo[a], idx[b - 1] + 1), D))
+            a = b
         curv = s[:k] ** 2 / (2.0 * dt)
         hit = g._cache["transport"] = (
-            dt, sp.csr_matrix((vals[keep], cols[keep], indptr), shape=(s.size, s.size)),
-            k, np.stack([s[:k] - curv, curv], axis=1))
+            dt, tuple(blocks), k, np.stack([s[:k] - curv, curv], axis=1))
     return hit[1:]
 
 
@@ -538,19 +563,25 @@ def advance_history(phi: HistoryField, u_new: StateField, dt: float,
                     u_prev: StateField) -> HistoryField:
     """One transport step of the history under the field's motion.
 
-    Values are pulled back along the characteristic s -> s - dt by a sparse
-    operator cached per grid and dt; nodes with s <= dt are filled by exact
-    integration of the step's inflow, linear in time from ``u_prev`` to
-    ``u_new`` (trapezoid), written in place as one product of the cached
-    inflow block with the two end values. The inflow fields are trace
-    compatible, so only their bulk is read.
+    Values are pulled back along the characteristic s -> s - dt by the
+    dense row blocks cached per grid and dt, each written straight into the
+    new array by one BLAS product, and the trapezoid increment of the step
+    is added to its rows while they are in cache. Nodes with s <= dt are
+    filled by exact integration of the step's inflow, linear in time from
+    ``u_prev`` to ``u_new`` (trapezoid), written in place as one product of
+    the cached inflow block with the two end values. The inflow fields are
+    trace compatible, so only their bulk is read.
     """
     if dt <= 0.0:
         raise ValueError("dt must be positive")
-    P, k, C = _pullback(phi.grid, dt)
-    out = P @ phi.bulk
+    blocks, k, C = _pullback(phi.grid, dt)
+    out = np.empty_like(phi.bulk)
     new, prev = u_new.bulk, u_prev.bulk
-    out[k:] += 0.5 * dt * (prev + new)
+    inc = 0.5 * dt * (prev + new)
+    for rows, src, D in blocks:
+        block = out[rows]
+        np.matmul(D, phi.bulk[src], out=block)
+        block += inc
     np.matmul(C, np.stack([new, prev]), out=out[:k])
     return HistoryField(phi.grid, out, phi.boundary_index)
 

@@ -17,6 +17,7 @@ from memheat.cli import (
     checkpoint_save,
     config_hash,
     load_config,
+    _sweep_eps,
     main,
 )
 from memheat.domain import build_domain
@@ -306,6 +307,27 @@ def test_sweep_rejects_a_malformed_eps_list(tmp_path, capsys):
     assert main(["sweep-eps", "--config", str(path), "--eps", "0.2,zap",
                  "--out", str(tmp_path / "s")]) == 2
     assert "bad --eps" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("eps, bad", [("0.1,0", "'0'"),
+                                      ("0.1,0.01", "'0.01'"),
+                                      ("inf,0.1", "'inf'"),
+                                      ("0.2,nan", "'nan'"),
+                                      ("1.5,0.1", "'1.5'")])
+def test_sweep_checks_every_eps_before_any_work(tmp_path, capsys, eps, bad):
+    # a bad entry late in the list is refused before the output directory
+    # is made and before the first eps runs
+    path = write_cfg(tmp_path, domain={"kind": "interval", "n": 17},
+                     dt=0.0025, t_final=0.5, checkpoint_step=None)
+    out = tmp_path / "s"
+    assert main(["sweep-eps", "--config", str(path), "--eps", eps,
+                 "--out", str(out)]) == 2
+    assert f"bad --eps entry {bad}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_sweep_accepts_eps_down_to_ten_steps():
+    assert _sweep_eps("0.2,0.025", 0.0025) == [0.2, 0.025]
 
 
 def test_seed_override_lands_in_the_manifest(tmp_path):

@@ -262,40 +262,28 @@ def test_advance_history_rejects_nonpositive_step(interval):
         advance_history(zero_history(g, interval), u, 0.0, u_prev=u)
 
 
-def _per_call_transport(phi, u_new, dt, u_prev):
-    # the per-call interpolation plus masked inflow that the cached
-    # operator replaced, kept here as the bitwise reference
-    s = phi.grid.s_nodes
-    q = np.maximum(s - dt, 0.0)
-    new_bulk = _interp_rows(s, phi.bulk, q)
-    new_bdry = _interp_rows(s, phi.boundary, q)
-    full = s > dt
-    part = ~full
-    inc_b = 0.5 * dt * (u_prev.bulk + u_new.bulk)
-    inc_g = 0.5 * dt * (u_prev.boundary + u_new.boundary)
-    new_bulk[full] += inc_b
-    new_bdry[full] += inc_g
-    sp_ = s[part, None]
-    curv = sp_**2 / (2.0 * dt)
-    new_bulk[part] = sp_ * u_new.bulk + curv * (u_prev.bulk - u_new.bulk)
-    new_bdry[part] = sp_ * u_new.boundary + curv * (u_prev.boundary - u_new.boundary)
-    return new_bulk, new_bdry
-
-
 def _assert_transport_matches(out, phi, u_new, dt, u_prev):
-    # rows s > dt are the cached pull-back, pinned bitwise to the per-call
-    # reference; rows s <= dt hold the trapezoid inflow, which one product
-    # writes with its own rounding, so they are checked against the inflow
-    # in extended precision to 4 ulp of each row's largest entry
-    ref_b, ref_g = _per_call_transport(phi, u_new, dt, u_prev)
-    full = phi.grid.s_nodes > dt
-    assert np.array_equal(out.bulk[full], ref_b[full])
-    assert np.array_equal(out.boundary[full], ref_g[full])
-    s = phi.grid.s_nodes[~full, None].astype(np.longdouble)
+    # (a) the cached blocks, scattered into one matrix, are bitwise the
+    # linear interpolation at s - dt on the rows past dt; (b) BLAS sums each
+    # block product in its own order, so every row of the step is checked
+    # against the step in extended precision to 4 ulp of the row's largest
+    # entry (the pull-back rows plus trapezoid increment, the inflow rows)
+    g = phi.grid
+    s = g.s_nodes
+    blocks, k, _ = memory._pullback(g, dt)
+    P = np.zeros((g.n_s, g.n_s))
+    for rows, src, D in blocks:
+        P[rows, src] = D
+    assert np.array_equal(P[k:], _interp_rows(s, np.eye(g.n_s), s[k:] - dt))
+    assert not P[:k].any()
     new, prev = (u.bulk.astype(np.longdouble) for u in (u_new, u_prev))
-    exact = s * new + s**2 / (2 * np.longdouble(dt)) * (prev - new)
+    sl = s[:k, None].astype(np.longdouble)
+    exact = np.vstack([
+        sl * new + sl**2 / (2 * np.longdouble(dt)) * (prev - new),
+        _interp_rows(s, phi.bulk.astype(np.longdouble), s[k:] - dt)
+        + dt / np.longdouble(2) * (prev + new)])
     ulp = np.spacing(np.abs(exact).max(axis=1).astype(float))[:, None]
-    assert np.all(np.abs(out.bulk[~full] - exact) <= 4 * ulp)
+    assert np.all(np.abs(out.bulk - exact) <= 4 * ulp)
 
 
 @pytest.mark.parametrize("spacing, n_below", [("geometric", "several"),
@@ -325,6 +313,47 @@ def test_cached_transport_equals_the_per_call_interpolation(square, spacing,
     assert g._cache["transport"][0] == 2.0 * dt
     assert g._cache["transport"][1] is not cached[1]
     _assert_transport_matches(out, phi, u_new, 2.0 * dt, u_prev)
+
+
+@pytest.mark.parametrize("grid, dt", [
+    (dict(eps=0.2), 0.0025),
+    (dict(eps=0.025), 0.0025),
+    # the Hoelder pair's grid: the first node lies past dt, so k = 0
+    (dict(eps=0.2, n_s=192, spacing="uniform", s_max=2.0), 0.0025),
+    # every node lies within one step: all rows are inflow, no blocks
+    (dict(eps=0.2), 2.5),
+])
+def test_pullback_blocks_partition_the_transported_rows(square, grid, dt):
+    g = build_history_grid(exponential_kernel(0.5, rate=3.0),
+                           **{"n_s": 128, **grid})
+    s = g.s_nodes
+    blocks, k, C = memory._pullback(g, dt)
+    assert k == int(np.sum(s <= dt)) and C.shape == (k, 2)
+    covered = np.concatenate([np.arange(g.n_s)[rows] for rows, _, _ in blocks]
+                             + [np.arange(0)])
+    assert np.array_equal(np.sort(covered), np.arange(k, g.n_s))
+    # the old rows around s_i - dt: the last node at or below it (none
+    # below the first node, where the zero inflow anchor takes its place)
+    # and the next one
+    above = np.searchsorted(s, s - dt, side="right")
+    nnz = 0
+    for rows, src, D in blocks:
+        assert D.shape == (rows.stop - rows.start, src.stop - src.start)
+        assert D.shape[0] <= memory._PULLBACK_ROWS
+        for i in range(rows.start, rows.stop):
+            cols = [above[i]] if above[i] == 0 else [above[i] - 1, above[i]]
+            assert src.start <= cols[0] and cols[-1] < src.stop
+            nnz += len(cols)
+    assert sum(D.size for _, _, D in blocks) <= memory._PULLBACK_FILL * nnz
+    if dt >= g.s_max:
+        assert k == g.n_s and blocks == ()
+    rng = np.random.default_rng(5)
+    phi = HistoryField(g, rng.normal(size=(g.n_s, square.n_bulk)),
+                       square.boundary_index)
+    u_prev, u_new = (square.field_from_bulk(rng.normal(size=square.n_bulk))
+                     for _ in range(2))
+    out = advance_history(phi, u_new, dt, u_prev=u_prev)
+    _assert_transport_matches(out, phi, u_new, dt, u_prev)
 
 
 def test_transport_matches_oracle_on_step_aligned_grid(interval):
