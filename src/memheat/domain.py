@@ -191,6 +191,43 @@ class DiscreteDomain:
             self._cache[key] = (k.tocsr(), pair)
         return self._cache[key]
 
+    def edge_form(self, alpha: float,
+                  beta: float) -> tuple[tuple, NDArray[np.int64], Array]:
+        """The merged stiffness K of ``bulk_operators`` as edge and node
+        weights, cached per (alpha, beta): ``(edges, node_index,
+        node_weight)``. Each edge entry ``(o, c)`` holds a flat offset o of
+        K's strict upper triangle and ``c[i] = -K[i, i + o]``; the node
+        weights are K's nonzero row sums. For symmetric K,
+
+            x' K y = sum_o c . (x[o:] - x[:-o]) (y[o:] - y[:-o])
+                     + node_weight . x[node_index] y[node_index],
+
+        and all weights are >= 0, so x' K x is a sum of nonnegative terms
+        with no cancellation. The offsets are 1 on the interval and 1 and n
+        on the square, whose boundary chain also steps by 1 or n. The row
+        sums are accumulated in extended precision, so rows whose stencil
+        cancels (every interior row when alpha = 0) give an exact zero and
+        drop out.
+        """
+        key = ("edges", float(alpha), float(beta))
+        if key not in self._cache:
+            k = self.bulk_operators(alpha, beta)[0]
+            upper = sp.triu(k, 1).tocoo()
+            offset = upper.col - upper.row
+            edges = []
+            for o in np.unique(offset):
+                c = np.zeros(self.n_bulk - o)
+                on = offset == o
+                c[upper.row[on]] = -upper.data[on]
+                edges.append((int(o), c))
+            full = k.tocoo()
+            sums = np.zeros(self.n_bulk, dtype=np.longdouble)
+            np.add.at(sums, full.row, full.data.astype(np.longdouble))
+            sums = sums.astype(float)
+            index = np.flatnonzero(sums)
+            self._cache[key] = (tuple(edges), index, sums[index])
+        return self._cache[key]
+
     def weigh_pair(self, rhs: StateField) -> Array:
         """Measure-weighted load vector of a (bulk, boundary) pair."""
         b = self.dx * rhs.bulk

@@ -22,10 +22,15 @@ unknown: a history stores its bulk rows only and derives the boundary rows
 on demand. The history norms have two entry points: ``memory_norm_sq``
 gives one level, and ``history_norms`` gives the recorded set (levels 1 and
 2, the dyadic tail sup and the strong norm K2) in one pass. Both walk the
-bulk in cache-sized blocks of consecutive s-rows. Each block is copied once
-to node-major order and meets the domain's merged operators on bulk vectors
-(``bulk_operators``) in one sparse product each, so no norm allocates an
-array the size of the history.
+bulk in cache-sized blocks of consecutive s-rows, so no norm allocates an
+array the size of the history. The first-order (V1) rows are read off the
+merged stiffness K in the edge form of ``DiscreteDomain.edge_form``:
+weighted squared differences along the grid's edges plus weighted squares
+at the nodes, taken on the row-major blocks in place. All weights are
+nonnegative, so the energy is a sum of nonnegative terms and keeps about
+full precision where x'Kx by a sparse product cancels. The second-order
+(M2) rows copy each block once to node-major order for one sparse product
+of the trace-restricted equation pair (``bulk_operators``).
 """
 
 from __future__ import annotations
@@ -419,14 +424,35 @@ def _x2_rows(bulk: Array, mass: Array) -> Array:
     return np.einsum("jn,jn,n->j", bulk, bulk, mass)
 
 
+def _v1_block(x: Array, y: Array, form: tuple, buf: Array) -> Array:
+    """First-order products <x_j, y_j>_V1 of the rows of two row-major
+    blocks, in the domain's ``edge_form``; ``y is x`` gives the energies.
+    ``buf`` is scratch space for one block, reused across the blocks of a
+    walk: a fresh block-sized temporary per edge offset and block is
+    mapped and faulted in anew each time."""
+    edges, index, weight = form
+    xi = x[:, index]
+    xi *= xi if y is x else y[:, index]
+    out = xi @ weight
+    m, n = x.shape
+    for o, c in edges:
+        dx = buf[:m * (n - o)].reshape(m, n - o)
+        np.subtract(x[:, o:], x[:, :-o], out=dx)
+        dx *= dx if y is x else y[:, o:] - y[:, :-o]
+        out += dx @ c
+    return out
+
+
 def _v1_rows(phi: HistoryField, d: DiscreteDomain,
              alpha: float, beta: float) -> Array:
     """First-order energy of each history row."""
-    k, _ = d.bulk_operators(alpha, beta)
+    form = d.edge_form(alpha, beta)
     rows = np.empty(phi.grid.n_s)
-    for r in _blocks(phi):
-        x = phi.bulk[r].T.copy()
-        rows[r] = np.einsum("nj,nj->j", k @ x, x)
+    blocks = _blocks(phi)
+    buf = np.empty(blocks[0].stop * d.n_bulk)
+    for r in blocks:
+        x = phi.bulk[r]
+        rows[r] = _v1_block(x, x, form, buf)
     return rows
 
 
@@ -703,14 +729,15 @@ def dissipation_check(phi: HistoryField, d: DiscreteDomain,
     inequality holds).
     """
     g = phi.grid
-    k, _ = d.bulk_operators(alpha, beta)
+    form = d.edge_form(alpha, beta)
     h = np.diff(g.s_nodes, prepend=0.0)
-    # <T phi, phi> = - sum_j w_j <d_s phi_j, phi_j>_V1, computed rowwise;
-    # K is symmetric, so each row pairs d_s phi_j with K phi_j
+    # <T phi, phi> = - sum_j w_j <d_s phi_j, phi_j>_V1, computed rowwise
     rows = np.empty(g.n_s)
-    for r in _blocks(phi):
-        kx = k @ phi.bulk[r].T.copy()
-        rows[r] = np.einsum("nj,jn->j", kx, _s_diff(phi.bulk, r)) / h[r]
+    blocks = _blocks(phi)
+    buf = np.empty(blocks[0].stop * d.n_bulk)
+    for r in blocks:
+        ds = _s_diff(phi.bulk, r)
+        rows[r] = _v1_block(ds, phi.bulk[r], form, buf) / h[r]
     lhs = -float(g.weights @ rows)
 
     m1 = memory_norm_sq(phi, 1, d, alpha, beta)

@@ -474,19 +474,35 @@ def _bad_input(tmp_path):
     }
 
 
+def _assert_refused(code, stderr, case, tmp_path):
+    assert code == 2, stderr
+    assert "Traceback" not in stderr
+    assert stderr.startswith("error: ")
+    assert _CHECKPOINT_REFUSALS.get(case, "") in stderr
+    assert not (tmp_path / "r").exists()
+
+
 @pytest.mark.parametrize("case", ["sweep-out-under-a-file", "sweep-one-eps",
                                   "sweep-empty-eps-list",
                                   "resume-missing-checkpoint",
                                   "resume-header-without-config",
                                   *_CHECKPOINT_REFUSALS])
-def test_bad_input_exits_2_without_a_traceback(tmp_path, case):
+def test_bad_input_exits_2_without_a_traceback(tmp_path, case, capsys):
+    argv = _bad_input(tmp_path)[case]
+    try:
+        code = main(argv)
+    except (Exception, SystemExit) as exc:
+        pytest.fail(f"{type(exc).__name__} escaped main: {exc}")
+    _assert_refused(code, capsys.readouterr().err, case, tmp_path)
+
+
+# one refusal per command through the ``python -m memheat.cli`` wrapper
+@pytest.mark.parametrize("case", ["sweep-out-under-a-file",
+                                  "resume-header-without-arrays"])
+def test_module_wrapper_exits_2_without_a_traceback(tmp_path, case):
     src = Path(memheat.__file__).resolve().parent.parent
     env = dict(os.environ, PYTHONPATH=str(src))
     proc = subprocess.run([sys.executable, "-m", "memheat.cli",
                            *_bad_input(tmp_path)[case]],
                           capture_output=True, text=True, env=env)
-    assert proc.returncode == 2, proc.stderr
-    assert "Traceback" not in proc.stderr
-    assert proc.stderr.startswith("error: ")
-    assert _CHECKPOINT_REFUSALS.get(case, "") in proc.stderr
-    assert not (tmp_path / "r").exists()
+    _assert_refused(proc.returncode, proc.stderr, case, tmp_path)

@@ -5,6 +5,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -30,6 +31,8 @@ from memheat.memory import (
 from memheat import memory
 from memheat.memory import _interp_rows
 from memheat.experiments import smooth_profile
+from memheat.physics import make_nonlinearity
+from memheat.solver import build_problem, lift, step_peps
 
 
 # -- kernels -----------------------------------------------------------------
@@ -525,22 +528,34 @@ def test_blocked_norms_match_the_unblocked_formulas(kind, n, monkeypatch):
         lhs, rel=1e-12, abs=0.0)
 
 
-def test_history_norms_allocate_no_history_sized_arrays():
-    d = build_domain("square", 65)
-    g = build_history_grid(exponential_kernel(0.5, rate=3.0), 0.2, n_s=128)
-    rng = np.random.default_rng(17)
-    phi = HistoryField(g, rng.normal(size=(g.n_s, d.n_bulk)),
-                       d.boundary_index)
-    assert phi.bulk.nbytes > 4 * 2**20
-    d.bulk_operators(0.7, 1.3)  # domain-only, built once per run
+def _peak_bytes(fn) -> int:
+    """Peak bytes allocated while ``fn`` runs, above what it started with."""
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
-        history_norms(phi, d, 0.7, 1.3)
-        peak = tracemalloc.get_traced_memory()[1] - base
+        fn()
+        return tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
-    assert peak < 2 * 2**20
+
+
+def test_history_norms_allocate_no_history_sized_arrays():
+    for kind, n, n_s in (("square", 65, 128), ("interval", 1025, 512)):
+        d = build_domain(kind, n)
+        g = build_history_grid(exponential_kernel(0.5, rate=3.0), 0.2,
+                               n_s=n_s)
+        rng = np.random.default_rng(17)
+        phi = HistoryField(g, rng.normal(size=(g.n_s, d.n_bulk)),
+                           d.boundary_index)
+        assert phi.bulk.nbytes > 4 * 2**20
+        # domain-only, built once per run
+        d.bulk_operators(0.7, 1.3)
+        d.edge_form(0.7, 1.3)
+        assert _peak_bytes(lambda: memory_norm_sq(phi, 1, d, 0.7, 1.3)) \
+            < 2 * 2**20
+        if kind == "square":
+            assert _peak_bytes(lambda: history_norms(phi, d, 0.7, 1.3)) \
+                < 2 * 2**20
 
 
 def test_transport_allocates_only_its_output():
@@ -562,6 +577,56 @@ def test_transport_allocates_only_its_output():
     finally:
         tracemalloc.stop()
     assert peak <= out.bulk.nbytes + 2**18
+
+
+@pytest.mark.parametrize("kind, n", [("interval", 17), ("interval", 100),
+                                     ("square", 17), ("square", 100)])
+@pytest.mark.parametrize("alpha, beta", [(0.0, 1.0), (0.7, 1.3), (1.0, 0.0)])
+def test_edge_form_weights_are_nonnegative(kind, n, alpha, beta):
+    # nonnegative weights make the V1 energy a sum of nonnegative terms,
+    # free of cancellation; at n = 100 the mesh width is no power of 2, and
+    # the interior rows of K cancel to zero only in extended precision
+    d = build_domain(kind, n)
+    edges, index, weight = d.edge_form(alpha, beta)
+    for o, c in edges:
+        assert np.all(c >= 0.0), f"edge offset {o} has a negative weight"
+    assert np.all(weight > 0.0), "a node weight is negative"
+    # and they rebuild K: off-diagonals exactly, the diagonal to rounding
+    k = d.bulk_operators(alpha, beta)[0]
+    diag = np.zeros(d.n_bulk)
+    diag[index] = weight
+    gap = k - sp.diags(k.diagonal())
+    for o, c in edges:
+        gap = gap + sp.diags([c, c], [o, -o], shape=k.shape)
+        diag[o:] += c
+        diag[:-o] += c
+    gap = gap.tocsr()
+    gap.eliminate_zeros()
+    assert gap.nnz == 0
+    np.testing.assert_allclose(diag, k.diagonal(), rtol=1e-14, atol=0.0)
+
+
+@pytest.mark.parametrize("kind, n", [("interval", 1025), ("square", 33)])
+def test_v1_rows_of_a_smooth_history_keep_full_precision(kind, n):
+    # the history of a real run from smooth data, after 100 steps
+    d = build_domain(kind, n)
+    cfg = build_problem(d, exponential_kernel(0.5, rate=3.0),
+                        make_nonlinearity([-0.125, 0.0, 0.0, 1.0],
+                                          [-0.375, 0.0, 0.0, 1.0]),
+                        alpha=0.0, beta=1.0, eps=0.2, dt=0.0025, t_final=0.25)
+    y = lift(smooth_profile(d), cfg)
+    for _ in range(100):
+        y = step_peps(y, cfg)
+    phi = y.phi
+    x = phi.bulk.astype(np.longdouble)
+    for alpha, beta in ((0.0, 1.0), (0.7, 1.3)):
+        k = d.bulk_operators(alpha, beta)[0].tocoo()
+        ref = (x[:, k.row] * x[:, k.col]) @ k.data.astype(np.longdouble)
+        rows = memory._v1_rows(phi, d, alpha, beta)
+        err = np.max(np.abs(rows - ref) / ref)
+        # the edge form sums nonnegative terms; x'Kx by a sparse product
+        # cancels, losing 2e-14 to 6e-13 on these histories
+        assert err <= 1e-14
 
 
 def test_dissipation_inequality_holds_for_smooth_histories(interval):
