@@ -111,7 +111,10 @@ class DiscreteDomain:
         Boundary Dirichlet form along the chain (zero on the interval).
     normal_deriv : sparse matrix, (n_boundary, n_bulk)
         One-sided second-order outward normal derivative; corner rows of the
-        square average the two incident one-sided fluxes.
+        square average the two incident one-sided fluxes. Assembled in one
+        pass from COO triplets, one set per side, a corner row taking weight
+        1/2 from each of its two sides; the CSR constructor sums the corner
+        node's two entries.
     trace : sparse matrix, (n_boundary, n_bulk)
         Boundary restriction (0/1 selector).
     lap_stencil : sparse matrix
@@ -165,7 +168,8 @@ class DiscreteDomain:
     def mass_diag(self) -> Array:
         """Diagonal of the merged measure matrix M = H + Tr' W_sigma Tr."""
         m = self.dx.copy()
-        np.add.at(m, self.boundary_index, self.dsigma)
+        # the boundary indices are unique, so a fancy-index add is exact
+        m[self.boundary_index] += self.dsigma
         return m
 
     def bulk_operators(self, alpha: float,
@@ -231,7 +235,7 @@ class DiscreteDomain:
     def weigh_pair(self, rhs: StateField) -> Array:
         """Measure-weighted load vector of a (bulk, boundary) pair."""
         b = self.dx * rhs.bulk
-        np.add.at(b, self.boundary_index, self.dsigma * rhs.boundary)
+        b[self.boundary_index] += self.dsigma * rhs.boundary
         return b
 
 
@@ -246,10 +250,11 @@ def _interval_domain(n: int) -> DiscreteDomain:
     stiff = (d1.T @ d1) / h
 
     # outward normal derivative, one-sided second order
-    nd = sp.lil_matrix((2, n))
-    nd[0, [0, 1, 2]] = np.array([3.0, -4.0, 1.0]) / (2 * h)
-    nd[1, [n - 1, n - 2, n - 3]] = np.array([3.0, -4.0, 1.0]) / (2 * h)
-    nd = nd.tocsr()
+    stencil = np.array([3.0, -4.0, 1.0]) / (2 * h)
+    nd = sp.csr_matrix(
+        (np.concatenate([stencil, stencil]),
+         ([0, 0, 0, 1, 1, 1], [0, 1, 2, n - 1, n - 2, n - 3])),
+        shape=(2, n))
 
     bidx = np.array([0, n - 1], dtype=np.int64)
     dsig = np.ones(2)
@@ -313,26 +318,23 @@ def _square_domain(n: int) -> DiscreteDomain:
     stiff_gamma = (dchain.T @ dchain) / h
     lb = -sp.diags(1.0 / dsig) @ stiff_gamma
 
-    # outward normal derivative rows; corners average the two incident fluxes
-    flat = lambda ix, iy: ix * n + iy
-    nd = sp.lil_matrix((nb, n * n))
+    # outward normal derivative rows; corners average the two incident
+    # fluxes. Each side's stencil steps inward by a flat stride: +n from
+    # x = 0, -n from x = 1, +1 from y = 0, -1 from y = 1.
+    ix, iy = np.divmod(bidx, n)
+    sides = [(ix == 0, n), (ix == n - 1, -n), (iy == 0, 1), (iy == n - 1, -1)]
+    weight = 1.0 / sum(on.astype(float) for on, _ in sides)
     c = 1.0 / (2 * h)
-    for k, p in enumerate(bidx):
-        ix, iy = divmod(int(p), n)
-        stencils = []
-        if ix == 0:
-            stencils.append(([flat(0, iy), flat(1, iy), flat(2, iy)], [3 * c, -4 * c, c]))
-        if ix == n - 1:
-            stencils.append(([flat(n - 1, iy), flat(n - 2, iy), flat(n - 3, iy)], [3 * c, -4 * c, c]))
-        if iy == 0:
-            stencils.append(([flat(ix, 0), flat(ix, 1), flat(ix, 2)], [3 * c, -4 * c, c]))
-        if iy == n - 1:
-            stencils.append(([flat(ix, n - 1), flat(ix, n - 2), flat(ix, n - 3)], [3 * c, -4 * c, c]))
-        w = 1.0 / len(stencils)
-        for cols, vals in stencils:
-            for col, val in zip(cols, vals):
-                nd[k, col] += w * val
-    nd = nd.tocsr()
+    rows, cols, vals = [], [], []
+    for on, stride in sides:
+        k = np.flatnonzero(on)
+        for j, val in enumerate((3 * c, -4 * c, c)):
+            rows.append(k)
+            cols.append(bidx[k] + j * stride)
+            vals.append(weight[k] * val)
+    nd = sp.csr_matrix(
+        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+        shape=(nb, n * n))
 
     w_sig = sp.diags(dsig)
     lap = -sp.diags(1.0 / dx) @ (stiff - tr.T @ w_sig @ nd)

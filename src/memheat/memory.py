@@ -28,9 +28,14 @@ merged stiffness K in the edge form of ``DiscreteDomain.edge_form``:
 weighted squared differences along the grid's edges plus weighted squares
 at the nodes, taken on the row-major blocks in place. All weights are
 nonnegative, so the energy is a sum of nonnegative terms and keeps about
-full precision where x'Kx by a sparse product cancels. The second-order
-(M2) rows copy each block once to node-major order for one sparse product
-of the trace-restricted equation pair (``bulk_operators``).
+full precision where x'Kx by a sparse product cancels. The edge
+differences are taken on the flattened block, one contiguous subtraction
+per edge offset, and reduced by one BLAS product on the strided view that
+skips the differences across row ends. The second-order (M2) rows copy
+each block once to node-major order for one sparse product of the
+trace-restricted equation pair (``bulk_operators``). The d/ds rows write
+the s-differences of a block into one buffer reused across the walk and
+reduce them by one BLAS product with the merged measure.
 """
 
 from __future__ import annotations
@@ -149,11 +154,17 @@ class KernelSpec:
         return self.mu_integral(0.0, math.inf)
 
     def first_moment(self) -> float:
-        """int_0^inf s mu(s) ds; equals (1 - omega) * int k for admissible k."""
+        """int_0^inf s mu(s) ds; equals (1 - omega) * int k for admissible k.
+
+        Exact for tables: s mu(s) is quadratic on each linear piece [a, b],
+        whose integral is (b - a)/6 (mu_a (2a + b) + mu_b (a + 2b)).
+        """
         if self.family == "exponential":
             return 1.0 - self.omega
         s, m = self.s_table, self.mu_table
-        return float(np.trapezoid(s * m, s))
+        a, b = s[:-1], s[1:]
+        return float(np.sum((b - a) / 6.0
+                            * (m[:-1] * (2.0 * a + b) + m[1:] * (a + 2.0 * b))))
 
 
 def exponential_kernel(omega: float, rate: float = 1.0,
@@ -408,13 +419,15 @@ def _blocks(phi: HistoryField) -> list[slice]:
     return [slice(a, min(a + step, n_s)) for a in range(0, n_s, step)]
 
 
-def _s_diff(values: Array, r: slice) -> Array:
+def _s_diff(values: Array, r: slice, buf: Array) -> Array:
     """One-sided s-differences of rows ``r``, anchored at the zero inflow
-    value."""
-    out = values[r].copy()
-    out[1:] -= values[r.start:r.stop - 1]
+    value, written into the leading rows of the block buffer ``buf``."""
+    out = buf[:r.stop - r.start]
     if r.start > 0:
-        out[0] -= values[r.start - 1]
+        np.subtract(values[r], values[r.start - 1:r.stop - 1], out=out)
+    else:
+        out[0] = values[0]
+        np.subtract(values[1:r.stop], values[:r.stop - 1], out=out[1:])
     return out
 
 
@@ -426,20 +439,28 @@ def _x2_rows(bulk: Array, mass: Array) -> Array:
 
 def _v1_block(x: Array, y: Array, form: tuple, buf: Array) -> Array:
     """First-order products <x_j, y_j>_V1 of the rows of two row-major
-    blocks, in the domain's ``edge_form``; ``y is x`` gives the energies.
-    ``buf`` is scratch space for one block, reused across the blocks of a
-    walk: a fresh block-sized temporary per edge offset and block is
-    mapped and faulted in anew each time."""
+    blocks, in the domain's ``edge_form``; ``y is x`` gives the energies. ``buf`` is scratch space for one block, reused across the
+    blocks of a walk: a fresh block-sized temporary per edge offset and
+    block is mapped and faulted in anew each time.
+
+    The differences at offset o are taken on the flattened block, one
+    contiguous subtraction; entry j n + i is then x[j, i + o] - x[j, i]
+    for i < n - o, and the o entries past each row's end, which pair
+    nodes of two rows, are skipped by the (m, n - o) view of row stride n
+    that the product reads. ``buf`` holds at least m n values; contiguous
+    blocks, as the s-row slices of a history are, flatten without a copy."""
     edges, index, weight = form
     xi = x[:, index]
     xi *= xi if y is x else y[:, index]
     out = xi @ weight
     m, n = x.shape
+    xf, yf = x.reshape(-1), y.reshape(-1)
+    flat = buf[:m * n]
     for o, c in edges:
-        dx = buf[:m * (n - o)].reshape(m, n - o)
-        np.subtract(x[:, o:], x[:, :-o], out=dx)
-        dx *= dx if y is x else y[:, o:] - y[:, :-o]
-        out += dx @ c
+        df = flat[:-o]
+        np.subtract(xf[o:], xf[:-o], out=df)
+        df *= df if y is x else yf[o:] - yf[:-o]
+        out += flat.reshape(m, n)[:, :-o] @ c
     return out
 
 
@@ -474,8 +495,12 @@ def _ds_rows(phi: HistoryField, d: DiscreteDomain) -> Array:
     h2 = np.diff(phi.grid.s_nodes, prepend=0.0) ** 2
     mass = d.mass_diag()
     rows = np.empty(phi.grid.n_s)
-    for r in _blocks(phi):
-        rows[r] = _x2_rows(_s_diff(phi.bulk, r), mass) / h2[r]
+    blocks = _blocks(phi)
+    buf = np.empty((blocks[0].stop, d.n_bulk))
+    for r in blocks:
+        ds = _s_diff(phi.bulk, r, buf)
+        ds *= ds
+        rows[r] = (ds @ mass) / h2[r]
     return rows
 
 
@@ -735,8 +760,9 @@ def dissipation_check(phi: HistoryField, d: DiscreteDomain,
     rows = np.empty(g.n_s)
     blocks = _blocks(phi)
     buf = np.empty(blocks[0].stop * d.n_bulk)
+    ds_buf = np.empty((blocks[0].stop, d.n_bulk))
     for r in blocks:
-        ds = _s_diff(phi.bulk, r)
+        ds = _s_diff(phi.bulk, r, ds_buf)
         rows[r] = _v1_block(ds, phi.bulk[r], form, buf) / h[r]
     lhs = -float(g.weights @ rows)
 

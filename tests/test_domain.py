@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -174,3 +175,58 @@ def test_flat_inner_product_is_symmetric_bilinear(seed, c):
     assert lhs == pytest.approx(rhs, rel=1e-9, abs=1e-9)
     assert inner_v1(u, v, d, 0.4, 0.9) == pytest.approx(
         inner_v1(v, u, d, 0.4, 0.9), rel=1e-10, abs=1e-10)
+
+
+def _reference_normal_deriv(d):
+    """The per-node assembly of the outward normal derivative: each boundary
+    node adds the one-sided stencil of every side it lies on, weighted by
+    one over their number."""
+    n, h = d.n, d.h
+    c = 1.0 / (2 * h)
+    nd = sp.lil_matrix((d.n_boundary, d.n_bulk))
+    if d.kind == "interval":
+        nd[0, [0, 1, 2]] = np.array([3.0, -4.0, 1.0]) / (2 * h)
+        nd[1, [n - 1, n - 2, n - 3]] = np.array([3.0, -4.0, 1.0]) / (2 * h)
+        return nd.tocsr()
+    flat = lambda ix, iy: ix * n + iy
+    for k, p in enumerate(d.boundary_index):
+        ix, iy = divmod(int(p), n)
+        stencils = []
+        if ix == 0:
+            stencils.append([flat(0, iy), flat(1, iy), flat(2, iy)])
+        if ix == n - 1:
+            stencils.append([flat(n - 1, iy), flat(n - 2, iy), flat(n - 3, iy)])
+        if iy == 0:
+            stencils.append([flat(ix, 0), flat(ix, 1), flat(ix, 2)])
+        if iy == n - 1:
+            stencils.append([flat(ix, n - 1), flat(ix, n - 2), flat(ix, n - 3)])
+        w = 1.0 / len(stencils)
+        for cols in stencils:
+            for col, val in zip(cols, [3 * c, -4 * c, c]):
+                nd[k, col] += w * val
+    return nd.tocsr()
+
+
+def _assert_same_csr(a, b):
+    assert a.shape == b.shape
+    assert (a != b).nnz == 0
+    a, b = a.tocsr(), b.tocsr()
+    for attr in ("data", "indices", "indptr"):
+        assert np.array_equal(getattr(a, attr), getattr(b, attr)), attr
+
+
+@pytest.mark.parametrize("kind, n", [("square", 8), ("square", 9),
+                                     ("square", 17), ("square", 65),
+                                     ("interval", 8), ("interval", 65)])
+def test_normal_derivative_matches_the_per_node_assembly(kind, n):
+    d = build_domain(kind, n)
+    nd = _reference_normal_deriv(d)
+    _assert_same_csr(d.normal_deriv, nd)
+    # the operators assembled from it are unchanged too
+    tr = d.trace
+    lap = -sp.diags(1.0 / d.dx) @ (d.stiff_bulk - tr.T @ sp.diags(d.dsigma) @ nd)
+    _assert_same_csr(d.lap_stencil, lap)
+    pair = sp.vstack([0.0 * sp.identity(d.n_bulk) - lap,
+                      nd + (1.0 * sp.identity(d.n_boundary) - d.lb_stencil) @ tr],
+                     format="csr")
+    _assert_same_csr(d.bulk_operators(0.0, 1.0)[1], pair)

@@ -79,14 +79,30 @@ def test_validate_kernel_flags_overclaimed_decay_rate():
 def test_tabulated_kernel_roundtrip():
     s = np.linspace(0.0, 40.0, 4001)
     mu = 0.5 * np.exp(-s)
-    # normalize so the trapezoid first moment is exactly 1 - omega
-    mu *= 0.5 / np.trapezoid(s * mu, s)
+    # normalize so the exact first moment of the piecewise-linear table is
+    # 1 - omega
+    a, b = s[:-1], s[1:]
+    mu *= 0.5 / np.sum((b - a) / 6 * (mu[:-1] * (2 * a + b) + mu[1:] * (a + 2 * b)))
     k = tabulated_kernel(0.5, s, mu, delta=0.8)
     rep = validate_kernel(k)
     assert rep.passed, rep.checks
     assert k.mu(50.0) == 0.0
     assert k.mu_integral(0.0, math.inf) == pytest.approx(
         float(np.trapezoid(mu, s)), rel=1e-12)
+
+
+def test_tabulated_first_moment_is_exact_on_a_ramp():
+    # mu = mu0 (1 - s/L) on [0, L]: int s mu ds = mu0 L^2 / 6, which the
+    # trapezoid rule on s mu misses entirely (s mu vanishes at both nodes)
+    mu0, length = 0.75, 2.0
+    k = tabulated_kernel(0.5, [0.0, length], [mu0, 0.0], delta=1.0 / length)
+    assert k.first_moment() == pytest.approx(mu0 * length**2 / 6, rel=1e-15)
+    # the ramp with mu0 L^2 / 6 = 1 - omega has a unit-mass k
+    mu0 = 6 * 0.5 / length**2
+    k = tabulated_kernel(0.5, [0.0, length], [mu0, 0.0], delta=1.0 / length)
+    rep = validate_kernel(k)
+    assert rep.checks["unit_mass"]["passed"], rep.checks
+    assert rep.checks["unit_mass"]["slack"] == pytest.approx(0.0, abs=1e-15)
 
 
 def test_tabulated_kernel_requires_increasing_grid():

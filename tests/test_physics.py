@@ -11,6 +11,9 @@ from hypothesis import strategies as st
 from memheat.domain import norm_v1_sq, norm_x2_sq
 from memheat.physics import (
     _EMBED_TOL,
+    _check_sign_oracle,
+    _horner,
+    _oracle_grid,
     check_smallness,
     estimate_embedding_constant,
     eval_F,
@@ -54,6 +57,75 @@ def test_sign_inequality_certified_on_grid():
                            (nl.g_coeffs, nl.kappa3, nl.kappa4)):
         h = s * np.polynomial.polynomial.polyval(s, coeffs)
         assert np.min(h + k1 * s**2 + k2) >= -1e-9 * max(1.0, np.abs(h).max())
+
+
+# the reaction pair of every benchmark workload
+WORKLOAD_F = [-0.125, 0.0, 0.0, 1.0]
+WORKLOAD_G = [-0.375, 0.0, 0.0, 1.0]
+
+
+def _assert_bitwise(a, b):
+    assert np.array_equal(a, b, equal_nan=True)
+    assert np.array_equal(np.signbit(a), np.signbit(b))
+
+
+def test_horner_is_bitwise_polyval():
+    polyval = np.polynomial.polynomial.polyval
+    polyder = np.polynomial.polynomial.polyder
+    nl = make_nonlinearity(WORKLOAD_F, [2.0, -3.0, 0.0, 0.5])
+    padded = [nl.f_coeffs, nl.g_coeffs, make_nonlinearity([0.0, -1.0], [1.0]).f_coeffs]
+    assert all(len(c) == 4 for c in padded)
+    derived = [polyder(c) for c in padded]
+    assert all(len(c) == 3 for c in derived)
+    coeff_sets = padded + derived + [(2.5,), (-0.0,)]
+    rng = np.random.default_rng(7)
+    special = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, 1e100, -1e100])
+    inputs = [rng.normal(scale=3.0, size=257), rng.normal(size=(4, 5)), special,
+              np.asarray(-0.0), np.asarray(1.5), -0.0, 2.0, np.inf]
+    # inf * 0 and inf - inf are NaN in both, as is overflow to inf
+    with np.errstate(invalid="ignore", over="ignore"):
+        for coeffs in coeff_sets:
+            for s in inputs:
+                _assert_bitwise(_horner(s, coeffs), polyval(s, coeffs))
+        _assert_bitwise(eval_f(nl, special), polyval(special, nl.f_coeffs))
+    _assert_bitwise(eval_g(nl, -0.0), polyval(-0.0, nl.g_coeffs))
+
+
+def _reference_sign_oracle_passes(coeffs, kappa1, kappa2):
+    # the oracle's rule written with polyval, as it read before Horner
+    s = _oracle_grid()
+    h = s * np.polynomial.polynomial.polyval(s, coeffs)
+    worst = float(np.min(h + kappa1 * s**2 + kappa2))
+    return worst >= -1e-9 * max(1.0, np.abs(h).max())
+
+
+def test_sign_oracle_catches_understated_constants():
+    nl = make_nonlinearity(WORKLOAD_F, WORKLOAD_G)
+    for coeffs, k1, k2 in ((nl.f_coeffs, nl.kappa1, nl.kappa2),
+                           (nl.g_coeffs, nl.kappa3, nl.kappa4)):
+        _check_sign_oracle(coeffs, k1, k2)
+        # the tolerance is relative to max |s f(s)| on the grid, about 1e8
+        # for these cubics, so it resolves understatements beyond 0.1
+        with pytest.raises(AssertionError):
+            _check_sign_oracle(coeffs, k1, k2 - 0.2)
+        with pytest.raises(AssertionError):
+            _check_sign_oracle(coeffs, k1 - 1.0, k2)
+        # the verdict is the old rule's on both sides of that threshold
+        for dk1, dk2 in ((0.0, 0.05), (0.0, 0.1000001), (0.0, 0.11),
+                         (0.5, 0.0), (0.7, 0.0)):
+            try:
+                _check_sign_oracle(coeffs, k1 - dk1, k2 - dk2)
+                passed = True
+            except AssertionError:
+                passed = False
+            assert passed == _reference_sign_oracle_passes(
+                coeffs, k1 - dk1, k2 - dk2), (coeffs, dk1, dk2)
+    # an indefinite quadratic part: kappa1 > 0 carries the check
+    nl = make_nonlinearity([0.5, -1.0], [0.0])
+    assert nl.kappa1 == 1.25
+    _check_sign_oracle(nl.f_coeffs, nl.kappa1, nl.kappa2)
+    with pytest.raises(AssertionError):
+        _check_sign_oracle(nl.f_coeffs, nl.kappa1 - 0.01, nl.kappa2)
 
 
 def test_inadmissible_polynomials_are_rejected():
