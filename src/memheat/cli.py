@@ -80,7 +80,13 @@ def _check_keys(user: dict, schema: dict, prefix: str = "") -> None:
             if not isinstance(val, dict):
                 raise ConfigError(f"config key {path!r} must be an object")
             _check_keys(val, schema[key], path + ".")
-        elif val is not None:
+        elif val is None:
+            # null means "the default" only where the default is None
+            want, default = schema[key]
+            if default is not None:
+                raise ConfigError(f"config key {path!r} must be "
+                                  f"{want.__name__}, not null")
+        else:
             want = schema[key][0]
             if want is float and isinstance(val, (int, float)) \
                     and not isinstance(val, bool):
@@ -423,9 +429,13 @@ def _write_summary(out: Path, summary: dict, manifest: dict,
 
 
 def _fit_summary(times, energy) -> dict:
-    if len(times) < 10 or np.any(np.asarray(energy) < 0.0):
+    """The energy's decay fit, or none for fewer than 10 samples or a
+    sample that is negative or not finite (a blow-up)."""
+    energy = np.asarray(energy)
+    if len(times) < 10 or not np.all(np.isfinite(energy)) \
+            or np.any(energy < 0.0):
         return {}
-    fit = fit_decay(np.asarray(times), np.asarray(energy))
+    fit = fit_decay(np.asarray(times), energy)
     return {"energy": {"amplitude": fit.amplitude, "rate": fit.rate,
                        "offset": fit.offset, "residual": fit.residual}}
 

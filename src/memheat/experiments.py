@@ -13,7 +13,6 @@ from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 import numpy as np
-from scipy.optimize import least_squares
 
 from .domain import DiscreteDomain, StateField, norm_x2_sq
 from .memory import build_history_grid, history_from_profile
@@ -67,6 +66,8 @@ def fit_decay(times: Array, values: Array) -> DecayFit:
     def resid(p):
         return p[0] * np.exp(-p[1] * (t - t[0])) + p[2] - y
 
+    # imported here, as only a fit needs scipy.optimize (~17 MiB, ~0.4 s)
+    from scipy.optimize import least_squares
     sol = least_squares(resid, x0=[amp0, rate0, offset0],
                         bounds=([0.0, 0.0, 0.0], [np.inf, np.inf, np.inf]),
                         method="trf", xtol=1e-15, ftol=1e-15, gtol=1e-15)

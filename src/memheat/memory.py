@@ -113,6 +113,10 @@ class KernelSpec:
         if self.family == "exponential":
             if self.rate <= 0.0:
                 raise ValueError("exponential rate must be positive")
+            # mu(0) = (1 - omega) rate^2 must neither overflow nor vanish
+            if not 0.0 < self.rate * self.rate < math.inf:
+                raise ValueError("exponential rate must have a finite, "
+                                 f"nonzero square, got {self.rate}")
         elif self.family == "tabulated":
             s, m = self.s_table, self.mu_table
             if s is None or m is None or len(s) != len(m) or len(s) < 2:
@@ -300,6 +304,10 @@ class HistoryGrid:
         return self.n_s == other.n_s and bool(np.all(self.s_nodes == other.s_nodes))
 
 
+# the largest s_max whose squared cell edges stay finite
+_S_MAX_LIMIT = math.sqrt(np.finfo(np.float64).max)
+
+
 def build_history_grid(kernel: KernelSpec, eps: float, n_s: int = 128,
                        s_max_factor: float = 30.0,
                        spacing: str = "geometric",
@@ -309,16 +317,26 @@ def build_history_grid(kernel: KernelSpec, eps: float, n_s: int = 128,
     Geometric spacing runs from eps * 1e-3 (comfortably below the eps/10
     resolution requirement) to s_max = s_max_factor * eps / delta. Uniform
     spacing is available for step-aligned quadrature studies. The truncated
-    mass must cover all but 1e-6 of the total.
+    mass must cover all but 1e-6 of the total. An s_max outside (eps * 1e-3,
+    ``_S_MAX_LIMIT``] (geometric) or (0, ``_S_MAX_LIMIT``] (uniform) raises
+    ValueError.
     """
     if n_s < 16:
         raise ValueError(f"n_s must be >= 16, got {n_s}")
     recipe = dict(n_s=n_s, s_max_factor=s_max_factor, spacing=spacing, s_max=s_max)
     rk = rescale_kernel(kernel, eps)
+    name = "s_max"
     if s_max is None:
         s_max = s_max_factor * eps / kernel.delta
+        name = "s_max = s_max_factor * eps / delta"
+    # the geometric nodes start at s0 = eps * 1e-3, and the cell edges
+    # multiply neighbouring nodes, so s_max^2 must stay finite
+    s0 = eps * 1e-3
+    lo = s0 if spacing == "geometric" else 0.0
+    if not lo < s_max <= _S_MAX_LIMIT:
+        raise ValueError(f"history grid {name} must lie in ({lo:.3g}, "
+                         f"{_S_MAX_LIMIT:.3g}], got {s_max:.3g}")
     if spacing == "geometric":
-        s0 = eps * 1e-3
         nodes = s0 * (s_max / s0) ** (np.arange(n_s) / (n_s - 1))
     elif spacing == "uniform":
         nodes = np.linspace(s_max / n_s, s_max, n_s)

@@ -16,8 +16,15 @@ Every polynomial is evaluated by one in-place Horner recurrence,
 ``_horner``: f and g in each step, and the oracle grid, the minima and the
 Lipschitz sampling at construction. It follows
 ``numpy.polynomial.polynomial.polyval``'s order of operations, so it is
-bitwise equal to it, without a temporary per coefficient. The oracle keeps
-its grid of 200,001 points on [-100, 100] and its tolerance.
+bitwise equal to it, without a temporary per coefficient.
+
+The sign oracle checks s f(s) + kappa1 s^2 + kappa2 >= -1e-9 max(1, max |s f|)
+on a grid of 200,001 points on [-100, 100]. It builds that grid afresh for
+each check and walks it in chunks of ``_ORACLE_CHUNK`` points, so its
+temporaries stay at a few chunks, not a few grids. The chunk extrema are
+reduced with numpy's NaN-propagating ``max``/``min``, exactly as one scan of
+the whole grid would, so the verdict and the message do not depend on the
+chunk size.
 
 The coupled-system vector reaction is F(u) = (f(u), g(u) - omega beta u) on
 (bulk, boundary); adding M_F u with M_F = max(M_f, M_g + omega beta) + 1e-6
@@ -51,14 +58,13 @@ __all__ = [
 
 Array = NDArray[np.float64]
 
-_GRID = None  # lazy oracle grid, [-100, 100] step 1e-3
+# points per chunk of the sign oracle's scan, 64 KiB of float64
+_ORACLE_CHUNK = 8192
 
 
 def _oracle_grid() -> Array:
-    global _GRID
-    if _GRID is None:
-        _GRID = np.arange(-100.0, 100.0 + 1e-3, 1e-3)
-    return _GRID
+    """The sign oracle's grid, [-100, 100] in steps of 1e-3, built afresh."""
+    return np.arange(-100.0, 100.0 + 1e-3, 1e-3)
 
 
 def _horner(s, coeffs):
@@ -116,16 +122,24 @@ def _sign_constants(coeffs: tuple[float, ...]) -> tuple[float, float]:
 
 
 def _check_sign_oracle(coeffs, kappa1, kappa2) -> None:
+    """Raise AssertionError unless h(s) = s f(s) obeys
+    h + kappa1 s^2 + kappa2 >= -1e-9 max(1, max |h|) on the oracle grid."""
     s = _oracle_grid()
-    h = _horner(s, coeffs)
-    h *= s
-    scale = max(1.0, float(h.max()), -float(h.min()))
-    # h + kappa1 s^2 + kappa2, in place
-    bound = s * s
-    bound *= kappa1
-    bound += h
-    bound += kappa2
-    worst = float(bound.min())
+    starts = range(0, s.size, _ORACLE_CHUNK)
+    h_max, h_min, low = (np.empty(len(starts)) for _ in range(3))
+    for k, i in enumerate(starts):
+        x = s[i:i + _ORACLE_CHUNK]
+        h = _horner(x, coeffs)
+        h *= x
+        h_max[k], h_min[k] = h.max(), h.min()
+        # h + kappa1 s^2 + kappa2, in place
+        bound = x * x
+        bound *= kappa1
+        bound += h
+        bound += kappa2
+        low[k] = bound.min()
+    scale = max(1.0, float(h_max.max()), -float(h_min.min()))
+    worst = float(low.min())
     if worst < -1e-9 * scale:
         raise AssertionError(
             f"sign constants fail on the oracle grid by {worst:.3e}"

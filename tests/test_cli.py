@@ -1,5 +1,7 @@
 """Command-line front end: config validation, artifacts, checkpoint safety."""
 
+import contextlib
+import io
 import json
 import os
 import subprocess
@@ -9,9 +11,13 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import memheat
+from memheat import cli
 from memheat.cli import (
+    _SCHEMA,
     ConfigError,
     checkpoint_load,
     checkpoint_save,
@@ -388,6 +394,138 @@ def test_history_larger_than_memory_is_refused_at_once(tmp_path, capsys,
     assert time.perf_counter() - start < 5.0
     err = capsys.readouterr().err
     assert "history array needs" in err and "physical memory" in err
+
+
+def _with_leaf(cfg: dict, path: str, value) -> dict:
+    """A copy of ``cfg`` with the leaf at the dotted ``path`` set to ``value``."""
+    cfg = json.loads(json.dumps(cfg))
+    *parents, leaf = path.split(".")
+    node = cfg
+    for key in parents:
+        node = node.setdefault(key, {})
+    node[leaf] = value
+    return cfg
+
+
+def _leaves(schema: dict, prefix: str = "") -> list:
+    return [name for key, val in schema.items()
+            for name in (_leaves(val, f"{prefix}{key}.") if isinstance(val, dict)
+                         else [prefix + key])]
+
+
+def _validate(path) -> tuple:
+    """``main(["validate", ...])`` in process: its exit code and stderr."""
+    out, err = io.StringIO(), io.StringIO()
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(["validate", "--config", str(path)])
+    except (Exception, SystemExit) as exc:
+        pytest.fail(f"{type(exc).__name__} escaped main: {exc}")
+    return code, err.getvalue()
+
+
+SMALL = dict(BASE, domain={"kind": "interval", "n": 17})
+
+# every JSON kind, and numbers at the edges of the checks; no large
+# integers, so no case allocates what the history size check guards
+_POOL = [None, True, False, 0, -1, 1, 7, 0.0, -0.0, 1e-300, 1e300, -1e300,
+         0.5, "", "x", [], [1.0], {}]
+
+
+@settings(max_examples=100, derandomize=True, database=None, deadline=None)
+@given(path=st.sampled_from(_leaves(_SCHEMA)), value=st.sampled_from(_POOL))
+def test_validate_accepts_or_refuses_any_leaf(tmp_path_factory, path, value):
+    cfg = tmp_path_factory.getbasetemp() / "fuzzed.json"
+    cfg.write_text(json.dumps(_with_leaf(SMALL, path, value)))
+    code, err = _validate(cfg)
+    assert code in (0, 2), (path, value, err)
+    if code == 2:
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+    else:
+        assert err == ""
+
+
+@pytest.mark.parametrize("path, value, named", [
+    ("eps", None, "'eps' must be float, not null"),  # a traceback before
+    ("initial.value", None, "'initial.value'"),
+    ("seed", None, "'seed' must be int, not null"),  # accepted before
+    ("tol_frac", None, "'tol_frac'"),
+    ("history.s_max", -1, "s_max must lie in"),  # NaN nodes before
+    ("history.s_max_factor", -1, "s_max = s_max_factor * eps / delta must"),
+    ("history.s_max", 1e300, "s_max must lie in"),  # overflow warning before
+    ("kernel.delta", 1e-300, "eps / delta must lie in"),
+    ("kernel.rate", 1e300, "rate must have a finite"),  # OverflowError before
+    ("kernel.rate", 1e-300, "rate must have a finite"),
+])
+def test_config_load_refuses_null_and_out_of_range_values(tmp_path, path,
+                                                          value, named):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(_with_leaf(SMALL, path, value)))
+    code, err = _validate(cfg)
+    assert code == 2 and err.startswith("error: ") and named in err, err
+
+
+@pytest.mark.parametrize("path", ["kernel.delta", "history.s_max",
+                                  "checkpoint_step"])
+def test_null_keeps_selecting_a_none_default(tmp_path, path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(_with_leaf(SMALL, path, None)))
+    assert _validate(cfg) == (0, "")
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_a_blow_up_exits_1_with_its_trajectory_and_no_fit(tmp_path, capsys,
+                                                         monkeypatch):
+    # f(s) = -400 s overflows the state within t = 1; the energy samples are
+    # then not finite, and no fit may be attempted on them
+    def no_fit(times, values):
+        raise AssertionError("fit_decay was called on a blow-up")
+
+    monkeypatch.setattr(cli, "fit_decay", no_fit)
+    path = tmp_path / "blowup.json"
+    path.write_text(json.dumps({"domain": {"kind": "interval", "n": 17},
+                                "nonlinearity": {"f": [0.0, -400.0, 0.0, 0.0]},
+                                "dt": 0.001, "t_final": 1.0}))
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(path), "--out", str(out)]) == 1
+    assert "error" not in capsys.readouterr().err
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["assertions"]["all_samples_finite"] is False
+    assert summary["fits"] == {}
+    assert (out / "trajectory.csv").read_text().count("\n") == 1002
+
+
+_IMPORT_PROBE = """
+import json, sys
+from memheat.cli import main
+cfg, out = sys.argv[1:]
+lazy = ("scipy.optimize", "scipy.special", "scipy.spatial", "scipy.fft",
+        "scipy.constants")
+codes = [main(["validate", "--config", cfg]),
+         main(["sweep-eps", "--config", cfg, "--eps", "0.2,0.1",
+               "--out", out + "/sweep"])]
+before = [name for name in lazy if name in sys.modules]
+codes.append(main(["run", "--config", cfg, "--out", out + "/run"]))
+print(json.dumps({"codes": codes, "before": before,
+                  "optimize_after": "scipy.optimize" in sys.modules}))
+"""
+
+
+def test_only_a_decay_fit_imports_scipy_optimize(tmp_path):
+    # a fresh interpreter, since the suite itself imports scipy.optimize
+    cfg = write_cfg(tmp_path, domain={"kind": "interval", "n": 17},
+                    dt=0.0025, t_final=0.5, record_stride=4,
+                    checkpoint_step=None)
+    src = Path(memheat.__file__).resolve().parent.parent
+    proc = subprocess.run([sys.executable, "-c", _IMPORT_PROBE, str(cfg),
+                           str(tmp_path)], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=str(src)))
+    assert proc.returncode == 0, proc.stderr
+    probe = json.loads(proc.stdout.splitlines()[-1])
+    assert probe == {"codes": [0, 0, 0], "before": [], "optimize_after": True}
+    summary = json.loads((tmp_path / "run" / "summary.json").read_text())
+    assert set(summary["fits"]["energy"]) == {"amplitude", "rate", "offset",
+                                              "residual"}
 
 
 def _hand_written_checkpoint(path, canon, arrays, declared=None, step=0):

@@ -8,6 +8,7 @@ import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from memheat import physics
 from memheat.domain import norm_v1_sq, norm_x2_sq
 from memheat.physics import (
     _EMBED_TOL,
@@ -91,12 +92,27 @@ def test_horner_is_bitwise_polyval():
     _assert_bitwise(eval_g(nl, -0.0), polyval(-0.0, nl.g_coeffs))
 
 
-def _reference_sign_oracle_passes(coeffs, kappa1, kappa2):
-    # the oracle's rule written with polyval, as it read before Horner
+def _reference_sign_oracle(coeffs, kappa1, kappa2):
+    # the oracle's rule in one scan of the whole grid, written with polyval
+    # as it read before Horner: None if it passes, else its message
     s = _oracle_grid()
     h = s * np.polynomial.polynomial.polyval(s, coeffs)
     worst = float(np.min(h + kappa1 * s**2 + kappa2))
-    return worst >= -1e-9 * max(1.0, np.abs(h).max())
+    if worst < -1e-9 * max(1.0, np.abs(h).max()):
+        return f"sign constants fail on the oracle grid by {worst:.3e}"
+    return None
+
+
+def _reference_sign_oracle_passes(coeffs, kappa1, kappa2):
+    return _reference_sign_oracle(coeffs, kappa1, kappa2) is None
+
+
+def _sign_oracle_message(coeffs, kappa1, kappa2):
+    try:
+        _check_sign_oracle(coeffs, kappa1, kappa2)
+    except AssertionError as e:
+        return str(e)
+    return None
 
 
 def test_sign_oracle_catches_understated_constants():
@@ -126,6 +142,37 @@ def test_sign_oracle_catches_understated_constants():
     _check_sign_oracle(nl.f_coeffs, nl.kappa1, nl.kappa2)
     with pytest.raises(AssertionError):
         _check_sign_oracle(nl.f_coeffs, nl.kappa1 - 0.01, nl.kappa2)
+
+
+def test_chunked_sign_oracle_matches_the_whole_grid_rule(monkeypatch):
+    polyval = np.polynomial.polynomial.polyval
+    s = _oracle_grid()
+    nl = make_nonlinearity(WORKLOAD_F, WORKLOAD_G)
+    cases = [
+        (nl.f_coeffs, nl.kappa1, nl.kappa2),
+        (nl.f_coeffs, nl.kappa1, nl.kappa2 - 0.2),
+        (nl.g_coeffs, nl.kappa3 - 1.0, nl.kappa4),
+        # s f(s) overflows to inf at both ends, so the scale is inf
+        ((0.0, 0.0, 0.0, 1e305), 0.0, -1.0),
+        # s f(s) -> -inf and kappa1 s^2 -> inf: NaN at both ends
+        ((0.0, -1e305), 1e305, -1.0),
+        # -inf on s < 0 and NaN on s > 0
+        ((np.inf, -np.inf), 0.0, 0.0),
+        # NaN for |s| > 42, -inf between: the whole scan's worst is NaN, so
+        # only a NaN-propagating reduction of the chunk minima passes it
+        (nl.f_coeffs, 1e305, -np.inf),
+    ]
+    with np.errstate(over="ignore", invalid="ignore"):
+        for coeffs, k1, k2 in cases:
+            want = _reference_sign_oracle(coeffs, k1, k2)
+            # chunks that start, and that end, at the worst point
+            worst = int(np.nanargmin(s * polyval(s, coeffs) + k1 * s**2 + k2))
+            for chunk in (1000, *((worst, worst + 1) if worst > 1 else ())):
+                assert s.size % chunk != 0  # the last chunk is ragged
+                monkeypatch.setattr(physics, "_ORACLE_CHUNK", chunk)
+                assert _sign_oracle_message(coeffs, k1, k2) == want, (
+                    coeffs, k1, k2, chunk)
+    assert _reference_sign_oracle(*cases[1]) is not None
 
 
 def test_inadmissible_polynomials_are_rejected():
