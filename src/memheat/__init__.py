@@ -43,22 +43,18 @@ from .physics import (
     check_smallness,
     estimate_embedding_constant,
     eval_F,
-    eval_F0,
     make_nonlinearity,
 )
 from .solver import (
     ProblemConfig,
     SystemState,
     TrajectoryRecord,
-    build_problem,
     evolve,
     evolve_compact_split,
     evolve_contraction_pair,
     lift,
-    project,
     step_p0,
     step_peps,
-    suggest_dt,
 )
 
 from .experiments import (

@@ -12,7 +12,6 @@ import argparse
 import dataclasses
 import hashlib
 import json
-import math
 import os
 import sys
 import time
@@ -24,16 +23,15 @@ import numpy as np
 
 from . import __version__
 from .domain import DiscreteDomain, StateField, build_domain
-from .memory import (HistoryField, build_history_grid, exponential_kernel,
-                     validate_kernel)
+from .memory import HistoryField, exponential_kernel, validate_kernel
 from .physics import (NonlinearitySpec, check_smallness,
                       estimate_embedding_constant, make_nonlinearity)
 from .solver import (ProblemConfig, SystemState, TrajectoryRecord, _n_steps,
-                     build_problem, evolve, lift)
+                     evolve, lift)
 from .experiments import (GateError, energy_decay_experiment, fit_decay,
                           robustness_sweep, smooth_profile)
 
-CHECKPOINT_FORMAT = "memheat-checkpoint-2"
+CHECKPOINT_FORMAT = "memheat-checkpoint-3"
 
 EXIT_PASS = 0
 EXIT_ASSERTION = 1
@@ -71,6 +69,13 @@ _SCHEMA = {
 }
 
 
+def _finite_number(x) -> bool:
+    """A JSON number, not a bool, that is finite as a float: False for NaN,
+    Infinity and integers beyond the float range."""
+    return (isinstance(x, (int, float)) and not isinstance(x, bool)
+            and abs(x) <= sys.float_info.max)
+
+
 def _check_keys(user: dict, schema: dict, prefix: str = "") -> None:
     for key, val in user.items():
         path = f"{prefix}{key}"
@@ -90,8 +95,8 @@ def _check_keys(user: dict, schema: dict, prefix: str = "") -> None:
             want = schema[key][0]
             if want is float and isinstance(val, (int, float)) \
                     and not isinstance(val, bool):
-                # JSON admits NaN and Infinity; ints are always finite
-                if isinstance(val, float) and not math.isfinite(val):
+                # JSON admits NaN, Infinity and integers beyond the floats
+                if not _finite_number(val):
                     raise ConfigError(f"config key {path!r} must be finite, "
                                       f"got {val}")
                 continue
@@ -99,6 +104,12 @@ def _check_keys(user: dict, schema: dict, prefix: str = "") -> None:
                 raise ConfigError(f"config key {path!r} must be {want.__name__}")
             if not isinstance(val, want):
                 raise ConfigError(f"config key {path!r} must be {want.__name__}")
+            if want is list:
+                # the only lists are reaction coefficients
+                bad = [x for x in val if not _finite_number(x)]
+                if bad:
+                    raise ConfigError(f"config key {path!r} must hold finite "
+                                      f"numbers, got {json.dumps(bad[0])}")
 
 
 def _merge(schema: dict, user: dict) -> dict:
@@ -185,16 +196,13 @@ def build_from_canonical(canon: dict) -> LoadedConfig:
     try:
         nl = make_nonlinearity(canon["nonlinearity"]["f"],
                                canon["nonlinearity"]["g"])
-        grid = None
-        if canon["eps"] > 0.0:
-            grid = build_history_grid(kernel, canon["eps"],
-                                      **canon["history"])
-        problem = build_problem(d, kernel, nl, alpha=canon["alpha"],
+        problem = ProblemConfig(d, kernel, nl, alpha=canon["alpha"],
                                 beta=canon["beta"], eps=canon["eps"],
                                 dt=canon["dt"], t_final=canon["t_final"],
                                 record_stride=canon["record_stride"],
-                                grid=grid)
-        # refuse here a t_final that run would refuse
+                                history=canon["history"])
+        # refuse here a history recipe and a t_final that run would refuse
+        problem.grid
         n_total = _n_steps(problem)
     except ValueError as e:
         raise ConfigError(str(e)) from e
@@ -251,7 +259,10 @@ class Checkpoint:
 
 
 def _state_arrays(state: SystemState, grid) -> list:
-    arrays = [("u_bulk", state.u.bulk), ("u_boundary", state.u.boundary)]
+    """The arrays that determine a state: its field's bulk (the boundary
+    values are its trace) and, with a history, the history's bulk and the
+    grid nodes it lives on."""
+    arrays = [("u_bulk", state.u.bulk)]
     if state.phi is not None:
         arrays += [("phi_bulk", state.phi.bulk), ("s_nodes", grid.s_nodes)]
     return arrays
@@ -271,7 +282,7 @@ def _check_arrays(declared, step, problem: ProblemConfig) -> None:
                           "not a list of [name, shape] pairs")
     shapes = dict(declared)
     d = problem.domain
-    want = {"u_bulk": [d.n_bulk], "u_boundary": [d.n_boundary]}
+    want = {"u_bulk": [d.n_bulk]}
     if problem.eps > 0.0:
         want.update(phi_bulk=[problem.grid.n_s, d.n_bulk],
                     s_nodes=[problem.grid.n_s])
@@ -380,7 +391,7 @@ def checkpoint_load(path, expect_canon: Optional[dict] = None) -> Checkpoint:
         arrays[name] = arr.reshape(shape).copy()
         offset += count * 8
 
-    u = StateField(arrays["u_bulk"], arrays["u_boundary"])
+    u = loaded.problem.domain.field_from_bulk(arrays["u_bulk"])
     phi = None
     if loaded.problem.eps > 0.0:
         grid = loaded.problem.grid
@@ -539,10 +550,11 @@ def run_experiment(loaded: LoadedConfig, out_dir,
     return code
 
 
-def _sweep_eps(text: str, dt: float) -> list[float]:
+def _sweep_eps(text: str, problem: ProblemConfig) -> list[float]:
     """The ``--eps`` list of a sweep, checked whole before any work: at
-    least two entries, each finite, in (0, 1] and resolved by the step
-    (dt <= eps / 10, the memory problem's own budget)."""
+    least two entries, each above 0 and a horizon ``problem`` admits (its
+    own rules: eps in (0, 1] and dt <= eps / 10). The check builds no
+    grid."""
     toks = [tok for tok in text.split(",") if tok]
     try:
         eps_list = [float(tok) for tok in toks]
@@ -553,27 +565,25 @@ def _sweep_eps(text: str, dt: float) -> list[float]:
                           f"so it needs at least two values, found "
                           f"{len(eps_list)}")
     for tok, eps in zip(toks, eps_list):
-        if not (math.isfinite(eps) and 0.0 < eps <= 1.0):
-            raise ConfigError(f"bad --eps entry {tok!r}: eps must be finite "
-                              "and in (0, 1]")
-        if dt > 0.1 * eps * (1.0 + 1e-9):
-            raise ConfigError(f"bad --eps entry {tok!r}: eps must be at "
-                              f"least 10 dt = {10.0 * dt}")
+        try:
+            if not eps > 0.0:
+                raise ValueError("the sweep compares memory problems with "
+                                 "the limit, so eps must be above 0")
+            dataclasses.replace(problem, eps=eps)
+        except ValueError as e:
+            raise ConfigError(f"bad --eps entry {tok!r}: {e}") from e
     return eps_list
 
 
 def run_sweep(loaded: LoadedConfig, eps_list, out_dir) -> int:
     """Robustness sweep against the instantaneous limit problem. Every eps
-    runs on a history grid built with the config's ``history`` recipe, also
-    when the config's own eps is 0 and its problem carries no grid."""
-    cfg = loaded.problem
-    if cfg.grid is None:
-        eps = max(eps_list)
-        cfg = dataclasses.replace(cfg, eps=eps, grid=build_history_grid(
-            cfg.kernel, eps, **loaded.canon["history"]))
-    out = _output_dir(out_dir)
+    runs on a history grid built with the config's ``history`` recipe,
+    whatever the config's own eps. The sweep writes its files only at the
+    end, so ``out_dir`` is made once it has run: a recipe that some eps
+    refuses leaves no output directory behind."""
     t0 = time.perf_counter()
-    sw = robustness_sweep(cfg, eps_list, loaded.initial)
+    sw = robustness_sweep(loaded.problem, eps_list, loaded.initial)
+    out = _output_dir(out_dir)
     summary = {
         "experiment": "sweep_eps",
         "assertions": {"sqrt_envelope_holds": sw.bound_ok,
@@ -672,7 +682,7 @@ def main(argv=None) -> int:
             return run_experiment(loaded, args.out)
         if args.command == "sweep-eps":
             loaded = load_config(args.config)
-            return run_sweep(loaded, _sweep_eps(args.eps, loaded.problem.dt),
+            return run_sweep(loaded, _sweep_eps(args.eps, loaded.problem),
                              args.out)
         if args.command == "validate":
             loaded = load_config(args.config)

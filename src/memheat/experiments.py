@@ -9,17 +9,16 @@ flags; numeric pass thresholds live with the caller.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Optional, Sequence
 
 import numpy as np
 
 from .domain import DiscreteDomain, StateField, norm_x2_sq
-from .memory import build_history_grid, history_from_profile
+from .memory import history_from_profile
 from .physics import SmallnessReport, check_smallness, estimate_embedding_constant
 from .solver import (ProblemConfig, SystemState, TrajectoryRecord, _h0_sq,
-                     _n_steps, build_problem, evolve, lift, march, step_p0,
-                     step_peps)
+                     _n_steps, evolve, lift, march, step_p0, step_peps)
 
 Array = np.ndarray
 
@@ -91,17 +90,6 @@ def smooth_profile(d: DiscreteDomain) -> StateField:
             out = out * np.cos(np.pi * p[..., 1])
         return out
     return d.field_from_function(fn)
-
-
-def _with_eps(cfg: ProblemConfig, eps: float, grid=None) -> ProblemConfig:
-    """Clone a config at a different memory horizon, by default on a history
-    grid built with the recipe of ``cfg.grid`` (the defaults if it has none)."""
-    if grid is None and eps > 0.0 and cfg.grid is not None:
-        grid = build_history_grid(cfg.kernel, eps, **cfg.grid.recipe)
-    return build_problem(cfg.domain, cfg.kernel, cfg.nonlinearity,
-                         alpha=cfg.alpha, beta=cfg.beta, eps=eps,
-                         dt=cfg.dt, t_final=cfg.t_final,
-                         record_stride=cfg.record_stride, grid=grid)
 
 
 def _sup_gap(states: tuple, step, cfg: ProblemConfig, t_lo: float,
@@ -208,12 +196,12 @@ def phi_decay_experiment(cfg: ProblemConfig, eps_list: Sequence[float],
                          phi_scale: float = 2.0) -> PhiDecayReport:
     """Audit the two regimes of the history decay estimate.
 
-    The O(eps) residual constant comes from zero-history runs: with
-    Phi_0 = 0 the bound collapses to sup_t |Phi|^2 / eps. The early-time
-    rate comes from separate short runs with a large ramp history on a
-    uniform s-grid whose cell width equals dt, so the transport part of
-    the update is an exact node shift and the fitted rate isolates the
-    kernel decay.
+    The O(eps) residual constant comes from zero-history runs on
+    ``cfg``'s history recipe: with Phi_0 = 0 the bound collapses to
+    sup_t |Phi|^2 / eps. The early-time rate comes from separate short runs
+    with a large ramp history on a uniform s-grid whose cell width equals
+    dt, so the transport part of the update is an exact node shift and the
+    fitted rate isolates the kernel decay.
     """
     d = cfg.domain
     delta = cfg.kernel.delta
@@ -223,7 +211,7 @@ def phi_decay_experiment(cfg: ProblemConfig, eps_list: Sequence[float],
     eps_arr = np.asarray(sorted(eps_list, reverse=True), dtype=float)
     c_emp = np.empty(eps_arr.size)
     for i, eps in enumerate(eps_arr):
-        run = _with_eps(cfg, float(eps))
+        run = replace(cfg, eps=float(eps))
         rec = evolve(lift(u0, run), run)
         c_emp[i] = float(rec.norm_m1_sq.max()) / eps
     spread = float(c_emp.max() / c_emp.min())
@@ -231,14 +219,14 @@ def phi_decay_experiment(cfg: ProblemConfig, eps_list: Sequence[float],
     early_rates = np.empty(eps_arr.size)
     early_targets = 0.8 * delta / (4.0 * eps_arr)
     for i, eps in enumerate(eps_arr):
-        n_s = 128
-        grid = build_history_grid(cfg.kernel, float(eps), n_s=n_s,
-                                  spacing="uniform", s_max=10.0 * float(eps))
+        uniform = replace(cfg, eps=float(eps), history=dict(
+            n_s=128, spacing="uniform", s_max=10.0 * float(eps)))
+        grid = uniform.grid
         dt = float(grid.s_nodes[1] - grid.s_nodes[0])
-        # every step up to the first one at or past t = eps
-        run = build_problem(d, cfg.kernel, cfg.nonlinearity, alpha=cfg.alpha,
-                            beta=cfg.beta, eps=float(eps), dt=dt,
-                            t_final=math.ceil(eps / dt - 1e-9) * dt, grid=grid)
+        # every step up to the first one at or past t = eps; the run steps
+        # on the history it is given, so it builds no grid of its own
+        run = replace(uniform, dt=dt, t_final=math.ceil(eps / dt - 1e-9) * dt,
+                      record_stride=1)
         phi0 = history_from_profile(grid, d, lambda s: np.minimum(s, eps),
                                     u0 * phi_scale)
         rec = evolve(SystemState(u0.copy(), phi0, 0), run)
@@ -275,17 +263,19 @@ def robustness_sweep(cfg: ProblemConfig, eps_list: Sequence[float],
                      u0: StateField) -> SweepResult:
     """Compare the memory problem against its singular limit over an eps sweep.
 
-    All runs lift the same data with empty history and share one step size.
-    The gap at time t is the squared field difference plus the full memory
-    norm of the history (the limit problem carries none); per eps the sup
-    is taken over recorded samples in [sqrt(eps), t_final]. The calibration
-    constant comes from the two largest eps.
+    All runs lift the same data with empty history and share one step size;
+    each eps runs on a grid built with ``cfg``'s history recipe, whatever
+    ``cfg``'s own eps (the limit included). The gap at time t is the squared
+    field difference plus the full memory norm of the history (the limit
+    problem carries none); per eps the sup is taken over recorded samples in
+    [sqrt(eps), t_final]. The calibration constant comes from the two
+    largest eps.
     """
     eps_arr = np.asarray(sorted(eps_list, reverse=True), dtype=float)
-    limit = _with_eps(cfg, 0.0)
+    limit = replace(cfg, eps=0.0)
     errors = np.empty(eps_arr.size)
     for i, eps in enumerate(eps_arr):
-        run = _with_eps(cfg, float(eps))
+        run = replace(cfg, eps=float(eps))
         errors[i] = _sup_gap(
             (lift(u0, run), lift(u0, limit)),
             lambda yz: (step_peps(yz[0], run), step_p0(yz[1], limit)),
@@ -330,12 +320,9 @@ def holder_pair_gap(cfg: ProblemConfig, eps1: float, eps2: float,
         raise ValueError(f"need 0 < eps2 <= eps1 <= 1, got ({eps1}, {eps2})")
     if s_max is None:
         s_max = 30.0 * eps1 / cfg.kernel.delta
-    g1 = build_history_grid(cfg.kernel, eps1, n_s=n_s, spacing="uniform",
-                            s_max=s_max)
-    g2 = build_history_grid(cfg.kernel, eps2, n_s=n_s, spacing="uniform",
-                            s_max=s_max)
-    c1 = _with_eps(cfg, eps1, grid=g1)
-    c2 = _with_eps(cfg, eps2, grid=g2)
+    history = dict(n_s=n_s, spacing="uniform", s_max=s_max)
+    c1 = replace(cfg, eps=eps1, history=history)
+    c2 = replace(cfg, eps=eps2, history=history)
     return _sup_gap((lift(u0, c1), lift(u0, c2)),
                     lambda ys: (step_peps(ys[0], c1), step_peps(ys[1], c2)),
                     cfg, t_star, 2.0 * t_star)

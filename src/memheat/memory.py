@@ -270,7 +270,8 @@ class HistoryGrid:
     (edges[0] = 0, edges[-1] = s_max); ``weights[j]`` is the exact mu_eps
     mass of cell j, so sums over nodes integrate against mu_eps. ``_cache``
     holds grid-only work: the last dt's transport blocks, the tail windows.
-    ``recipe`` holds the keyword arguments ``build_history_grid`` was given.
+    A run's grid is built by ``ProblemConfig.grid`` from the problem's
+    ``history`` recipe.
     """
 
     kernel: KernelSpec
@@ -279,7 +280,6 @@ class HistoryGrid:
     edges: Array
     weights: Array
     _cache: dict = field(default_factory=dict, repr=False, compare=False)
-    recipe: dict = field(default_factory=dict, init=False)
 
     @property
     def n_s(self) -> int:
@@ -323,7 +323,6 @@ def build_history_grid(kernel: KernelSpec, eps: float, n_s: int = 128,
     """
     if n_s < 16:
         raise ValueError(f"n_s must be >= 16, got {n_s}")
-    recipe = dict(n_s=n_s, s_max_factor=s_max_factor, spacing=spacing, s_max=s_max)
     rk = rescale_kernel(kernel, eps)
     name = "s_max"
     if s_max is None:
@@ -359,10 +358,8 @@ def build_history_grid(kernel: KernelSpec, eps: float, n_s: int = 128,
             f"history grid truncates {truncated:.2e} of the kernel mass; "
             "increase s_max_factor or n_s"
         )
-    grid = HistoryGrid(kernel=kernel, eps=float(eps), s_nodes=nodes,
+    return HistoryGrid(kernel=kernel, eps=float(eps), s_nodes=nodes,
                        edges=edges, weights=weights)
-    grid.recipe.update(recipe)
-    return grid
 
 
 # -- history field ----------------------------------------------------------

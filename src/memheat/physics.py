@@ -24,7 +24,8 @@ each check and walks it in chunks of ``_ORACLE_CHUNK`` points, so its
 temporaries stay at a few chunks, not a few grids. The chunk extrema are
 reduced with numpy's NaN-propagating ``max``/``min``, exactly as one scan of
 the whole grid would, so the verdict and the message do not depend on the
-chunk size.
+chunk size. Where s f(s) or the bound is not finite on the grid (an
+overflow, say), the oracle certifies nothing and refuses the reaction.
 
 The coupled-system vector reaction is F(u) = (f(u), g(u) - omega beta u) on
 (bulk, boundary); adding M_F u with M_F = max(M_f, M_g + omega beta) + 1e-6
@@ -33,6 +34,7 @@ makes it monotone, which the splitting experiments rely on.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -48,7 +50,6 @@ __all__ = [
     "eval_f",
     "eval_g",
     "eval_F",
-    "eval_F0",
     "monotonicity_shift",
     "lipschitz_bound",
     "SmallnessReport",
@@ -121,25 +122,33 @@ def _sign_constants(coeffs: tuple[float, ...]) -> tuple[float, float]:
     return kappa1, kappa2
 
 
-def _check_sign_oracle(coeffs, kappa1, kappa2) -> None:
+def _check_sign_oracle(coeffs, kappa1, kappa2, which: str) -> None:
     """Raise AssertionError unless h(s) = s f(s) obeys
-    h + kappa1 s^2 + kappa2 >= -1e-9 max(1, max |h|) on the oracle grid."""
+    h + kappa1 s^2 + kappa2 >= -1e-9 max(1, max |h|) on the oracle grid, and
+    ValueError, naming the reaction ``which``, if h or that sum is not
+    finite somewhere on the grid, so that nothing can be certified."""
     s = _oracle_grid()
     starts = range(0, s.size, _ORACLE_CHUNK)
     h_max, h_min, low = (np.empty(len(starts)) for _ in range(3))
-    for k, i in enumerate(starts):
-        x = s[i:i + _ORACLE_CHUNK]
-        h = _horner(x, coeffs)
-        h *= x
-        h_max[k], h_min[k] = h.max(), h.min()
-        # h + kappa1 s^2 + kappa2, in place
-        bound = x * x
-        bound *= kappa1
-        bound += h
-        bound += kappa2
-        low[k] = bound.min()
-    scale = max(1.0, float(h_max.max()), -float(h_min.min()))
-    worst = float(low.min())
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k, i in enumerate(starts):
+            x = s[i:i + _ORACLE_CHUNK]
+            h = _horner(x, coeffs)
+            h *= x
+            h_max[k], h_min[k] = h.max(), h.min()
+            # h + kappa1 s^2 + kappa2, in place
+            bound = x * x
+            bound *= kappa1
+            bound += h
+            bound += kappa2
+            low[k] = bound.min()
+    top, bottom, worst = float(h_max.max()), float(h_min.min()), float(low.min())
+    if not all(map(math.isfinite, (top, bottom, worst))):
+        raise ValueError(
+            f"{which} cannot be certified: s {which}(s) + kappa s^2 + kappa' "
+            "is not finite on the oracle grid [-100, 100]; its coefficients "
+            "are too large or not finite")
+    scale = max(1.0, top, -bottom)
     if worst < -1e-9 * scale:
         raise AssertionError(
             f"sign constants fail on the oracle grid by {worst:.3e}"
@@ -186,24 +195,34 @@ def _validate_coeffs(coeffs, which: str) -> tuple[float, ...]:
     return c
 
 
+def _reaction_constants(coeffs, which: str) -> tuple[float, float, float]:
+    """The sign constants and M of the reaction ``which``, the sign
+    constants certified on the oracle grid. Coefficients so large that a
+    constant overflows, at a critical point far off that grid, raise
+    ValueError."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        ka, kb = _sign_constants(coeffs)
+        m = max(0.0, -_deriv_min(coeffs))
+    if not all(map(math.isfinite, (ka, kb, m))):
+        raise ValueError(f"{which} cannot be certified: its sign or "
+                         "semiconvexity constants overflow; its coefficients "
+                         "are too large")
+    _check_sign_oracle(coeffs, ka, kb, which)
+    return ka, kb, m
+
+
 def make_nonlinearity(f_coeffs, g_coeffs) -> NonlinearitySpec:
     """Build the reaction pair from ascending polynomial coefficients.
 
     Every derived constant is certified on a dense grid before the result is
     returned; an inadmissible polynomial (negative cubic leading term,
-    degree above three, bare quadratic) raises ValueError.
+    degree above three, bare quadratic) or one whose constants or whose
+    s f(s) on that grid overflow raises ValueError.
     """
     fc = _validate_coeffs(f_coeffs, "f")
     gc = _validate_coeffs(g_coeffs, "g")
-
-    k1, k2 = _sign_constants(fc)
-    k3, k4 = _sign_constants(gc)
-    _check_sign_oracle(fc, k1, k2)
-    _check_sign_oracle(gc, k3, k4)
-
-    m_f = max(0.0, -_deriv_min(fc))
-    m_g = max(0.0, -_deriv_min(gc))
-
+    k1, k2, m_f = _reaction_constants(fc, "f")
+    k3, k4, m_g = _reaction_constants(gc, "g")
     return NonlinearitySpec(
         f_coeffs=fc, g_coeffs=gc,
         kappa1=k1, kappa2=k2, kappa3=k3, kappa4=k4,
@@ -236,12 +255,6 @@ def eval_F(u: StateField, spec: NonlinearitySpec,
 def monotonicity_shift(spec: NonlinearitySpec, omega: float, beta: float) -> float:
     """M_F such that F + M_F id is monotone on the pair space."""
     return max(spec.m_f, spec.m_g + omega * beta) + 1e-6
-
-
-def eval_F0(u: StateField, spec: NonlinearitySpec,
-            omega: float, beta: float) -> StateField:
-    """The monotone shift F0 = F + M_F id."""
-    return eval_F(u, spec, omega, beta) + monotonicity_shift(spec, omega, beta) * u
 
 
 def lipschitz_bound(spec: NonlinearitySpec, omega: float, beta: float,

@@ -30,7 +30,8 @@ a run that is checkpointed and resumed reproduces the direct run bitwise.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -66,11 +67,8 @@ from .physics import (
 
 __all__ = [
     "ProblemConfig",
-    "build_problem",
-    "suggest_dt",
     "SystemState",
     "lift",
-    "project",
     "step_peps",
     "step_p0",
     "march",
@@ -89,9 +87,13 @@ Array = NDArray[np.float64]
 class ProblemConfig:
     """One fully assembled problem instance.
 
-    eps = 0 selects the instantaneous limit problem (no history grid);
-    eps in (0, 1] selects the memory problem on ``grid``. omega and the
-    decay rate delta are owned by the kernel.
+    eps = 0 selects the instantaneous limit problem; eps in (0, 1] selects
+    the memory problem. omega and the decay rate delta are owned by the
+    kernel. ``history`` holds the keyword arguments of
+    ``build_history_grid`` (its defaults when empty). A problem keeps that
+    recipe at every eps, the limit included, so
+    ``dataclasses.replace(cfg, eps=...)`` is the same problem at another
+    horizon on the same kind of grid.
     """
 
     domain: DiscreteDomain
@@ -103,11 +105,21 @@ class ProblemConfig:
     dt: float
     t_final: float
     record_stride: int = 1
-    grid: Optional[HistoryGrid] = None
+    history: dict = field(default_factory=dict)
 
     @property
     def omega(self) -> float:
         return self.kernel.omega
+
+    @cached_property
+    def grid(self) -> Optional[HistoryGrid]:
+        """The history grid the memory problem steps on, built from
+        (kernel, eps, history) on first use; None at eps = 0. Every grid a
+        run steps on is built here, and a copy made with
+        ``dataclasses.replace`` builds its own only when asked."""
+        if self.eps == 0.0:
+            return None
+        return build_history_grid(self.kernel, self.eps, **self.history)
 
     def __post_init__(self):
         if self.alpha < 0.0 or self.beta < 0.0:
@@ -118,48 +130,10 @@ class ProblemConfig:
             raise ValueError("need dt > 0 and t_final >= 0")
         if self.record_stride < 1:
             raise ValueError("record_stride must be >= 1")
-        if self.eps > 0.0:
-            if self.grid is None:
-                raise ValueError("memory problem needs a history grid")
-            if self.dt > 0.1 * self.eps * (1.0 + 1e-9):
-                raise ValueError(
-                    f"dt = {self.dt} exceeds the memory resolution budget 0.1 eps = {0.1 * self.eps}"
-                )
-        else:
-            if self.grid is not None:
-                raise ValueError("the limit problem carries no history grid")
-
-
-def build_problem(domain: DiscreteDomain, kernel: KernelSpec,
-                  nonlinearity: NonlinearitySpec, *, alpha: float, beta: float,
-                  eps: float, dt: float, t_final: float, record_stride: int = 1,
-                  grid: Optional[HistoryGrid] = None) -> ProblemConfig:
-    """Assemble a ProblemConfig, building the default graded history grid
-    if the memory problem is given none."""
-    if eps > 0.0 and grid is None:
-        grid = build_history_grid(kernel, eps)
-    return ProblemConfig(domain=domain, kernel=kernel, nonlinearity=nonlinearity,
-                         alpha=alpha, beta=beta, eps=eps, dt=dt, t_final=t_final,
-                         record_stride=record_stride, grid=grid)
-
-
-def _reaction_dt(nonlinearity: NonlinearitySpec, omega: float, beta: float,
-                 amplitude: float) -> float:
-    """The reaction stability budget 1 / (2 Lip F), with the Lipschitz
-    constant taken over the envelope 1.5 |amplitude| + 0.5 that dissipative
-    runs stay inside."""
-    lip = lipschitz_bound(nonlinearity, omega, beta, 1.5 * abs(amplitude) + 0.5)
-    return 0.5 / max(lip, 1e-12)
-
-
-def suggest_dt(nonlinearity: NonlinearitySpec, omega: float, beta: float,
-               eps: float, amplitude: float, cap: float = 0.05) -> float:
-    """Largest dt inside the stability budget for data of the given size:
-    min(0.1 eps, the reaction budget), cut additionally at ``cap``."""
-    dt = min(cap, _reaction_dt(nonlinearity, omega, beta, amplitude))
-    if eps > 0.0:
-        dt = min(dt, 0.1 * eps)
-    return dt
+        if self.eps > 0.0 and self.dt > 0.1 * self.eps * (1.0 + 1e-9):
+            raise ValueError(
+                f"dt = {self.dt} exceeds the memory resolution budget 0.1 eps = {0.1 * self.eps}"
+            )
 
 
 @dataclass
@@ -182,14 +156,13 @@ def lift(u: StateField, cfg: ProblemConfig) -> SystemState:
     return SystemState(u.copy(), phi, 0)
 
 
-def project(y: SystemState) -> StateField:
-    """Forget the history component."""
-    return y.u.copy()
-
-
 def _budget_check(cfg: ProblemConfig, u0: StateField) -> None:
+    """Refuse a dt above the reaction stability budget 1 / (2 Lip F), with
+    the Lipschitz constant taken over the envelope 1.5 |amplitude| + 0.5
+    that dissipative runs stay inside."""
     amp = float(np.max(np.abs(u0.bulk))) if u0.bulk.size else 0.0
-    budget = _reaction_dt(cfg.nonlinearity, cfg.omega, cfg.beta, amp)
+    lip = lipschitz_bound(cfg.nonlinearity, cfg.omega, cfg.beta, 1.5 * amp + 0.5)
+    budget = 0.5 / max(lip, 1e-12)
     if cfg.dt > budget * (1.0 + 1e-9):
         raise ValueError(
             f"dt = {cfg.dt} exceeds the reaction stability budget "

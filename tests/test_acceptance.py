@@ -19,7 +19,7 @@ from memheat.domain import (StateField, apply_wentzell, build_domain,
 from memheat.memory import (advance_history, build_history_grid,
                             exponential_kernel, history_oracle, zero_history)
 from memheat.physics import estimate_embedding_constant, make_nonlinearity
-from memheat.solver import (build_problem, evolve_compact_split,
+from memheat.solver import (ProblemConfig, evolve_compact_split,
                             evolve_contraction_pair, lift)
 from memheat.experiments import (energy_decay_experiment,
                                  gronwall_random_suite, holder_pair_gap,
@@ -124,7 +124,7 @@ def test_criterion_02_coupled_operator_structure_and_convergence():
 def test_criterion_03_energy_decays_into_the_absorbing_ball():
     d = build_domain("interval", 65)
     for eps in (1.0, 0.1):
-        cfg = build_problem(d, KERNEL_SLOW, NL_ODD, alpha=0.0, beta=0.1,
+        cfg = ProblemConfig(d, KERNEL_SLOW, NL_ODD, alpha=0.0, beta=0.1,
                             eps=eps, dt=0.0016, t_final=8.0,
                             record_stride=25)
         rep = energy_decay_experiment(cfg, radius=10.0)
@@ -139,7 +139,7 @@ def test_criterion_03_energy_decays_into_the_absorbing_ball():
 
 def test_criterion_04_history_norm_scales_and_decays_with_eps():
     d = build_domain("interval", 65)
-    cfg = build_problem(d, KERNEL_FAST, NL_SHIFTED, alpha=0.0, beta=1.0,
+    cfg = ProblemConfig(d, KERNEL_FAST, NL_SHIFTED, alpha=0.0, beta=1.0,
                         eps=0.4, dt=0.005, t_final=2.0, record_stride=8)
     rep = phi_decay_experiment(cfg, [0.4, 0.2, 0.1, 0.05])
     assert rep.spread <= 2.0, f"residual constants spread {rep.spread:.3f}"
@@ -150,7 +150,7 @@ def test_criterion_04_history_norm_scales_and_decays_with_eps():
 
 def test_criterion_05_vanishing_memory_gap_obeys_sqrt_envelope():
     d = build_domain("interval", 65)
-    cfg = build_problem(d, KERNEL_FAST, NL_SHIFTED, alpha=0.0, beta=1.0,
+    cfg = ProblemConfig(d, KERNEL_FAST, NL_SHIFTED, alpha=0.0, beta=1.0,
                         eps=0.2, dt=0.0025, t_final=1.0, record_stride=4)
     sw = robustness_sweep(cfg, [0.2, 0.1, 0.05, 0.025],
                           d.constant_field(0.5))
@@ -165,7 +165,7 @@ def test_criterion_05_vanishing_memory_gap_obeys_sqrt_envelope():
 
 def test_criterion_06_gap_between_nearby_horizons_is_hoelder():
     d = build_domain("interval", 65)
-    cfg = build_problem(d, KERNEL_FAST, NL_SHIFTED, alpha=0.0, beta=1.0,
+    cfg = ProblemConfig(d, KERNEL_FAST, NL_SHIFTED, alpha=0.0, beta=1.0,
                         eps=0.2, dt=0.0025, t_final=1.0, record_stride=4)
     prof = smooth_profile(d) + d.constant_field(0.25)
     amp = max(float(np.abs(prof.bulk).max()),
@@ -182,7 +182,7 @@ def test_criterion_06_gap_between_nearby_horizons_is_hoelder():
 
 def test_criterion_07_difference_system_contracts_at_the_stated_rate():
     d = build_domain("interval", 65)
-    cfg = build_problem(d, KERNEL_SLOW, NL_CUBIC, alpha=1.0, beta=1.0,
+    cfg = ProblemConfig(d, KERNEL_SLOW, NL_CUBIC, alpha=1.0, beta=1.0,
                         eps=1.0, dt=0.02, t_final=6.0, record_stride=5)
     y0 = lift(smooth_profile(d) * 0.7 + d.constant_field(0.4), cfg)
     z0 = lift(d.constant_field(-0.2), cfg)
@@ -199,7 +199,7 @@ def test_criterion_07_difference_system_contracts_at_the_stated_rate():
 
 def test_criterion_08_two_part_splitting_decays_and_stays_bounded():
     d = build_domain("interval", 65)
-    cfg = build_problem(d, KERNEL_SLOW, NL_CUBIC, alpha=1.0, beta=1.0,
+    cfg = ProblemConfig(d, KERNEL_SLOW, NL_CUBIC, alpha=1.0, beta=1.0,
                         eps=0.5, dt=0.0125, t_final=20.0, record_stride=20)
     sp = evolve_compact_split(lift(smooth_profile(d) * 0.8, cfg), cfg)
     assert sp.sum_mismatch <= 1e-8, (

@@ -189,20 +189,26 @@ def test_resume_refuses_a_checkpoint_of_another_format(tmp_path, capsys):
     out = tmp_path / "direct"
     assert main(["run", "--config", str(path), "--out", str(out)]) == 0
     header = json.loads((out / "checkpoint.bin").read_bytes().split(b"\n")[0])
-    assert header["format"] == "memheat-checkpoint-2"
-    assert [name for name, _ in header["arrays"]][:4] == [
-        "u_bulk", "u_boundary", "phi_bulk", "s_nodes"]
-    # format 1 also stored the boundary history, the trace of phi_bulk
-    old = tmp_path / "old.bin"
-    old.write_bytes(json.dumps({
-        "format": "memheat-checkpoint-1",
-        "arrays": [["u_bulk", [65]], ["u_boundary", [2]],
-                   ["phi_bulk", [128, 65]], ["phi_boundary", [128, 2]],
-                   ["s_nodes", [128]]]}).encode() + b"\n")
-    assert main(["resume", "--checkpoint", str(old),
-                 "--out", str(tmp_path / "r")]) == 2
-    err = capsys.readouterr().err
-    assert "'memheat-checkpoint-1'" in err and "'memheat-checkpoint-2'" in err
+    assert header["format"] == "memheat-checkpoint-3"
+    assert [name for name, _ in header["arrays"]][:3] == [
+        "u_bulk", "phi_bulk", "s_nodes"]
+    # format 1 also stored the boundary history, the trace of phi_bulk, and
+    # formats 1 and 2 the field's boundary values, the trace of u_bulk
+    old_arrays = {1: [["u_bulk", [65]], ["u_boundary", [2]],
+                      ["phi_bulk", [128, 65]], ["phi_boundary", [128, 2]],
+                      ["s_nodes", [128]]],
+                  2: [["u_bulk", [65]], ["u_boundary", [2]],
+                      ["phi_bulk", [128, 65]], ["s_nodes", [128]]]}
+    for version, arrays in old_arrays.items():
+        old = tmp_path / f"old{version}.bin"
+        old.write_bytes(json.dumps({
+            "format": f"memheat-checkpoint-{version}",
+            "arrays": arrays}).encode() + b"\n")
+        assert main(["resume", "--checkpoint", str(old),
+                     "--out", str(tmp_path / "r")]) == 2
+        err = capsys.readouterr().err
+        assert f"'memheat-checkpoint-{version}'" in err
+        assert "'memheat-checkpoint-3'" in err
 
 
 def test_checkpoint_roundtrip_preserves_state_bitwise(tmp_path):
@@ -223,6 +229,8 @@ def test_checkpoint_roundtrip_preserves_state_bitwise(tmp_path):
     ck = checkpoint_load(ck_path, expect_canon=loaded.canon)
     assert ck.state.step == 10
     assert ck.state.u.bulk.tobytes() == u.bulk.tobytes()
+    # the boundary values are rebuilt as the trace of the bulk
+    assert ck.state.u.boundary.tobytes() == u.boundary.tobytes()
     assert ck.state.phi.bulk.tobytes() == phi.bulk.tobytes()
     assert ck.state.phi.boundary.tobytes() == phi.boundary.tobytes()
     assert ck.records["energy_h0"].tobytes() == records["energy_h0"].tobytes()
@@ -332,8 +340,28 @@ def test_sweep_checks_every_eps_before_any_work(tmp_path, capsys, eps, bad):
     assert not out.exists()
 
 
-def test_sweep_accepts_eps_down_to_ten_steps():
-    assert _sweep_eps("0.2,0.025", 0.0025) == [0.2, 0.025]
+def test_sweep_accepts_eps_down_to_ten_steps(tmp_path):
+    problem = load_config(write_cfg(tmp_path, dt=0.0025, t_final=0.5,
+                                    checkpoint_step=None)).problem
+    assert _sweep_eps("0.2,0.025", problem) == [0.2, 0.025]
+
+
+@pytest.mark.parametrize("eps", [0.0, 0.025])
+def test_sweep_refuses_a_bad_history_recipe_before_making_its_output(
+        tmp_path, capsys, eps):
+    # s_max = 0.5 is too short for eps = 0.2 at rate 3, so the sweep's first
+    # grid truncates the kernel: refused whatever the config's own eps,
+    # with no output directory left behind
+    path = write_cfg(tmp_path, domain={"kind": "interval", "n": 17},
+                     eps=eps, dt=0.0025, t_final=0.5, checkpoint_step=None,
+                     history={"s_max": 0.5, "n_s": 64})
+    out = tmp_path / "s"
+    assert main(["sweep-eps", "--config", str(path), "--eps", "0.2,0.1",
+                 "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: history grid truncates") and \
+        err.count("\n") == 1, err
+    assert not out.exists()
 
 
 def test_seed_override_lands_in_the_manifest(tmp_path):
@@ -397,13 +425,14 @@ def test_history_larger_than_memory_is_refused_at_once(tmp_path, capsys,
 
 
 def _with_leaf(cfg: dict, path: str, value) -> dict:
-    """A copy of ``cfg`` with the leaf at the dotted ``path`` set to ``value``."""
+    """A copy of ``cfg`` with the leaf at the dotted ``path`` set to ``value``;
+    a numeric last part indexes a list."""
     cfg = json.loads(json.dumps(cfg))
     *parents, leaf = path.split(".")
     node = cfg
     for key in parents:
         node = node.setdefault(key, {})
-    node[leaf] = value
+    node[int(leaf) if isinstance(node, list) else leaf] = value
     return cfg
 
 
@@ -432,8 +461,13 @@ _POOL = [None, True, False, 0, -1, 1, 7, 0.0, -0.0, 1e-300, 1e300, -1e300,
          0.5, "", "x", [], [1.0], {}]
 
 
+# single reaction coefficients, each replaced alone
+_COEFFICIENTS = [f"nonlinearity.{r}.{i}" for r in "fg" for i in range(4)]
+
+
 @settings(max_examples=100, derandomize=True, database=None, deadline=None)
-@given(path=st.sampled_from(_leaves(_SCHEMA)), value=st.sampled_from(_POOL))
+@given(path=st.sampled_from(_leaves(_SCHEMA) + _COEFFICIENTS),
+       value=st.sampled_from(_POOL))
 def test_validate_accepts_or_refuses_any_leaf(tmp_path_factory, path, value):
     cfg = tmp_path_factory.getbasetemp() / "fuzzed.json"
     cfg.write_text(json.dumps(_with_leaf(SMALL, path, value)))
@@ -456,6 +490,7 @@ def test_validate_accepts_or_refuses_any_leaf(tmp_path_factory, path, value):
     ("kernel.delta", 1e-300, "eps / delta must lie in"),
     ("kernel.rate", 1e300, "rate must have a finite"),  # OverflowError before
     ("kernel.rate", 1e-300, "rate must have a finite"),
+    ("t_final", 10**400, "'t_final' must be finite"),  # OverflowError before
 ])
 def test_config_load_refuses_null_and_out_of_range_values(tmp_path, path,
                                                           value, named):
@@ -463,6 +498,35 @@ def test_config_load_refuses_null_and_out_of_range_values(tmp_path, path,
     cfg.write_text(json.dumps(_with_leaf(SMALL, path, value)))
     code, err = _validate(cfg)
     assert code == 2 and err.startswith("error: ") and named in err, err
+
+
+@pytest.mark.parametrize("path, value, named", [
+    # a TypeError escaped main before
+    ("nonlinearity.f.0", None, "'nonlinearity.f' must hold finite numbers, "
+                               "got null"),
+    ("nonlinearity.g.0", [1], "'nonlinearity.g' must hold finite numbers, "
+                              "got [1]"),
+    # accepted as 1.0 before
+    ("nonlinearity.f.3", True, "'nonlinearity.f' must hold finite numbers, "
+                               "got true"),
+    # refused before, but with a message that named no key
+    ("nonlinearity.g.1", float("nan"), "'nonlinearity.g' must hold finite "
+                                       "numbers, got NaN"),
+    ("nonlinearity.f.2", float("inf"), "'nonlinearity.f' must hold finite "
+                                       "numbers, got Infinity"),
+    ("nonlinearity.f.0", 10**400, "'nonlinearity.f' must hold finite "
+                                  "numbers"),
+    # an overflow warning before, after which the oracle passed anything
+    ("nonlinearity.f", [0, 0, 0, 1e305], "f cannot be certified"),
+    ("nonlinearity.g", [0, -1e305], "g cannot be certified"),
+])
+def test_config_load_refuses_bad_reaction_coefficients(tmp_path, path, value,
+                                                       named):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(_with_leaf(SMALL, path, value)))
+    code, err = _validate(cfg)
+    assert code == 2 and err.startswith("error: ") and named in err, err
+    assert err.count("\n") == 1, err
 
 
 @pytest.mark.parametrize("path", ["kernel.delta", "history.s_max",
@@ -529,12 +593,12 @@ def test_only_a_decay_fit_imports_scipy_optimize(tmp_path):
 
 
 def _hand_written_checkpoint(path, canon, arrays, declared=None, step=0):
-    """A format-2 checkpoint of ``canon`` at ``step`` holding ``arrays``, a
+    """A format-3 checkpoint of ``canon`` at ``step`` holding ``arrays``, a
     list of (name, array), under the header entry ``declared`` (by default
     their names and shapes)."""
     if declared is None:
         declared = [[name, list(a.shape)] for name, a in arrays]
-    header = {"format": "memheat-checkpoint-2", "config": canon,
+    header = {"format": "memheat-checkpoint-3", "config": canon,
               "config_sha256": config_hash(canon), "step": step,
               "arrays": declared}
     path.write_bytes(json.dumps(header).encode() + b"\n"
@@ -545,7 +609,7 @@ def _hand_written_checkpoint(path, canon, arrays, declared=None, step=0):
 # the checkpoint refusals of _bad_input and the words that name each one
 _CHECKPOINT_REFUSALS = {
     "resume-header-without-arrays": "lacks the state arrays u_bulk, "
-                                    "u_boundary, phi_bulk, s_nodes",
+                                    "phi_bulk, s_nodes",
     "resume-u-bulk-of-wrong-length": "u_bulk has shape [64], the config "
                                      "implies [65]",
     "resume-partial-records": "recorded columns",
@@ -564,12 +628,11 @@ def _bad_input(tmp_path):
     afile = tmp_path / "afile"
     afile.write_text("")
     headless = tmp_path / "headless.bin"
-    headless.write_bytes(json.dumps({"format": "memheat-checkpoint-2"}).encode()
+    headless.write_bytes(json.dumps({"format": "memheat-checkpoint-3"}).encode()
                          + b"\n")
     loaded = load_config(cfg)
     d, grid = loaded.problem.domain, loaded.problem.grid
     state = [("u_bulk", np.zeros(d.n_bulk)),
-             ("u_boundary", np.zeros(d.n_boundary)),
              ("phi_bulk", np.zeros((grid.n_s, d.n_bulk))),
              ("s_nodes", grid.s_nodes)]
     records = [(f"rec_{name}", np.zeros(3)) for name in TrajectoryRecord.COLUMNS]

@@ -9,7 +9,7 @@ import pytest
 from memheat.domain import build_domain
 from memheat.memory import exponential_kernel
 from memheat.physics import make_nonlinearity
-from memheat.solver import build_problem
+from memheat.solver import ProblemConfig
 from memheat.experiments import (
     GateError,
     SweepResult,
@@ -79,7 +79,7 @@ def test_smooth_profile_is_reproducible(interval):
 def test_energy_decay_refuses_when_the_gate_fails(interval):
     # beta = 0.6 pushes the anti-dissipation past omega / C
     nl = make_nonlinearity([0.0, -1.0, 0.0, 1.0], [0.0, -1.0, 0.0, 1.0])
-    cfg = build_problem(interval, exponential_kernel(0.5, rate=1.0), nl,
+    cfg = ProblemConfig(interval, exponential_kernel(0.5, rate=1.0), nl,
                         alpha=0.0, beta=0.6, eps=1.0, dt=0.0016,
                         t_final=0.0016)
     with pytest.raises(GateError, match="smallness gate failed"):
@@ -193,7 +193,7 @@ def test_sweep_result_rejects_degenerate_data():
 
 def test_holder_pair_gap_validates_the_horizon_order(interval):
     nl = make_nonlinearity([0.0, 0.0, 0.0, 1.0], [0.0, 0.0, 0.0, 1.0])
-    cfg = build_problem(interval, exponential_kernel(0.5, rate=3.0), nl,
+    cfg = ProblemConfig(interval, exponential_kernel(0.5, rate=3.0), nl,
                         alpha=0.0, beta=1.0, eps=0.2, dt=0.0025, t_final=0.01)
     u0 = interval.constant_field(0.5)
     with pytest.raises(ValueError):
@@ -206,7 +206,7 @@ def test_holder_pair_gap_sees_the_final_state():
     # stride 300 of 400 steps: the only observed state in [0.8, 1.6] is the
     # final one at t = 1, which the gap must not drop
     d = build_domain("interval", 33)
-    cfg = build_problem(d, exponential_kernel(0.5, rate=3.0), SHIFTED,
+    cfg = ProblemConfig(d, exponential_kernel(0.5, rate=3.0), SHIFTED,
                         alpha=0.0, beta=1.0, eps=0.2, dt=0.0025, t_final=1.0,
                         record_stride=300)
     u0 = d.constant_field(0.5)
@@ -217,7 +217,7 @@ def test_holder_pair_gap_sees_the_final_state():
 
 
 def test_pair_gaps_refuse_a_horizon_off_the_step_grid(interval):
-    cfg = build_problem(interval, exponential_kernel(0.5, rate=3.0), SHIFTED,
+    cfg = ProblemConfig(interval, exponential_kernel(0.5, rate=3.0), SHIFTED,
                         alpha=0.0, beta=1.0, eps=0.2, dt=0.003, t_final=0.1)
     u0 = interval.constant_field(0.5)
     with pytest.raises(ValueError, match="integer multiple"):

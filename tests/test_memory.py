@@ -32,7 +32,7 @@ from memheat import memory
 from memheat.memory import _interp_rows
 from memheat.experiments import smooth_profile
 from memheat.physics import make_nonlinearity
-from memheat.solver import build_problem, lift, step_peps
+from memheat.solver import ProblemConfig, lift, step_peps
 
 
 # -- kernels -----------------------------------------------------------------
@@ -626,7 +626,7 @@ def test_edge_form_weights_are_nonnegative(kind, n, alpha, beta):
 def test_v1_rows_of_a_smooth_history_keep_full_precision(kind, n):
     # the history of a real run from smooth data, after 100 steps
     d = build_domain(kind, n)
-    cfg = build_problem(d, exponential_kernel(0.5, rate=3.0),
+    cfg = ProblemConfig(d, exponential_kernel(0.5, rate=3.0),
                         make_nonlinearity([-0.125, 0.0, 0.0, 1.0],
                                           [-0.375, 0.0, 0.0, 1.0]),
                         alpha=0.0, beta=1.0, eps=0.2, dt=0.0025, t_final=0.25)

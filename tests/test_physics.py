@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from memheat import physics
-from memheat.domain import norm_v1_sq, norm_x2_sq
+from memheat.domain import StateField, norm_v1_sq, norm_x2_sq
 from memheat.physics import (
     _EMBED_TOL,
     _check_sign_oracle,
@@ -18,7 +18,6 @@ from memheat.physics import (
     check_smallness,
     estimate_embedding_constant,
     eval_F,
-    eval_F0,
     eval_f,
     eval_g,
     lipschitz_bound,
@@ -109,7 +108,7 @@ def _reference_sign_oracle_passes(coeffs, kappa1, kappa2):
 
 def _sign_oracle_message(coeffs, kappa1, kappa2):
     try:
-        _check_sign_oracle(coeffs, kappa1, kappa2)
+        _check_sign_oracle(coeffs, kappa1, kappa2, "f")
     except AssertionError as e:
         return str(e)
     return None
@@ -119,18 +118,18 @@ def test_sign_oracle_catches_understated_constants():
     nl = make_nonlinearity(WORKLOAD_F, WORKLOAD_G)
     for coeffs, k1, k2 in ((nl.f_coeffs, nl.kappa1, nl.kappa2),
                            (nl.g_coeffs, nl.kappa3, nl.kappa4)):
-        _check_sign_oracle(coeffs, k1, k2)
+        _check_sign_oracle(coeffs, k1, k2, "f")
         # the tolerance is relative to max |s f(s)| on the grid, about 1e8
         # for these cubics, so it resolves understatements beyond 0.1
         with pytest.raises(AssertionError):
-            _check_sign_oracle(coeffs, k1, k2 - 0.2)
+            _check_sign_oracle(coeffs, k1, k2 - 0.2, "f")
         with pytest.raises(AssertionError):
-            _check_sign_oracle(coeffs, k1 - 1.0, k2)
+            _check_sign_oracle(coeffs, k1 - 1.0, k2, "f")
         # the verdict is the old rule's on both sides of that threshold
         for dk1, dk2 in ((0.0, 0.05), (0.0, 0.1000001), (0.0, 0.11),
                          (0.5, 0.0), (0.7, 0.0)):
             try:
-                _check_sign_oracle(coeffs, k1 - dk1, k2 - dk2)
+                _check_sign_oracle(coeffs, k1 - dk1, k2 - dk2, "f")
                 passed = True
             except AssertionError:
                 passed = False
@@ -139,40 +138,57 @@ def test_sign_oracle_catches_understated_constants():
     # an indefinite quadratic part: kappa1 > 0 carries the check
     nl = make_nonlinearity([0.5, -1.0], [0.0])
     assert nl.kappa1 == 1.25
-    _check_sign_oracle(nl.f_coeffs, nl.kappa1, nl.kappa2)
+    _check_sign_oracle(nl.f_coeffs, nl.kappa1, nl.kappa2, "f")
     with pytest.raises(AssertionError):
-        _check_sign_oracle(nl.f_coeffs, nl.kappa1 - 0.01, nl.kappa2)
+        _check_sign_oracle(nl.f_coeffs, nl.kappa1 - 0.01, nl.kappa2, "f")
+
+
+def _worst_oracle_point(coeffs, k1, k2) -> int:
+    s = _oracle_grid()
+    with np.errstate(over="ignore", invalid="ignore"):
+        bound = s * np.polynomial.polynomial.polyval(s, coeffs) + k1 * s**2 + k2
+        return int(np.nanargmin(bound))
 
 
 def test_chunked_sign_oracle_matches_the_whole_grid_rule(monkeypatch):
-    polyval = np.polynomial.polynomial.polyval
-    s = _oracle_grid()
     nl = make_nonlinearity(WORKLOAD_F, WORKLOAD_G)
     cases = [
         (nl.f_coeffs, nl.kappa1, nl.kappa2),
         (nl.f_coeffs, nl.kappa1, nl.kappa2 - 0.2),
         (nl.g_coeffs, nl.kappa3 - 1.0, nl.kappa4),
-        # s f(s) overflows to inf at both ends, so the scale is inf
-        ((0.0, 0.0, 0.0, 1e305), 0.0, -1.0),
-        # s f(s) -> -inf and kappa1 s^2 -> inf: NaN at both ends
-        ((0.0, -1e305), 1e305, -1.0),
-        # -inf on s < 0 and NaN on s > 0
-        ((np.inf, -np.inf), 0.0, 0.0),
-        # NaN for |s| > 42, -inf between: the whole scan's worst is NaN, so
-        # only a NaN-propagating reduction of the chunk minima passes it
-        (nl.f_coeffs, 1e305, -np.inf),
     ]
-    with np.errstate(over="ignore", invalid="ignore"):
-        for coeffs, k1, k2 in cases:
-            want = _reference_sign_oracle(coeffs, k1, k2)
-            # chunks that start, and that end, at the worst point
-            worst = int(np.nanargmin(s * polyval(s, coeffs) + k1 * s**2 + k2))
-            for chunk in (1000, *((worst, worst + 1) if worst > 1 else ())):
-                assert s.size % chunk != 0  # the last chunk is ragged
-                monkeypatch.setattr(physics, "_ORACLE_CHUNK", chunk)
-                assert _sign_oracle_message(coeffs, k1, k2) == want, (
-                    coeffs, k1, k2, chunk)
+    for coeffs, k1, k2 in cases:
+        want = _reference_sign_oracle(coeffs, k1, k2)
+        # chunks that start, and that end, at the worst point
+        worst = _worst_oracle_point(coeffs, k1, k2)
+        for chunk in (1000, *((worst, worst + 1) if worst > 1 else ())):
+            assert _oracle_grid().size % chunk != 0  # the last chunk is ragged
+            monkeypatch.setattr(physics, "_ORACLE_CHUNK", chunk)
+            assert _sign_oracle_message(coeffs, k1, k2) == want, (
+                coeffs, k1, k2, chunk)
     assert _reference_sign_oracle(*cases[1]) is not None
+
+
+@pytest.mark.parametrize("coeffs, k1, k2", [
+    # s f(s) overflows to inf at both ends, so the scale is inf
+    ((0.0, 0.0, 0.0, 1e305), 0.0, -1.0),
+    # s f(s) -> -inf and kappa1 s^2 -> inf: NaN at both ends
+    ((0.0, -1e305), 1e305, -1.0),
+    # -inf on s < 0 and NaN on s > 0
+    ((np.inf, -np.inf), 0.0, 0.0),
+    # NaN for |s| > 42, -inf between
+    (WORKLOAD_F, 1e305, -np.inf),
+])
+def test_sign_oracle_refuses_what_is_not_finite_on_its_grid(monkeypatch,
+                                                            coeffs, k1, k2):
+    # these passed before, certified by an infinite scale or a NaN worst
+    # point; no chunk size, one that splits at the worst point included,
+    # may let them through
+    worst = _worst_oracle_point(coeffs, k1, k2)
+    for chunk in (1000, *((worst, worst + 1) if worst > 1 else ())):
+        monkeypatch.setattr(physics, "_ORACLE_CHUNK", chunk)
+        with pytest.raises(ValueError, match="g cannot be certified"):
+            _check_sign_oracle(coeffs, k1, k2, "g")
 
 
 def test_inadmissible_polynomials_are_rejected():
@@ -202,17 +218,13 @@ def test_shifted_reaction_is_monotone(interval):
     om, beta = 0.5, 1.5
     mf = monotonicity_shift(nl, om, beta)
     assert mf == pytest.approx(max(nl.m_f, nl.m_g + om * beta) + 1e-6, abs=1e-15)
+    # F + M_F id, the reaction the compact split shifts by, is monotone in
+    # both components
     s = np.linspace(-5.0, 5.0, 4001)
-    f_shift = eval_f(nl, s) + mf * s
-    g_shift = eval_g(nl, s) - om * beta * s + mf * s
-    assert np.min(np.diff(f_shift)) >= -1e-9
-    assert np.min(np.diff(g_shift)) >= -1e-9
-    # eval_F0 is eval_F plus the shift, componentwise
-    u = interval.constant_field(0.7)
-    direct = eval_F0(u, nl, om, beta)
-    manual = eval_F(u, nl, om, beta) + mf * u
-    assert np.allclose(direct.bulk, manual.bulk)
-    assert np.allclose(direct.boundary, manual.boundary)
+    u = StateField(s, s.copy())
+    shifted = eval_F(u, nl, om, beta) + mf * u
+    assert np.min(np.diff(shifted.bulk)) >= -1e-9
+    assert np.min(np.diff(shifted.boundary)) >= -1e-9
 
 
 def test_lipschitz_bound_on_cubic_box():

@@ -1,29 +1,26 @@
 """Time stepping: validation, determinism, steady states, and the splittings."""
 
+import dataclasses
 from collections import Counter
 
 import numpy as np
 import pytest
 
-from memheat import memory
+from memheat import memory, solver
 from memheat.domain import build_domain, norm_x2_sq
-from memheat.memory import (build_history_grid, exponential_kernel,
-                            history_from_profile)
+from memheat.memory import exponential_kernel, history_from_profile
 from memheat.physics import make_nonlinearity
 from memheat.solver import (
     ProblemConfig,
     SystemState,
     _trajectory_row,
-    build_problem,
     evolve,
     evolve_compact_split,
     evolve_contraction_pair,
     lift,
     march,
-    project,
     step_p0,
     step_peps,
-    suggest_dt,
 )
 from memheat.experiments import smooth_profile
 
@@ -35,20 +32,13 @@ def _memory_cfg(d, **kw):
     args = dict(alpha=0.0, beta=1.0, eps=0.5, dt=0.02, t_final=0.2,
                 record_stride=1)
     args.update(kw)
-    return build_problem(d, KERNEL, CUBIC, **args)
+    return ProblemConfig(d, KERNEL, CUBIC, **args)
 
 
 def test_config_validation(interval):
-    grid = build_history_grid(KERNEL, 0.5)
-    with pytest.raises(ValueError, match="history grid"):
-        ProblemConfig(interval, KERNEL, CUBIC, alpha=0.0, beta=1.0, eps=0.5,
-                      dt=0.01, t_final=1.0)
-    with pytest.raises(ValueError, match="no history grid"):
-        ProblemConfig(interval, KERNEL, CUBIC, alpha=0.0, beta=1.0, eps=0.0,
-                      dt=0.01, t_final=1.0, grid=grid)
     with pytest.raises(ValueError, match="resolution budget"):
         ProblemConfig(interval, KERNEL, CUBIC, alpha=0.0, beta=1.0, eps=0.1,
-                      dt=0.02, t_final=1.0, grid=grid)
+                      dt=0.02, t_final=1.0)
     with pytest.raises(ValueError):
         ProblemConfig(interval, KERNEL, CUBIC, alpha=-1.0, beta=1.0, eps=0.0,
                       dt=0.01, t_final=1.0)
@@ -60,22 +50,43 @@ def test_config_validation(interval):
                       dt=0.01, t_final=1.0, record_stride=0)
 
 
-def test_build_problem_assembles_grid(interval):
+def test_problem_builds_its_grid_from_its_history(interval):
     cfg = _memory_cfg(interval)
     assert cfg.grid is not None
-    assert cfg.grid.eps == 0.5
+    assert cfg.grid.eps == 0.5 and cfg.grid.n_s == 128
+    assert cfg.grid is cfg.grid
     assert cfg.omega == KERNEL.omega
-    limit = build_problem(interval, KERNEL, CUBIC, alpha=0.0, beta=1.0,
+    limit = ProblemConfig(interval, KERNEL, CUBIC, alpha=0.0, beta=1.0,
                           eps=0.0, dt=0.02, t_final=0.2)
     assert limit.grid is None
 
 
-def test_suggest_dt_respects_budgets():
-    dt = suggest_dt(CUBIC, omega=0.5, beta=1.0, eps=0.05, amplitude=1.0)
-    assert dt <= 0.1 * 0.05 + 1e-15
-    dt2 = suggest_dt(CUBIC, omega=0.5, beta=1.0, eps=0.0, amplitude=0.1,
-                     cap=0.01)
-    assert dt2 == pytest.approx(0.01)
+def test_a_replaced_problem_builds_no_grid_until_asked(interval, monkeypatch):
+    build, built = solver.build_history_grid, []
+
+    def counting(kernel, eps, **history):
+        built.append(eps)
+        return build(kernel, eps, **history)
+
+    monkeypatch.setattr(solver, "build_history_grid", counting)
+    cfg = _memory_cfg(interval, t_final=0.2)
+    head = dataclasses.replace(cfg, t_final=0.1)
+    assert built == []
+    assert cfg.grid is cfg.grid and built == [0.5]
+    # the copy's run steps on the history it is given and builds none
+    rec = evolve(lift(smooth_profile(interval) * 0.2, cfg), head)
+    assert rec.final_state.phi.grid is cfg.grid and built == [0.5]
+    assert head.grid is not cfg.grid and built == [0.5, 0.5]
+
+
+def test_a_limit_problem_keeps_its_history_recipe_at_any_eps(interval):
+    limit = ProblemConfig(interval, KERNEL, CUBIC, alpha=0.0, beta=1.0,
+                          eps=0.0, dt=0.02, t_final=0.2, history={"n_s": 64})
+    assert limit.grid is None
+    run = dataclasses.replace(limit, eps=0.5)
+    assert run.grid.n_s == 64 and run.grid.eps == 0.5
+    y = step_peps(lift(smooth_profile(interval) * 0.2, run), run)
+    assert y.phi.bulk.shape == (64, interval.n_bulk)
 
 
 def test_lift_and_project_roundtrip(interval):
@@ -85,18 +96,18 @@ def test_lift_and_project_roundtrip(interval):
     assert y.step == 0
     assert y.phi is not None
     assert np.all(y.phi.bulk == 0.0)
-    back = project(y)
+    back = y.u.copy()
     assert np.array_equal(back.bulk, u0.bulk)
     back.bulk[:] = 99.0
     assert not np.array_equal(y.u.bulk, back.bulk)
-    limit = build_problem(interval, KERNEL, CUBIC, alpha=0.0, beta=1.0,
+    limit = ProblemConfig(interval, KERNEL, CUBIC, alpha=0.0, beta=1.0,
                           eps=0.0, dt=0.02, t_final=0.2)
     assert lift(u0, limit).phi is None
 
 
 def test_steppers_enforce_their_regime(interval):
     cfg = _memory_cfg(interval)
-    limit = build_problem(interval, KERNEL, CUBIC, alpha=0.0, beta=1.0,
+    limit = ProblemConfig(interval, KERNEL, CUBIC, alpha=0.0, beta=1.0,
                           eps=0.0, dt=0.02, t_final=0.2)
     with pytest.raises(ValueError):
         step_peps(lift(interval.zero_field(), limit), limit)
@@ -156,7 +167,7 @@ def test_split_run_matches_direct_run_bitwise(interval):
 
 def test_constant_equilibrium_is_steady_for_the_limit_problem(interval):
     nl = make_nonlinearity([-0.125, 0.0, 0.0, 1.0], [-0.375, 0.0, 0.0, 1.0])
-    cfg = build_problem(interval, KERNEL, nl, alpha=0.0, beta=1.0, eps=0.0,
+    cfg = ProblemConfig(interval, KERNEL, nl, alpha=0.0, beta=1.0, eps=0.0,
                         dt=0.01, t_final=1.0)
     y = lift(interval.constant_field(0.5), cfg)
     for _ in range(100):
@@ -170,7 +181,7 @@ def test_constant_equilibrium_is_steady_for_the_memory_problem(interval):
     # the matching history of a constant past is the linear ramp m * s;
     # the residual drift is set by the 1e-6 grid truncation, not the scheme
     nl = make_nonlinearity([-0.125, 0.0, 0.0, 1.0], [-0.375, 0.0, 0.0, 1.0])
-    cfg = build_problem(interval, KERNEL, nl, alpha=0.0, beta=1.0, eps=0.5,
+    cfg = ProblemConfig(interval, KERNEL, nl, alpha=0.0, beta=1.0, eps=0.5,
                         dt=0.01, t_final=1.0)
     phi0 = history_from_profile(cfg.grid, interval, lambda s: s,
                                 interval.constant_field(0.5))
@@ -201,10 +212,10 @@ def test_contraction_pair_gap_decays_monotonically(interval):
     assert rec.fitted_rate > 0.0
     assert rec.gap_sq[-1] < rec.gap_sq[0]
     # the limit problem contracts as well
-    limit = build_problem(interval, KERNEL, CUBIC, alpha=1.0, beta=1.0,
+    limit = ProblemConfig(interval, KERNEL, CUBIC, alpha=1.0, beta=1.0,
                           eps=0.0, dt=0.02, t_final=1.0, record_stride=5)
-    rec0 = evolve_contraction_pair(lift(project(y0), limit),
-                                   lift(project(z0), limit), limit)
+    rec0 = evolve_contraction_pair(lift(y0.u.copy(), limit),
+                                   lift(z0.u.copy(), limit), limit)
     assert rec0.monotone and rec0.fitted_rate > 0.0
 
 
@@ -215,7 +226,7 @@ def test_compact_split_reconstructs_the_trajectory(interval):
     assert sp.sum_mismatch < 1e-8
     assert sp.z_rate > 0.0
     assert np.all(np.isfinite(sp.k_strong_sq))
-    limit = build_problem(interval, KERNEL, CUBIC, alpha=1.0, beta=1.0,
+    limit = ProblemConfig(interval, KERNEL, CUBIC, alpha=1.0, beta=1.0,
                           eps=0.0, dt=0.02, t_final=1.0)
     with pytest.raises(ValueError):
         evolve_compact_split(lift(interval.zero_field(), limit), limit)
@@ -249,7 +260,7 @@ def test_limit_contraction_pair_is_the_difference_of_two_runs(interval):
     # f = g = 0 makes the limit problem linear, so the pair's gap is the
     # squared distance between two direct runs
     zero = make_nonlinearity([0.0], [0.0])
-    limit = build_problem(interval, KERNEL, zero, alpha=1.0, beta=1.0,
+    limit = ProblemConfig(interval, KERNEL, zero, alpha=1.0, beta=1.0,
                           eps=0.0, dt=0.02, t_final=1.0, record_stride=5)
     y0 = lift(smooth_profile(interval) * 0.5, limit)
     z0 = lift(interval.constant_field(0.2), limit)
