@@ -123,6 +123,19 @@ def _merge(schema: dict, user: dict) -> dict:
     return out
 
 
+def _canonical(user) -> dict:
+    """A user config checked against the schema, with every default filled
+    in and the kernel's delta defaulting to its rate: the canonical form
+    that runs hash and checkpoints embed."""
+    if not isinstance(user, dict):
+        raise ConfigError("config must be a JSON object")
+    _check_keys(user, _SCHEMA)
+    canon = _merge(_SCHEMA, user)
+    if canon["kernel"]["delta"] is None:
+        canon["kernel"]["delta"] = canon["kernel"]["rate"]
+    return canon
+
+
 def canonical_text(canon: dict) -> str:
     """Key-sorted minimal JSON; the hashing and embedding form."""
     return json.dumps(canon, sort_keys=True, separators=(",", ":"))
@@ -237,12 +250,7 @@ def load_config(path, seed: Optional[int] = None) -> LoadedConfig:
         raise ConfigError(
             f"config parse error at line {e.lineno} column {e.colno}: {e.msg}"
         ) from e
-    if not isinstance(user, dict):
-        raise ConfigError("config must be a JSON object")
-    _check_keys(user, _SCHEMA)
-    canon = _merge(_SCHEMA, user)
-    if canon["kernel"]["delta"] is None:
-        canon["kernel"]["delta"] = canon["kernel"]["rate"]
+    canon = _canonical(user)
     if seed is not None:
         canon["seed"] = seed
     return build_from_canonical(canon)
@@ -346,7 +354,8 @@ def checkpoint_load(path, expect_canon: Optional[dict] = None) -> Checkpoint:
     """Load a checkpoint, rebuilding the problem from the embedded config.
 
     Refuses on any inconsistency: an unreadable file, a header of another
-    format or with entries missing, corrupted header hash, a caller config
+    format or with entries missing, corrupted header hash, an embedded
+    config that ``load_config`` would refuse or would change, a caller config
     that differs from the stored one, a state array that is missing or of
     another shape than the config implies, a step off the run's step grid,
     recorded columns other than all samples up to that step, or a rebuilt
@@ -371,6 +380,14 @@ def checkpoint_load(path, expect_canon: Optional[dict] = None) -> Checkpoint:
     if config_hash(canon) != header["config_sha256"]:
         raise ConfigError("checkpoint refused: embedded config does not "
                           "match its stored hash (file corrupted?)")
+    try:
+        canonical = _canonical(canon)
+    except ConfigError as e:
+        raise ConfigError(f"checkpoint refused: its embedded config is "
+                          f"invalid: {e}") from e
+    if canonical != canon:
+        raise ConfigError("checkpoint refused: its embedded config is not "
+                          "canonical; load_config would fill in defaults")
     if expect_canon is not None and config_hash(expect_canon) != header["config_sha256"]:
         raise ConfigError("checkpoint refused: it was written under a "
                           f"different config (stored hash {header['config_sha256'][:12]}..., "
@@ -524,6 +541,16 @@ def _run_energy_decay(loaded: LoadedConfig, out: Path) -> tuple:
     return code, summary, ["trajectory.csv"]
 
 
+def _check_output_dir(out_dir) -> None:
+    """Refuse, creating nothing, an output path whose nearest existing
+    ancestor (or itself) is not a writable directory."""
+    out = Path(out_dir).absolute()
+    base = next(p for p in (out, *out.parents) if p.exists())
+    if not (base.is_dir() and os.access(base, os.W_OK | os.X_OK)):
+        raise ConfigError(f"cannot create output dir {out_dir}: {base} is "
+                          "not a writable directory")
+
+
 def _output_dir(out_dir) -> Path:
     out = Path(out_dir)
     try:
@@ -552,9 +579,9 @@ def run_experiment(loaded: LoadedConfig, out_dir,
 
 def _sweep_eps(text: str, problem: ProblemConfig) -> list[float]:
     """The ``--eps`` list of a sweep, checked whole before any work: at
-    least two entries, each above 0 and a horizon ``problem`` admits (its
-    own rules: eps in (0, 1] and dt <= eps / 10). The check builds no
-    grid."""
+    least two distinct entries, each above 0 and a horizon ``problem``
+    admits (its own rules: eps in (0, 1] and dt <= eps / 10). The check
+    builds no grid."""
     toks = [tok for tok in text.split(",") if tok]
     try:
         eps_list = [float(tok) for tok in toks]
@@ -564,6 +591,9 @@ def _sweep_eps(text: str, problem: ProblemConfig) -> list[float]:
         raise ConfigError(f"bad --eps list {text!r}: the sweep fits a slope, "
                           f"so it needs at least two values, found "
                           f"{len(eps_list)}")
+    if len(set(eps_list)) < len(eps_list):
+        raise ConfigError(f"bad --eps list {text!r}: each eps may appear "
+                          "only once")
     for tok, eps in zip(toks, eps_list):
         try:
             if not eps > 0.0:
@@ -579,8 +609,9 @@ def run_sweep(loaded: LoadedConfig, eps_list, out_dir) -> int:
     """Robustness sweep against the instantaneous limit problem. Every eps
     runs on a history grid built with the config's ``history`` recipe,
     whatever the config's own eps. The sweep writes its files only at the
-    end, so ``out_dir`` is made once it has run: a recipe that some eps
-    refuses leaves no output directory behind."""
+    end, so ``out_dir`` is checked before it runs but made once it has run:
+    a recipe that some eps refuses leaves no output directory behind."""
+    _check_output_dir(out_dir)
     t0 = time.perf_counter()
     sw = robustness_sweep(loaded.problem, eps_list, loaded.initial)
     out = _output_dir(out_dir)

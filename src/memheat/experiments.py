@@ -130,6 +130,14 @@ class EnergyDecayReport:
     record: TrajectoryRecord
 
 
+def _entry_time(times: Array, below) -> float:
+    """The time of the sample just after the last one not ``below``, from
+    which on every sample is below; inf if the last sample is not."""
+    above = np.flatnonzero(~below)
+    i = above[-1] + 1 if above.size else 0
+    return float(times[i]) if i < times.size else math.inf
+
+
 def energy_decay_experiment(cfg: ProblemConfig, radius: float,
                             shape: Optional[StateField] = None,
                             tol_frac: float = 0.05) -> EnergyDecayReport:
@@ -164,12 +172,7 @@ def energy_decay_experiment(cfg: ProblemConfig, radius: float,
 
     t0 = gate.absorbing_time(radius)
     level = e0 / radius**2 + gate.p0 + tol
-    below = rec.energy_h0 <= level
-    t_absorb = math.inf
-    for i in range(below.size):
-        if below[i:].all():
-            t_absorb = float(rec.times[i])
-            break
+    t_absorb = _entry_time(rec.times, rec.energy_h0 <= level)
     passed = violations == 0 and t_absorb <= t0
     return EnergyDecayReport(cfg.eps, rec.times, rec.energy_h0, bound, gate,
                              tol, violations, max_excess, t_absorb, t0, passed,

@@ -1,8 +1,7 @@
 """Reaction terms and the structural constants the energy estimates need.
 
 Bulk and boundary reactions are cubic-or-lower polynomials with nonnegative
-leading coefficient. From the coefficients we derive, and verify against a
-brute-force grid oracle:
+leading coefficient. From the coefficients we derive, and certify:
 
 * sign conditions  s f(s) >= -kappa1 s^2 - kappa2  (same for g with
   kappa3/kappa4), with kappa1 minimal so the smallness gate is as sharp as
@@ -13,19 +12,20 @@ The growth assumption on the derivatives, |f'(s)| <= ell (1 + |s|^r) with
 r < 5/2, holds with r = 2, since a degree above three is refused.
 
 Every polynomial is evaluated by one in-place Horner recurrence,
-``_horner``: f and g in each step, and the oracle grid, the minima and the
-Lipschitz sampling at construction. It follows
+``_horner``: f and g in each step, and the minima, the sign certificate and
+the Lipschitz bound at construction. It follows
 ``numpy.polynomial.polynomial.polyval``'s order of operations, so it is
 bitwise equal to it, without a temporary per coefficient.
 
-The sign oracle checks s f(s) + kappa1 s^2 + kappa2 >= -1e-9 max(1, max |s f|)
-on a grid of 200,001 points on [-100, 100]. It builds that grid afresh for
-each check and walks it in chunks of ``_ORACLE_CHUNK`` points, so its
-temporaries stay at a few chunks, not a few grids. The chunk extrema are
-reduced with numpy's NaN-propagating ``max``/``min``, exactly as one scan of
-the whole grid would, so the verdict and the message do not depend on the
-chunk size. Where s f(s) or the bound is not finite on the grid (an
-overflow, say), the oracle certifies nothing and refuses the reaction.
+Every check rests on one rule: a polynomial of degree at most four takes its
+extremes on a set only at the set's ends or at real critical points.
+``_critical_points`` supplies 0 and the real parts of all roots of the
+derivative, a superset that can neither lower a minimum nor raise a maximum.
+The sign certificate evaluates p(s) = s f(s) + kappa1 s^2 + kappa2, plus a
+tolerance of a few rounding units of its |terms| at s, at the critical
+points of each half-line in ``np.longdouble``. It refuses, with a
+ValueError, negative constants, a p unbounded below, and an s f(s) or
+kappa1 s^2 that overflows for |s| <= ``_FINITE_RANGE``.
 
 The coupled-system vector reaction is F(u) = (f(u), g(u) - omega beta u) on
 (bulk, boundary); adding M_F u with M_F = max(M_f, M_g + omega beta) + 1e-6
@@ -59,13 +59,9 @@ __all__ = [
 
 Array = NDArray[np.float64]
 
-# points per chunk of the sign oracle's scan, 64 KiB of float64
-_ORACLE_CHUNK = 8192
-
-
-def _oracle_grid() -> Array:
-    """The sign oracle's grid, [-100, 100] in steps of 1e-3, built afresh."""
-    return np.arange(-100.0, 100.0 + 1e-3, 1e-3)
+# s f(s) and kappa1 s^2 must be finite for |s| up to this, or the sign
+# constants are refused as not certifiable
+_FINITE_RANGE = 100.0
 
 
 def _horner(s, coeffs):
@@ -83,15 +79,19 @@ def _horner(s, coeffs):
     return y
 
 
-def _poly_min(coeffs: tuple[float, ...]) -> float:
-    """Global minimum of a bounded-below polynomial (even positive leading)."""
+def _critical_points(coeffs) -> Array:
+    """0 and the real parts of all roots of the polynomial's derivative: its
+    real critical points and a few harmless extra points."""
     der = npoly.polyder(coeffs)
     crit = [0.0]
     if len(der) > 1:
-        # real parts of all roots: the real critical points are among them,
-        # and extra evaluation points cannot fall below the global minimum
         crit += [float(r.real) for r in npoly.polyroots(der)]
-    return float(min(_horner(np.array(crit), coeffs)))
+    return np.array(crit)
+
+
+def _poly_min(coeffs) -> float:
+    """Global minimum of a bounded-below polynomial (even positive leading)."""
+    return float(min(_horner(_critical_points(coeffs), coeffs)))
 
 
 def _sign_constants(coeffs: tuple[float, ...]) -> tuple[float, float]:
@@ -122,48 +122,36 @@ def _sign_constants(coeffs: tuple[float, ...]) -> tuple[float, float]:
     return kappa1, kappa2
 
 
-def _check_sign_oracle(coeffs, kappa1, kappa2, which: str) -> None:
-    """Raise AssertionError unless h(s) = s f(s) obeys
-    h + kappa1 s^2 + kappa2 >= -1e-9 max(1, max |h|) on the oracle grid, and
-    ValueError, naming the reaction ``which``, if h or that sum is not
-    finite somewhere on the grid, so that nothing can be certified."""
-    s = _oracle_grid()
-    starts = range(0, s.size, _ORACLE_CHUNK)
-    h_max, h_min, low = (np.empty(len(starts)) for _ in range(3))
-    with np.errstate(over="ignore", invalid="ignore"):
-        for k, i in enumerate(starts):
-            x = s[i:i + _ORACLE_CHUNK]
-            h = _horner(x, coeffs)
-            h *= x
-            h_max[k], h_min[k] = h.max(), h.min()
-            # h + kappa1 s^2 + kappa2, in place
-            bound = x * x
-            bound *= kappa1
-            bound += h
-            bound += kappa2
-            low[k] = bound.min()
-    top, bottom, worst = float(h_max.max()), float(h_min.min()), float(low.min())
-    if not all(map(math.isfinite, (top, bottom, worst))):
-        raise ValueError(
-            f"{which} cannot be certified: s {which}(s) + kappa s^2 + kappa' "
-            "is not finite on the oracle grid [-100, 100]; its coefficients "
-            "are too large or not finite")
-    scale = max(1.0, top, -bottom)
-    if worst < -1e-9 * scale:
-        raise AssertionError(
-            f"sign constants fail on the oracle grid by {worst:.3e}"
-        )
-
-
-def _deriv_min(coeffs: tuple[float, ...]) -> float:
-    """Global min of f' for admissible f (f' has even positive leading or is constant)."""
-    der = npoly.polyder(coeffs)
-    deg = len(der) - 1
-    while deg > 0 and der[deg] == 0.0:
-        deg -= 1
-    if deg == 0:
-        return float(der[0])
-    return _poly_min(tuple(der[: deg + 1]))
+def _check_sign_certificate(coeffs, kappa1, kappa2, which: str) -> None:
+    """Raise ValueError, naming the reaction ``which``, unless s f(s) and
+    kappa1 s^2 are finite for |s| <= _FINITE_RANGE, both constants are
+    nonnegative, and p(s) = s f(s) + kappa1 s^2 + kappa2 is at least
+    -tol(s) on the whole line, tol(s) = 8 (eps |terms of p at s| + the
+    least subnormal)."""
+    r = _FINITE_RANGE
+    size = sum(abs(c) * r ** (k + 1) for k, c in enumerate(coeffs))
+    why = f"{which} cannot be certified: s {which}(s) + kappa s^2 + kappa' "
+    if not math.isfinite(size + abs(kappa1) * r * r + abs(kappa2)):
+        raise ValueError(why + f"is not finite for |s| <= {r:g}; its "
+                         "coefficients are too large or not finite")
+    if not (kappa1 >= 0.0 and kappa2 >= 0.0):
+        raise ValueError(why + f"has a negative constant: {kappa1!r}, "
+                         f"{kappa2!r}")
+    ulp = np.finfo(float)
+    p = np.zeros(max(len(coeffs) + 1, 3), np.longdouble)
+    p[1:len(coeffs) + 1] = coeffs
+    tol = 8 * ulp.eps * np.abs(p)
+    p[0], tol[0] = kappa2, 8 * (ulp.eps * kappa2 + ulp.smallest_subnormal)
+    p[2] += kappa1
+    tol[2] += 8 * ulp.eps * kappa1
+    # p(s) + tol(s) on each half-line s = t and s = -t, t >= 0
+    for q in (p + tol, p * (-1.0) ** np.arange(p.size) + tol):
+        if npoly.polytrim(q)[-1] < 0.0:
+            raise ValueError(why + "is unbounded below")
+        t = _critical_points(q.astype(float))
+        low = _horner(t[t >= 0.0].astype(np.longdouble), q).min()
+        if not low >= 0.0:
+            raise ValueError(why + f"falls to {float(low):.3e}")
 
 
 @dataclass(frozen=True)
@@ -197,27 +185,29 @@ def _validate_coeffs(coeffs, which: str) -> tuple[float, ...]:
 
 def _reaction_constants(coeffs, which: str) -> tuple[float, float, float]:
     """The sign constants and M of the reaction ``which``, the sign
-    constants certified on the oracle grid. Coefficients so large that a
-    constant overflows, at a critical point far off that grid, raise
-    ValueError."""
+    constants certified on the whole line. Coefficients so large that a
+    constant overflows, or that s f(s) does for |s| <= _FINITE_RANGE, or
+    constants that fail the certificate, raise ValueError."""
     with np.errstate(over="ignore", invalid="ignore"):
         ka, kb = _sign_constants(coeffs)
-        m = max(0.0, -_deriv_min(coeffs))
-    if not all(map(math.isfinite, (ka, kb, m))):
-        raise ValueError(f"{which} cannot be certified: its sign or "
-                         "semiconvexity constants overflow; its coefficients "
-                         "are too large")
-    _check_sign_oracle(coeffs, ka, kb, which)
+        m = max(0.0, -_poly_min(npoly.polyder(coeffs)))
+        if not all(map(math.isfinite, (ka, kb, m))):
+            raise ValueError(f"{which} cannot be certified: its sign or "
+                             "semiconvexity constants overflow; its "
+                             "coefficients are too large")
+        _check_sign_certificate(coeffs, ka, kb, which)
     return ka, kb, m
 
 
 def make_nonlinearity(f_coeffs, g_coeffs) -> NonlinearitySpec:
     """Build the reaction pair from ascending polynomial coefficients.
 
-    Every derived constant is certified on a dense grid before the result is
-    returned; an inadmissible polynomial (negative cubic leading term,
-    degree above three, bare quadratic) or one whose constants or whose
-    s f(s) on that grid overflow raises ValueError.
+    The sign constants are certified on the whole line, at the critical
+    points of s f(s) + kappa1 s^2 + kappa2, before the result is returned;
+    an inadmissible polynomial (negative cubic leading term, degree above
+    three, bare quadratic), one whose constants, or whose s f(s) for
+    |s| <= 100, overflow, or one whose constants fail the certificate
+    raises ValueError.
     """
     fc = _validate_coeffs(f_coeffs, "f")
     gc = _validate_coeffs(g_coeffs, "g")
@@ -259,11 +249,16 @@ def monotonicity_shift(spec: NonlinearitySpec, omega: float, beta: float) -> flo
 
 def lipschitz_bound(spec: NonlinearitySpec, omega: float, beta: float,
                     amplitude: float) -> float:
-    """sup |F'| over the box |s| <= amplitude, by dense sampling."""
-    s = np.linspace(-abs(amplitude), abs(amplitude), 2001)
-    df = _horner(s, npoly.polyder(spec.f_coeffs))
-    dg = _horner(s, npoly.polyder(spec.g_coeffs)) - omega * beta
-    return float(max(np.abs(df).max(), np.abs(dg).max()))
+    """sup |F'| over the box |s| <= amplitude: |f'| and |g' - omega beta|
+    at the box's ends and at the critical points of f' and g' inside it."""
+    a = abs(amplitude)
+    lip = 0.0
+    for coeffs, shift in ((spec.f_coeffs, 0.0), (spec.g_coeffs, omega * beta)):
+        der = npoly.polyder(coeffs)
+        s = _critical_points(der)
+        s = np.concatenate(([-a, a], s[np.abs(s) <= a]))
+        lip = max(lip, float(np.abs(_horner(s, der) - shift).max()))
+    return lip
 
 
 @dataclass

@@ -619,6 +619,12 @@ _CHECKPOINT_REFUSALS = {
     "resume-negative-step": "integer in [0, 200], found -4",
     "resume-fractional-step": "integer in [0, 200], found 2.7",
     "resume-step-off-the-stride": "step 7 is not a multiple of record_stride 2",
+    # each escaped main as a KeyError or TypeError before
+    "resume-empty-config": "embedded config is not canonical",
+    "resume-config-not-an-object": "embedded config is invalid: config must "
+                                   "be a JSON object",
+    "resume-config-with-a-string-n": "embedded config is invalid: config key "
+                                     "'domain.n' must be int",
 }
 
 
@@ -649,14 +655,22 @@ def _bad_input(tmp_path):
         "resume-negative-step": state,
         "resume-fractional-step": state,
         "resume-step-off-the-stride": state + rows,
+        "resume-empty-config": state,
+        "resume-config-not-an-object": state,
+        "resume-config-with-a-string-n": state,
     }
+    configs = {"resume-empty-config": {},
+               "resume-config-not-an-object": [1, 2],
+               "resume-config-with-a-string-n":
+                   dict(loaded.canon, domain={"kind": "interval", "n": "65"})}
     declared = {"resume-malformed-array-list": "u_bulk"}
     steps = {"resume-records-cut-short": 10, "resume-negative-step": -4,
              "resume-fractional-step": 2.7, "resume-step-off-the-stride": 7}
     return {
         **{case: ["resume", "--checkpoint",
                   str(_hand_written_checkpoint(tmp_path / f"{case}.bin",
-                                               loaded.canon, arrays,
+                                               configs.get(case, loaded.canon),
+                                               arrays,
                                                declared.get(case),
                                                steps.get(case, 0))),
                   "--out", str(tmp_path / "r")]
@@ -665,6 +679,8 @@ def _bad_input(tmp_path):
                                    "0.2,0.1", "--out", str(afile / "sub")],
         "sweep-one-eps": ["sweep-eps", "--config", str(cfg), "--eps", "0.2",
                           "--out", str(tmp_path / "r")],
+        "sweep-repeated-eps": ["sweep-eps", "--config", str(cfg), "--eps",
+                               "0.1,0.1", "--out", str(tmp_path / "r")],
         "sweep-empty-eps-list": ["sweep-eps", "--config", str(cfg), "--eps",
                                  ",", "--out", str(tmp_path / "r")],
         "resume-missing-checkpoint": ["resume", "--checkpoint",
@@ -678,18 +694,25 @@ def _bad_input(tmp_path):
 def _assert_refused(code, stderr, case, tmp_path):
     assert code == 2, stderr
     assert "Traceback" not in stderr
-    assert stderr.startswith("error: ")
+    assert stderr.startswith("error: ") and stderr.count("\n") == 1, stderr
     assert _CHECKPOINT_REFUSALS.get(case, "") in stderr
     assert not (tmp_path / "r").exists()
 
 
 @pytest.mark.parametrize("case", ["sweep-out-under-a-file", "sweep-one-eps",
-                                  "sweep-empty-eps-list",
+                                  "sweep-empty-eps-list", "sweep-repeated-eps",
                                   "resume-missing-checkpoint",
                                   "resume-header-without-config",
                                   *_CHECKPOINT_REFUSALS])
-def test_bad_input_exits_2_without_a_traceback(tmp_path, case, capsys):
+def test_bad_input_exits_2_without_a_traceback(tmp_path, case, capsys,
+                                               monkeypatch):
     argv = _bad_input(tmp_path)[case]
+
+    # every refusal comes before any integration
+    def no_sweep(*args):
+        raise AssertionError("the sweep ran before the input was refused")
+
+    monkeypatch.setattr(cli, "robustness_sweep", no_sweep)
     try:
         code = main(argv)
     except (Exception, SystemExit) as exc:

@@ -13,6 +13,7 @@ from memheat.solver import ProblemConfig
 from memheat.experiments import (
     GateError,
     SweepResult,
+    _entry_time,
     energy_decay_experiment,
     fit_decay,
     gronwall_check,
@@ -84,6 +85,27 @@ def test_energy_decay_refuses_when_the_gate_fails(interval):
                         t_final=0.0016)
     with pytest.raises(GateError, match="smallness gate failed"):
         energy_decay_experiment(cfg, radius=10.0)
+
+
+def _loop_entry_time(times, below):
+    # the rule as a scan: the first sample from which on every one is below
+    for i in range(below.size):
+        if below[i:].all():
+            return float(times[i])
+    return math.inf
+
+
+@pytest.mark.parametrize("below, want", [
+    ([True, True, True, True, True], 0.0),
+    # a re-entry: below, above, below again; entry after the last exit
+    ([True, False, True, False, True], 0.4),
+    ([False, True, True, False], math.inf),
+])
+def test_entry_time_follows_the_last_exit(below, want):
+    times = np.arange(len(below)) * 0.1
+    below = np.array(below)
+    assert _entry_time(times, below) == want
+    assert _entry_time(times, below) == _loop_entry_time(times, below)
 
 
 # -- integral inequality audits ---------------------------------------------------

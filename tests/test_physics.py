@@ -5,16 +5,14 @@ import math
 import numpy as np
 import pytest
 import scipy.linalg
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from memheat import physics
 from memheat.domain import StateField, norm_v1_sq, norm_x2_sq
 from memheat.physics import (
     _EMBED_TOL,
-    _check_sign_oracle,
+    _check_sign_certificate,
     _horner,
-    _oracle_grid,
     check_smallness,
     estimate_embedding_constant,
     eval_F,
@@ -50,13 +48,31 @@ def test_pure_linear_and_constant_terms():
     assert nl3.m_f == 0.0
 
 
-def test_sign_inequality_certified_on_grid():
-    nl = make_nonlinearity([-0.125, 0.0, 0.0, 1.0], [2.0, -3.0, 0.0, 0.5])
+# admissible cubics: a nonnegative cubic term, and no bare quadratic; the
+# coefficients lie on a 1e-3 lattice, since a tiny one can make a constant
+# overflow (f = 1 + 1e-311 s has kappa2 = 1/(4e-311)), which is refused
+_COEFF = st.integers(-5000, 5000).map(lambda k: k / 1000.0)
+_CUBIC = st.one_of(
+    st.tuples(_COEFF, _COEFF, _COEFF,
+              st.integers(50, 5000).map(lambda k: k / 1000.0)),
+    st.tuples(_COEFF, _COEFF, st.just(0.0), st.just(0.0)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(_CUBIC, _CUBIC)
+@example((-0.125, 0.0, 0.0, 1.0), (2.0, -3.0, 0.0, 0.5))
+def test_sign_inequality_certified_on_grid(f, g):
+    # an independent dense-grid reference for the certificate: every grid
+    # point obeys the inequality within rounding of its own terms
+    nl = make_nonlinearity(f, g)
     s = np.linspace(-20.0, 20.0, 20001)
     for coeffs, k1, k2 in ((nl.f_coeffs, nl.kappa1, nl.kappa2),
                            (nl.g_coeffs, nl.kappa3, nl.kappa4)):
         h = s * np.polynomial.polynomial.polyval(s, coeffs)
-        assert np.min(h + k1 * s**2 + k2) >= -1e-9 * max(1.0, np.abs(h).max())
+        terms = np.polynomial.polynomial.polyval(np.abs(s), np.abs(coeffs))
+        terms = np.abs(s) * terms + k1 * s**2 + k2
+        assert k1 >= 0.0 and k2 >= 0.0
+        assert np.all(h + k1 * s**2 + k2 >= -1e-12 * terms)
 
 
 # the reaction pair of every benchmark workload
@@ -91,104 +107,52 @@ def test_horner_is_bitwise_polyval():
     _assert_bitwise(eval_g(nl, -0.0), polyval(-0.0, nl.g_coeffs))
 
 
-def _reference_sign_oracle(coeffs, kappa1, kappa2):
-    # the oracle's rule in one scan of the whole grid, written with polyval
-    # as it read before Horner: None if it passes, else its message
-    s = _oracle_grid()
-    h = s * np.polynomial.polynomial.polyval(s, coeffs)
-    worst = float(np.min(h + kappa1 * s**2 + kappa2))
-    if worst < -1e-9 * max(1.0, np.abs(h).max()):
-        return f"sign constants fail on the oracle grid by {worst:.3e}"
-    return None
-
-
-def _reference_sign_oracle_passes(coeffs, kappa1, kappa2):
-    return _reference_sign_oracle(coeffs, kappa1, kappa2) is None
-
-
-def _sign_oracle_message(coeffs, kappa1, kappa2):
-    try:
-        _check_sign_oracle(coeffs, kappa1, kappa2, "f")
-    except AssertionError as e:
-        return str(e)
-    return None
-
-
 def test_sign_oracle_catches_understated_constants():
     nl = make_nonlinearity(WORKLOAD_F, WORKLOAD_G)
+    # an indefinite quadratic part: kappa1 > 0 carries the check, and
+    # s f(s) + kappa1 s^2 + kappa2 = (1 + s)^2 / 4 touches 0 at s = -1
+    quad = make_nonlinearity([0.5, -1.0], [0.0])
+    assert (quad.kappa1, quad.kappa2) == (1.25, 0.25)
     for coeffs, k1, k2 in ((nl.f_coeffs, nl.kappa1, nl.kappa2),
-                           (nl.g_coeffs, nl.kappa3, nl.kappa4)):
-        _check_sign_oracle(coeffs, k1, k2, "f")
-        # the tolerance is relative to max |s f(s)| on the grid, about 1e8
-        # for these cubics, so it resolves understatements beyond 0.1
-        with pytest.raises(AssertionError):
-            _check_sign_oracle(coeffs, k1, k2 - 0.2, "f")
-        with pytest.raises(AssertionError):
-            _check_sign_oracle(coeffs, k1 - 1.0, k2, "f")
-        # the verdict is the old rule's on both sides of that threshold
-        for dk1, dk2 in ((0.0, 0.05), (0.0, 0.1000001), (0.0, 0.11),
-                         (0.5, 0.0), (0.7, 0.0)):
-            try:
-                _check_sign_oracle(coeffs, k1 - dk1, k2 - dk2, "f")
-                passed = True
-            except AssertionError:
-                passed = False
-            assert passed == _reference_sign_oracle_passes(
-                coeffs, k1 - dk1, k2 - dk2), (coeffs, dk1, dk2)
-    # an indefinite quadratic part: kappa1 > 0 carries the check
-    nl = make_nonlinearity([0.5, -1.0], [0.0])
-    assert nl.kappa1 == 1.25
-    _check_sign_oracle(nl.f_coeffs, nl.kappa1, nl.kappa2, "f")
-    with pytest.raises(AssertionError):
-        _check_sign_oracle(nl.f_coeffs, nl.kappa1 - 0.01, nl.kappa2, "f")
-
-
-def _worst_oracle_point(coeffs, k1, k2) -> int:
-    s = _oracle_grid()
-    with np.errstate(over="ignore", invalid="ignore"):
-        bound = s * np.polynomial.polynomial.polyval(s, coeffs) + k1 * s**2 + k2
-        return int(np.nanargmin(bound))
-
-
-def test_chunked_sign_oracle_matches_the_whole_grid_rule(monkeypatch):
-    nl = make_nonlinearity(WORKLOAD_F, WORKLOAD_G)
-    cases = [
-        (nl.f_coeffs, nl.kappa1, nl.kappa2),
-        (nl.f_coeffs, nl.kappa1, nl.kappa2 - 0.2),
-        (nl.g_coeffs, nl.kappa3 - 1.0, nl.kappa4),
-    ]
-    for coeffs, k1, k2 in cases:
-        want = _reference_sign_oracle(coeffs, k1, k2)
-        # chunks that start, and that end, at the worst point
-        worst = _worst_oracle_point(coeffs, k1, k2)
-        for chunk in (1000, *((worst, worst + 1) if worst > 1 else ())):
-            assert _oracle_grid().size % chunk != 0  # the last chunk is ragged
-            monkeypatch.setattr(physics, "_ORACLE_CHUNK", chunk)
-            assert _sign_oracle_message(coeffs, k1, k2) == want, (
-                coeffs, k1, k2, chunk)
-    assert _reference_sign_oracle(*cases[1]) is not None
+                           (nl.g_coeffs, nl.kappa3, nl.kappa4),
+                           (quad.f_coeffs, quad.kappa1, quad.kappa2)):
+        _check_sign_certificate(coeffs, k1, k2, "f")
+        # an understatement by 1e-9 relative is refused
+        with pytest.raises(ValueError, match="f cannot .* falls to"):
+            _check_sign_certificate(coeffs, k1, k2 * (1.0 - 1e-9), "f")
+        # and any negative kappa1, however small
+        for bad in (-1e-300, -0.5):
+            with pytest.raises(ValueError, match="negative constant"):
+                _check_sign_certificate(coeffs, bad, k2, "f")
+        with pytest.raises(ValueError, match="negative constant"):
+            _check_sign_certificate(coeffs, k1, -1e-300, "f")
+    # the workload cubics' kappa2 is not 0, which the grid tolerance took
+    assert nl.kappa2 == pytest.approx(0.0295294, abs=1e-7)
+    with pytest.raises(ValueError, match="falls to -2.953e-02"):
+        _check_sign_certificate(nl.f_coeffs, 0.0, 0.0, "f")
+    with pytest.raises(ValueError, match="falls to"):
+        _check_sign_certificate(quad.f_coeffs, quad.kappa1 * (1.0 - 1e-9),
+                                quad.kappa2, "f")
+    # s f(s) = s, with kappa1 = 0: p has odd degree, so it is unbounded below
+    with pytest.raises(ValueError, match="unbounded below"):
+        _check_sign_certificate((1.0, 0.0, 0.0, 0.0), 0.0, 10.0, "f")
 
 
 @pytest.mark.parametrize("coeffs, k1, k2", [
-    # s f(s) overflows to inf at both ends, so the scale is inf
+    # s f(s) overflows to inf at both ends
     ((0.0, 0.0, 0.0, 1e305), 0.0, -1.0),
-    # s f(s) -> -inf and kappa1 s^2 -> inf: NaN at both ends
+    # s f(s) -> -inf and kappa1 s^2 -> inf
     ((0.0, -1e305), 1e305, -1.0),
-    # -inf on s < 0 and NaN on s > 0
+    # coefficients that are not finite
     ((np.inf, -np.inf), 0.0, 0.0),
-    # NaN for |s| > 42, -inf between
+    # kappa1 s^2 overflows, and kappa2 is not finite
     (WORKLOAD_F, 1e305, -np.inf),
 ])
-def test_sign_oracle_refuses_what_is_not_finite_on_its_grid(monkeypatch,
-                                                            coeffs, k1, k2):
-    # these passed before, certified by an infinite scale or a NaN worst
-    # point; no chunk size, one that splits at the worst point included,
-    # may let them through
-    worst = _worst_oracle_point(coeffs, k1, k2)
-    for chunk in (1000, *((worst, worst + 1) if worst > 1 else ())):
-        monkeypatch.setattr(physics, "_ORACLE_CHUNK", chunk)
-        with pytest.raises(ValueError, match="g cannot be certified"):
-            _check_sign_oracle(coeffs, k1, k2, "g")
+def test_sign_oracle_refuses_what_is_not_finite_on_its_grid(coeffs, k1, k2):
+    # overflow within |s| <= 100 certifies nothing, before the constants'
+    # signs are looked at
+    with pytest.raises(ValueError, match="g cannot .* is not finite"):
+        _check_sign_certificate(coeffs, k1, k2, "g")
 
 
 def test_inadmissible_polynomials_are_rejected():
@@ -231,6 +195,14 @@ def test_lipschitz_bound_on_cubic_box():
     nl = make_nonlinearity([0.0, 0.0, 0.0, 1.0], [0.0, 0.0, 0.0, 1.0])
     # sup over |s| <= 2 of max(|3 s^2|, |3 s^2 - omega beta|) = 12
     assert lipschitz_bound(nl, 0.5, 1.0, 2.0) == pytest.approx(12.0, abs=1e-12)
+
+
+def test_lipschitz_bound_finds_the_vertex_between_samples():
+    # f' = 3 s^2 - 0.003 s - 10 has its vertex at s = 5e-4, between two
+    # points of a 2001-point sample of [-1, 1], where |f'| = 10 + 0.0015^2/3
+    nl = make_nonlinearity([0.0, -10.0, -0.0015, 1.0], [0.0, 0.0, 0.0, 1.0])
+    assert lipschitz_bound(nl, 0.5, 1.0, 1.0) == pytest.approx(
+        10.0 + 0.0015**2 / 3.0, abs=1e-12)
 
 
 @settings(max_examples=25, deadline=None)
