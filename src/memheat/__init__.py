@@ -31,10 +31,7 @@ from .memory import (
     history_from_profile,
     history_oracle,
     memory_norm_sq,
-    rescale_kernel,
-    tabulated_kernel,
     tail_function,
-    validate_kernel,
     zero_history,
 )
 from .physics import (

@@ -23,7 +23,7 @@ import numpy as np
 
 from . import __version__
 from .domain import DiscreteDomain, StateField, build_domain
-from .memory import HistoryField, exponential_kernel, validate_kernel
+from .memory import HistoryField, exponential_kernel
 from .physics import (NonlinearitySpec, check_smallness,
                       estimate_embedding_constant, make_nonlinearity)
 from .solver import (ProblemConfig, SystemState, TrajectoryRecord, _n_steps,
@@ -154,7 +154,6 @@ class LoadedConfig:
     experiment: str
     problem: ProblemConfig
     initial: StateField
-    kernel_report: object
     seed: int
 
 
@@ -195,18 +194,6 @@ def build_from_canonical(canon: dict) -> LoadedConfig:
         kernel = exponential_kernel(canon["kernel"]["omega"],
                                     canon["kernel"]["rate"],
                                     delta=canon["kernel"]["delta"])
-    except ValueError as e:
-        raise ConfigError(str(e)) from e
-
-    report = validate_kernel(kernel)
-    if not report.passed:
-        failed = [name for name, c in report.checks.items() if not c["passed"]]
-        raise ConfigError(
-            "kernel validation failed: " + ", ".join(
-                f"{name} (slack {report.checks[name]['slack']:.3e})"
-                for name in failed))
-
-    try:
         nl = make_nonlinearity(canon["nonlinearity"]["f"],
                                canon["nonlinearity"]["g"])
         problem = ProblemConfig(d, kernel, nl, alpha=canon["alpha"],
@@ -235,7 +222,7 @@ def build_from_canonical(canon: dict) -> LoadedConfig:
     initial = _build_initial(canon, d)
     return LoadedConfig(canon=canon, sha256=config_hash(canon),
                         experiment=exp, problem=problem, initial=initial,
-                        kernel_report=report, seed=canon["seed"])
+                        seed=canon["seed"])
 
 
 def load_config(path, seed: Optional[int] = None) -> LoadedConfig:
@@ -719,9 +706,6 @@ def main(argv=None) -> int:
             loaded = load_config(args.config)
             print(f"config ok: sha256 {loaded.sha256}")
             print(f"experiment: {loaded.experiment}")
-            for name, chk in loaded.kernel_report.checks.items():
-                print(f"kernel {name}: {'pass' if chk['passed'] else 'FAIL'} "
-                      f"(slack {chk['slack']:.3e})")
             _print_gate(loaded)
             return EXIT_PASS
         if args.command == "resume":

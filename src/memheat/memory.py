@@ -1,8 +1,11 @@
-"""Fading-memory kernels and the integrated-past-history field.
+"""The fading-memory kernel and the integrated-past-history field.
 
-The memory of the heat flux is carried by a convolution kernel k with unit
-mass. Internally all quadrature runs against mu = -(1 - omega) k', the
-nonnegative, nonincreasing density that weights the history. The singular
+The memory of the heat flux is carried by the exponential convolution
+kernel k(s) = rate exp(-rate s), of unit mass. Internally all quadrature
+runs against mu = -(1 - omega) k', the positive, decreasing density that
+weights the history. Its domination inequality mu' + delta mu <= 0 reads
+(delta - rate) mu <= 0 exactly, so a kernel is admissible if and only if
+0 < delta <= rate, and cell masses are exact integrals. The singular
 family mu_eps(s) = eps^-2 mu(s/eps) concentrates the memory near s = 0 as
 eps -> 0; its total mass scales like 1/eps.
 
@@ -52,11 +55,6 @@ from .domain import DiscreteDomain, StateField
 __all__ = [
     "KernelSpec",
     "exponential_kernel",
-    "tabulated_kernel",
-    "RescaledKernel",
-    "rescale_kernel",
-    "KernelReport",
-    "validate_kernel",
     "HistoryGrid",
     "build_history_grid",
     "HistoryField",
@@ -80,183 +78,63 @@ Array = NDArray[np.float64]
 
 @dataclass(frozen=True)
 class KernelSpec:
-    """Memory kernel described through the density mu = -(1 - omega) k'.
+    """The exponential memory kernel k(s) = rate exp(-rate s), of unit mass,
+    described through its density mu = -(1 - omega) k' =
+    (1 - omega) rate^2 exp(-rate s).
 
     Parameters
     ----------
-    family : {"exponential", "tabulated"}
     omega : float
         Instantaneous-conduction fraction, strictly between 0 and 1.
+    rate : float
+        Decay rate of k.
     delta : float
         Claimed decay rate in the domination inequality
-        ``mu' + delta mu <= 0``. Validated, not assumed.
-    rate : float
-        Exponential family only: k(s) = rate * exp(-rate s), so
-        mu(s) = (1 - omega) rate^2 exp(-rate s). Unit k-mass by construction.
-    s_table, mu_table : ndarray, optional
-        Tabulated family: piecewise-linear mu samples; mu = 0 beyond the
-        table.
+        ``mu' + delta mu <= 0``. Here mu' + delta mu = (delta - rate) mu
+        exactly, so the inequality holds if and only if delta <= rate.
     """
 
-    family: str
     omega: float
+    rate: float
     delta: float
-    rate: float = 1.0
-    s_table: Optional[Array] = None
-    mu_table: Optional[Array] = None
 
     def __post_init__(self):
         if not (0.0 < self.omega < 1.0):
             raise ValueError(f"omega must lie in (0, 1), got {self.omega}")
-        if self.delta <= 0.0:
-            raise ValueError("delta must be positive")
-        if self.family == "exponential":
-            if self.rate <= 0.0:
-                raise ValueError("exponential rate must be positive")
-            # mu(0) = (1 - omega) rate^2 must neither overflow nor vanish
-            if not 0.0 < self.rate * self.rate < math.inf:
-                raise ValueError("exponential rate must have a finite, "
-                                 f"nonzero square, got {self.rate}")
-        elif self.family == "tabulated":
-            s, m = self.s_table, self.mu_table
-            if s is None or m is None or len(s) != len(m) or len(s) < 2:
-                raise ValueError("tabulated kernel needs matching s/mu tables")
-            if s[0] != 0.0 or np.any(np.diff(s) <= 0):
-                raise ValueError("tabulated s grid must start at 0 and increase")
-        else:
-            raise ValueError(f"unknown kernel family {self.family!r}")
+        if self.rate <= 0.0:
+            raise ValueError("exponential rate must be positive")
+        # mu(0) = (1 - omega) rate^2 must neither overflow nor vanish
+        if not 0.0 < self.rate * self.rate < math.inf:
+            raise ValueError("exponential rate must have a finite, "
+                             f"nonzero square, got {self.rate}")
+        if not 0.0 < self.delta <= self.rate:
+            raise ValueError(
+                "kernel delta_domination fails: mu' + delta mu = "
+                "(delta - rate) mu <= 0 needs 0 < delta <= rate, got delta "
+                f"{self.delta!r} with rate {self.rate!r}")
 
     def mu(self, s) -> Array:
         s = np.asarray(s, dtype=float)
-        if self.family == "exponential":
-            return (1.0 - self.omega) * self.rate**2 * np.exp(-self.rate * s)
-        return np.interp(s, self.s_table, self.mu_table, right=0.0)
+        return (1.0 - self.omega) * self.rate**2 * np.exp(-self.rate * s)
 
-    def mu_integral(self, a: float, b: float) -> float:
-        """Exact integral of mu over [a, b] (b may be inf)."""
+    def integral(self, a: float, b: float, eps: float = 1.0) -> float:
+        """Exact integral over [a, b] (b may be inf) of the singularly
+        scaled density mu_eps(s) = eps^-2 mu(s / eps)."""
+        a, b = a / eps, b / eps
         if b < a:
             raise ValueError("need a <= b")
-        if self.family == "exponential":
-            r, c = self.rate, (1.0 - self.omega) * self.rate
-            ea = math.exp(-r * a)
-            eb = 0.0 if math.isinf(b) else math.exp(-r * b)
-            return c * (ea - eb)
-        return self._table_integral(a, b)
+        r, c = self.rate, (1.0 - self.omega) * self.rate
+        return c * (math.exp(-r * a) - math.exp(-r * b)) / eps
 
-    def _table_integral(self, a: float, b: float) -> float:
-        s, m = self.s_table, self.mu_table
-        b = min(b, s[-1])
-        a = min(a, s[-1])
-        if b <= a:
-            return 0.0
-        # exact piecewise-linear integral between arbitrary bounds
-        grid = np.unique(np.concatenate([[a, b], s[(s > a) & (s < b)]]))
-        vals = np.interp(grid, s, m)
-        return float(np.trapezoid(vals, grid))
-
-    def mu_mass(self) -> float:
-        return self.mu_integral(0.0, math.inf)
-
-    def first_moment(self) -> float:
-        """int_0^inf s mu(s) ds; equals (1 - omega) * int k for admissible k.
-
-        Exact for tables: s mu(s) is quadratic on each linear piece [a, b],
-        whose integral is (b - a)/6 (mu_a (2a + b) + mu_b (a + 2b)).
-        """
-        if self.family == "exponential":
-            return 1.0 - self.omega
-        s, m = self.s_table, self.mu_table
-        a, b = s[:-1], s[1:]
-        return float(np.sum((b - a) / 6.0
-                            * (m[:-1] * (2.0 * a + b) + m[1:] * (a + 2.0 * b))))
+    def mass(self, eps: float = 1.0) -> float:
+        """Total mass of mu_eps, (1 - omega) rate / eps."""
+        return self.integral(0.0, math.inf, eps)
 
 
 def exponential_kernel(omega: float, rate: float = 1.0,
                        delta: Optional[float] = None) -> KernelSpec:
     """Exponential kernel k(s) = rate exp(-rate s); delta defaults to rate."""
-    return KernelSpec("exponential", omega, rate if delta is None else delta, rate=rate)
-
-
-def tabulated_kernel(omega: float, s_table, mu_table, delta: float) -> KernelSpec:
-    return KernelSpec(
-        "tabulated", omega, delta,
-        s_table=np.asarray(s_table, dtype=float),
-        mu_table=np.asarray(mu_table, dtype=float),
-    )
-
-
-@dataclass(frozen=True)
-class RescaledKernel:
-    """The singularly scaled density mu_eps(s) = eps^-2 mu(s / eps)."""
-
-    kernel: KernelSpec
-    eps: float
-
-    def mu(self, s) -> Array:
-        return self.kernel.mu(np.asarray(s, dtype=float) / self.eps) / self.eps**2
-
-    def integral(self, a: float, b: float) -> float:
-        return self.kernel.mu_integral(a / self.eps,
-                                       b / self.eps if not math.isinf(b) else b) / self.eps
-
-    def mass(self) -> float:
-        return self.kernel.mu_mass() / self.eps
-
-
-def rescale_kernel(kernel: KernelSpec, eps: float) -> RescaledKernel:
-    """Concentrate the kernel at scale eps in (0, 1]."""
-    if not (0.0 < eps <= 1.0):
-        raise ValueError(f"eps must lie in (0, 1], got {eps}")
-    return RescaledKernel(kernel, float(eps))
-
-
-@dataclass
-class KernelReport:
-    passed: bool
-    checks: dict
-
-
-def validate_kernel(kernel: KernelSpec, probe: Optional[Array] = None) -> KernelReport:
-    """Check admissibility of a kernel; reports slack, never raises.
-
-    Checks: mu >= 0, mu nonincreasing, the domination inequality
-    mu' + delta mu <= 0, and unit mass of the underlying k recovered from
-    the first-moment identity int s mu ds = 1 - omega.
-    """
-    checks = {}
-    scale = max(float(kernel.mu(0.0)), 1.0)
-    tol = 1e-10 * scale
-
-    if probe is None:
-        if kernel.family == "tabulated":
-            probe = kernel.s_table
-        else:
-            probe = np.geomspace(1e-4, 60.0 / kernel.rate, 2048)
-            probe = np.concatenate([[0.0], probe])
-    mu = kernel.mu(probe)
-
-    checks["nonnegative"] = {"passed": bool(np.min(mu) >= -tol),
-                             "slack": float(np.min(mu))}
-
-    if kernel.family == "exponential":
-        # mu' = -rate * mu exactly; domination slack is (delta - rate) mu
-        worst = float((kernel.delta - kernel.rate) * np.max(mu))
-        checks["nonincreasing"] = {"passed": True, "slack": float(-kernel.rate * np.max(mu))}
-        checks["delta_domination"] = {"passed": worst <= tol, "slack": worst}
-    else:
-        slopes = np.diff(mu) / np.diff(probe)
-        checks["nonincreasing"] = {"passed": bool(np.max(slopes) <= tol),
-                                   "slack": float(np.max(slopes))}
-        # on each linear segment sup(mu' + delta mu) sits at the larger endpoint
-        seg_worst = slopes + kernel.delta * np.maximum(mu[:-1], mu[1:])
-        worst = float(np.max(seg_worst))
-        checks["delta_domination"] = {"passed": worst <= tol, "slack": worst}
-
-    k_mass = kernel.first_moment() / (1.0 - kernel.omega)
-    checks["unit_mass"] = {"passed": bool(abs(k_mass - 1.0) <= 1e-6),
-                           "slack": float(k_mass - 1.0)}
-
-    return KernelReport(passed=all(c["passed"] for c in checks.values()), checks=checks)
+    return KernelSpec(omega, rate, rate if delta is None else delta)
 
 
 # -- history grid ----------------------------------------------------------
@@ -289,16 +167,12 @@ class HistoryGrid:
     def s_max(self) -> float:
         return float(self.edges[-1])
 
-    @property
-    def rescaled(self) -> RescaledKernel:
-        return RescaledKernel(self.kernel, self.eps)
-
     def window_weights(self, lo: float, hi: float) -> Array:
         """Per-cell mu_eps mass of cell intersect [lo, hi]."""
-        rk = self.rescaled
         a = np.clip(self.edges[:-1], lo, hi)
         b = np.clip(self.edges[1:], lo, hi)
-        return np.array([rk.integral(x, y) if y > x else 0.0 for x, y in zip(a, b)])
+        return np.array([self.kernel.integral(x, y, self.eps) if y > x else 0.0
+                         for x, y in zip(a, b)])
 
     def same_nodes(self, other: "HistoryGrid") -> bool:
         return self.n_s == other.n_s and bool(np.all(self.s_nodes == other.s_nodes))
@@ -323,7 +197,8 @@ def build_history_grid(kernel: KernelSpec, eps: float, n_s: int = 128,
     """
     if n_s < 16:
         raise ValueError(f"n_s must be >= 16, got {n_s}")
-    rk = rescale_kernel(kernel, eps)
+    if not (0.0 < eps <= 1.0):
+        raise ValueError(f"eps must lie in (0, 1], got {eps}")
     name = "s_max"
     if s_max is None:
         s_max = s_max_factor * eps / kernel.delta
@@ -350,8 +225,11 @@ def build_history_grid(kernel: KernelSpec, eps: float, n_s: int = 128,
     else:
         edges[1:-1] = 0.5 * (nodes[:-1] + nodes[1:])
 
-    weights = np.array([rk.integral(a, b) for a, b in zip(edges[:-1], edges[1:])])
-    total = rk.mass()
+    # one scalar math.exp pair per cell: numpy's vectorised exp rounds
+    # about a tenth of the masses differently in the last bit
+    weights = np.array([kernel.integral(a, b, eps)
+                        for a, b in zip(edges[:-1], edges[1:])])
+    total = kernel.mass(eps)
     truncated = 1.0 - weights.sum() / total
     if truncated > 1e-6:
         raise ValueError(
@@ -540,7 +418,7 @@ def memory_norm_sq(phi: Optional[HistoryField], level: int, d: DiscreteDomain,
     return float(phi.grid.weights @ rows)
 
 
-def convolve_wentzell(phi: Optional[HistoryField], d: DiscreteDomain,
+def convolve_wentzell(phi: HistoryField, d: DiscreteDomain,
                       alpha: float, beta: float) -> StateField:
     """Memory load: the mu_eps-weighted integral of the equation pair.
 
@@ -549,8 +427,6 @@ def convolve_wentzell(phi: Optional[HistoryField], d: DiscreteDomain,
     evaluated as the trace-restricted pair of ``bulk_operators`` applied to
     the weighted sum of the bulk rows.
     """
-    if phi is None:
-        return d.zero_field()
     _, pair = d.bulk_operators(alpha, beta)
     load = pair @ (phi.grid.weights @ phi.bulk)
     return StateField(load[:d.n_bulk], load[d.n_bulk:])

@@ -187,15 +187,21 @@ def _reaction_constants(coeffs, which: str) -> tuple[float, float, float]:
     """The sign constants and M of the reaction ``which``, the sign
     constants certified on the whole line. Coefficients so large that a
     constant overflows, or that s f(s) does for |s| <= _FINITE_RANGE, or
-    constants that fail the certificate, raise ValueError."""
+    whose critical points cannot be computed, or constants that fail the
+    certificate, raise ValueError."""
     with np.errstate(over="ignore", invalid="ignore"):
-        ka, kb = _sign_constants(coeffs)
-        m = max(0.0, -_poly_min(npoly.polyder(coeffs)))
-        if not all(map(math.isfinite, (ka, kb, m))):
-            raise ValueError(f"{which} cannot be certified: its sign or "
-                             "semiconvexity constants overflow; its "
-                             "coefficients are too large")
-        _check_sign_certificate(coeffs, ka, kb, which)
+        try:
+            ka, kb = _sign_constants(coeffs)
+            m = max(0.0, -_poly_min(npoly.polyder(coeffs)))
+            if not all(map(math.isfinite, (ka, kb, m))):
+                raise ValueError(f"{which} cannot be certified: its sign or "
+                                 "semiconvexity constants overflow; its "
+                                 "coefficients are too large")
+            _check_sign_certificate(coeffs, ka, kb, which)
+        except np.linalg.LinAlgError as e:
+            raise ValueError(f"{which} cannot be certified: its critical "
+                             f"points cannot be computed ({e}); its "
+                             "coefficients are too far apart in size") from e
     return ka, kb, m
 
 

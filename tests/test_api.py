@@ -60,3 +60,5 @@ def test_traced_names_are_bound_where_they_are_called():
     assert experiments.step_peps is solver.step_peps
     assert cli.evolve is solver.evolve
     assert solver.advance_history is memory.advance_history
+    # the grid counter sees only this cross-module call
+    assert solver.build_history_grid is memory.build_history_grid

@@ -56,7 +56,6 @@ def test_validate_reports_config_and_gate(tmp_path, capsys):
     assert main(["validate", "--config", str(path)]) == 0
     out = capsys.readouterr().out
     assert "config ok: sha256" in out
-    assert "kernel unit_mass: pass" in out
     assert "gate:" in out
 
 
@@ -98,10 +97,13 @@ def test_missing_config_file_is_a_config_error(tmp_path, capsys):
 
 
 def test_overclaimed_kernel_decay_is_refused(tmp_path, capsys):
-    path = write_cfg(tmp_path, kernel={"omega": 0.5, "rate": 3.0,
-                                       "delta": 4.0})
-    assert main(["validate", "--config", str(path)]) == 2
-    assert "delta_domination" in capsys.readouterr().err
+    # the slow kernel overclaims by 19%, but mu(0) is only 5e-7: an absolute
+    # tolerance of 1e-10 on mu' + delta mu let it pass
+    for rate, delta in [(3.0, 4.0), (0.001, 0.00119)]:
+        path = write_cfg(tmp_path, kernel={"omega": 0.5, "rate": rate,
+                                           "delta": delta})
+        assert main(["validate", "--config", str(path)]) == 2
+        assert "delta_domination" in capsys.readouterr().err
 
 
 def test_unknown_experiment_is_refused(tmp_path, capsys):
@@ -519,6 +521,9 @@ def test_config_load_refuses_null_and_out_of_range_values(tmp_path, path,
     # an overflow warning before, after which the oracle passed anything
     ("nonlinearity.f", [0, 0, 0, 1e305], "f cannot be certified"),
     ("nonlinearity.g", [0, -1e305], "g cannot be certified"),
+    # numpy's LinAlgError from the root finder, naming no reaction, before
+    ("nonlinearity.f", [0, 543.26, -4.88e164, 2.42e-192],
+     "f cannot be certified"),
 ])
 def test_config_load_refuses_bad_reaction_coefficients(tmp_path, path, value,
                                                        named):

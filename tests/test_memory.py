@@ -22,10 +22,7 @@ from memheat.memory import (
     history_oracle,
     KernelSpec,
     memory_norm_sq,
-    rescale_kernel,
-    tabulated_kernel,
     tail_function,
-    validate_kernel,
     zero_history,
 )
 from memheat import memory
@@ -41,11 +38,10 @@ from memheat.solver import ProblemConfig, lift, step_peps
 def test_exponential_kernel_moments_are_exact():
     k = exponential_kernel(0.5, rate=2.0)
     assert k.mu(0.0) == pytest.approx(2.0, abs=1e-15)
-    assert k.mu_mass() == pytest.approx(1.0, abs=1e-15)
-    assert k.first_moment() == pytest.approx(0.5, abs=1e-15)
+    assert k.mass() == pytest.approx(1.0, abs=1e-15)
     # additivity of the exact integral
-    total = k.mu_integral(0.0, 1.0) + k.mu_integral(1.0, math.inf)
-    assert total == pytest.approx(k.mu_mass(), abs=1e-15)
+    total = k.integral(0.0, 1.0) + k.integral(1.0, math.inf)
+    assert total == pytest.approx(k.mass(), abs=1e-15)
 
 
 def test_kernel_parameter_validation():
@@ -55,74 +51,43 @@ def test_kernel_parameter_validation():
         exponential_kernel(1.0, rate=1.0)
     with pytest.raises(ValueError):
         exponential_kernel(0.5, rate=-1.0)
-    with pytest.raises(ValueError):
-        KernelSpec("exponential", 0.5, delta=-1.0)
-    with pytest.raises(ValueError):
-        KernelSpec("mystery", 0.5, delta=1.0)
+    # mu' + delta mu = (delta - rate) mu: only 0 < delta <= rate is
+    # admissible, with no tolerance, whatever the scale of mu
+    for rate, delta in [(1.0, -1.0), (0.001, 0.00119),
+                        (1.0, float("nan")), (1.0, math.inf), (1.0, 0.0),
+                        (1.0, 1 + 1e-12), (1e-3, 1e-3 * (1 + 1e-12))]:
+        with pytest.raises(ValueError, match="delta_domination"):
+            exponential_kernel(0.5, rate=rate, delta=delta)
+    with pytest.raises(ValueError, match="delta_domination"):
+        KernelSpec(0.5, 1.0, -1.0)
 
 
 def test_validate_kernel_passes_exponential():
-    rep = validate_kernel(exponential_kernel(0.5, rate=2.0))
-    assert rep.passed
-    assert set(rep.checks) == {"nonnegative", "nonincreasing",
-                               "delta_domination", "unit_mass"}
-    assert rep.checks["unit_mass"]["slack"] == pytest.approx(0.0, abs=1e-12)
+    # the kernel checks itself on construction: delta == rate is the exact
+    # decay of mu, and the exponential kernel has unit mass
+    for rate in (1e-3, 1.0, 2.0, 3.0):
+        assert exponential_kernel(0.5, rate=rate, delta=rate).delta == rate
+        assert exponential_kernel(0.5, rate=rate).delta == rate
+    k = exponential_kernel(0.5, rate=2.0)
+    assert k.mass() == pytest.approx(1.0, abs=1e-12)
 
 
 def test_validate_kernel_flags_overclaimed_decay_rate():
-    rep = validate_kernel(exponential_kernel(0.5, rate=2.0, delta=3.0))
-    assert not rep.passed
-    assert not rep.checks["delta_domination"]["passed"]
-    assert rep.checks["delta_domination"]["slack"] > 0.0
-
-
-def test_tabulated_kernel_roundtrip():
-    s = np.linspace(0.0, 40.0, 4001)
-    mu = 0.5 * np.exp(-s)
-    # normalize so the exact first moment of the piecewise-linear table is
-    # 1 - omega
-    a, b = s[:-1], s[1:]
-    mu *= 0.5 / np.sum((b - a) / 6 * (mu[:-1] * (2 * a + b) + mu[1:] * (a + 2 * b)))
-    k = tabulated_kernel(0.5, s, mu, delta=0.8)
-    rep = validate_kernel(k)
-    assert rep.passed, rep.checks
-    assert k.mu(50.0) == 0.0
-    assert k.mu_integral(0.0, math.inf) == pytest.approx(
-        float(np.trapezoid(mu, s)), rel=1e-12)
-
-
-def test_tabulated_first_moment_is_exact_on_a_ramp():
-    # mu = mu0 (1 - s/L) on [0, L]: int s mu ds = mu0 L^2 / 6, which the
-    # trapezoid rule on s mu misses entirely (s mu vanishes at both nodes)
-    mu0, length = 0.75, 2.0
-    k = tabulated_kernel(0.5, [0.0, length], [mu0, 0.0], delta=1.0 / length)
-    assert k.first_moment() == pytest.approx(mu0 * length**2 / 6, rel=1e-15)
-    # the ramp with mu0 L^2 / 6 = 1 - omega has a unit-mass k
-    mu0 = 6 * 0.5 / length**2
-    k = tabulated_kernel(0.5, [0.0, length], [mu0, 0.0], delta=1.0 / length)
-    rep = validate_kernel(k)
-    assert rep.checks["unit_mass"]["passed"], rep.checks
-    assert rep.checks["unit_mass"]["slack"] == pytest.approx(0.0, abs=1e-15)
-
-
-def test_tabulated_kernel_requires_increasing_grid():
-    with pytest.raises(ValueError):
-        tabulated_kernel(0.5, [0.0, 1.0, 1.0], [1.0, 0.5, 0.2], delta=0.5)
-    with pytest.raises(ValueError):
-        tabulated_kernel(0.5, [0.5, 1.0], [1.0, 0.5], delta=0.5)
+    with pytest.raises(ValueError, match="delta_domination"):
+        exponential_kernel(0.5, rate=2.0, delta=3.0)
 
 
 def test_rescaled_kernel_scaling_identities():
     k = exponential_kernel(0.4, rate=1.5)
-    rk = rescale_kernel(k, 0.25)
-    assert rk.mass() == pytest.approx(k.mu_mass() / 0.25, rel=1e-14)
-    assert rk.integral(0.1, 0.5) == pytest.approx(
-        k.mu_integral(0.4, 2.0) / 0.25, rel=1e-13)
-    assert rk.mu(0.25) == pytest.approx(k.mu(1.0) / 0.25**2, rel=1e-14)
+    assert k.mass(0.25) == pytest.approx(k.mass() / 0.25, rel=1e-14)
+    assert k.integral(0.1, 0.5, 0.25) == pytest.approx(
+        k.integral(0.4, 2.0) / 0.25, rel=1e-13)
     with pytest.raises(ValueError):
-        rescale_kernel(k, 0.0)
+        k.integral(0.5, 0.1, 0.25)
     with pytest.raises(ValueError):
-        rescale_kernel(k, 1.5)
+        build_history_grid(k, 0.0)
+    with pytest.raises(ValueError):
+        build_history_grid(k, 1.5)
 
 
 # -- history grid -------------------------------------------------------------
@@ -135,7 +100,7 @@ def test_history_grid_masses_cover_the_kernel():
         assert g.edges[0] == 0.0
         assert np.all(np.diff(g.s_nodes) > 0.0)
         assert np.all((g.s_nodes >= g.edges[:-1]) & (g.s_nodes <= g.edges[1:]))
-        covered = g.weights.sum() / rescale_kernel(k, 0.5).mass()
+        covered = g.weights.sum() / k.mass(0.5)
         assert covered >= 1.0 - 1e-6
         assert g.window_weights(0.0, g.s_max).sum() == pytest.approx(
             g.weights.sum(), rel=1e-12)
@@ -230,8 +195,6 @@ def test_convolution_matches_weighted_slice_sum(kind, request):
     ref = apply_wentzell(coeff * shape, d, 0.7, 1.3)
     assert np.allclose(load.bulk, ref.bulk, rtol=1e-10, atol=1e-11)
     assert np.allclose(load.boundary, ref.boundary, rtol=1e-10, atol=1e-11)
-    assert np.array_equal(convolve_wentzell(None, d, 0.7, 1.3).bulk,
-                          np.zeros(d.n_bulk))
 
 
 # -- transport ------------------------------------------------------------------
@@ -660,5 +623,4 @@ def test_dissipation_inequality_holds_for_smooth_histories(interval):
        st.floats(min_value=0.5, max_value=4.0))
 def test_rescaled_mass_identity(eps, rate):
     k = exponential_kernel(0.5, rate=rate)
-    rk = rescale_kernel(k, eps)
-    assert rk.mass() * eps == pytest.approx(k.mu_mass(), rel=1e-12)
+    assert k.mass(eps) * eps == pytest.approx(k.mass(), rel=1e-12)
