@@ -38,7 +38,6 @@ from .physics import (
     NonlinearitySpec,
     SmallnessReport,
     check_smallness,
-    estimate_embedding_constant,
     eval_F,
     make_nonlinearity,
 )

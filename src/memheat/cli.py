@@ -12,6 +12,7 @@ import argparse
 import dataclasses
 import hashlib
 import json
+import math
 import os
 import sys
 import time
@@ -24,12 +25,11 @@ import numpy as np
 from . import __version__
 from .domain import DiscreteDomain, StateField, build_domain
 from .memory import HistoryField, exponential_kernel
-from .physics import (NonlinearitySpec, check_smallness,
-                      estimate_embedding_constant, make_nonlinearity)
+from .physics import check_smallness, make_nonlinearity
 from .solver import (ProblemConfig, SystemState, TrajectoryRecord, _n_steps,
                      evolve, lift)
-from .experiments import (GateError, energy_decay_experiment, fit_decay,
-                          robustness_sweep, smooth_profile)
+from .experiments import (GateError, _decay_gate, energy_decay_experiment,
+                          fit_decay, robustness_sweep, smooth_profile)
 
 CHECKPOINT_FORMAT = "memheat-checkpoint-3"
 
@@ -201,10 +201,13 @@ def build_from_canonical(canon: dict) -> LoadedConfig:
                                 dt=canon["dt"], t_final=canon["t_final"],
                                 record_stride=canon["record_stride"],
                                 history=canon["history"])
-        # refuse here a history recipe and a t_final that run would refuse
+        # refuse here a history recipe, a t_final and, for the experiment
+        # that asserts decay, a failing smallness gate that run would refuse
         problem.grid
         n_total = _n_steps(problem)
-    except ValueError as e:
+        if exp == "energy_decay":
+            _decay_gate(problem)
+    except (GateError, ValueError) as e:
         raise ConfigError(str(e)) from e
 
     ck = canon["checkpoint_step"]
@@ -566,9 +569,11 @@ def run_experiment(loaded: LoadedConfig, out_dir,
 
 def _sweep_eps(text: str, problem: ProblemConfig) -> list[float]:
     """The ``--eps`` list of a sweep, checked whole before any work: at
-    least two distinct entries, each above 0 and a horizon ``problem``
-    admits (its own rules: eps in (0, 1] and dt <= eps / 10). The check
-    builds no grid."""
+    least two distinct entries, each above 0, a horizon ``problem`` admits
+    (its own rules: eps in (0, 1] and dt <= eps / 10), and one whose audit
+    window [sqrt(eps), t_final] holds an observed step, by the observer's
+    own rule (step k is in it if k dt >= sqrt(eps) - 1e-12, and the last
+    step is always observed). The check builds no grid."""
     toks = [tok for tok in text.split(",") if tok]
     try:
         eps_list = [float(tok) for tok in toks]
@@ -586,7 +591,11 @@ def _sweep_eps(text: str, problem: ProblemConfig) -> list[float]:
             if not eps > 0.0:
                 raise ValueError("the sweep compares memory problems with "
                                  "the limit, so eps must be above 0")
-            dataclasses.replace(problem, eps=eps)
+            run = dataclasses.replace(problem, eps=eps)
+            if _n_steps(run) * run.dt < math.sqrt(eps) - 1e-12:
+                raise ValueError(f"its audit window [sqrt(eps), t_final] = "
+                                 f"[{math.sqrt(eps):.6g}, {run.t_final:.6g}] "
+                                 "is empty")
         except ValueError as e:
             raise ConfigError(f"bad --eps entry {tok!r}: {e}") from e
     return eps_list
@@ -654,8 +663,7 @@ for name in ("trajectory.csv", "sweep.csv"):
 def _print_gate(loaded: LoadedConfig) -> None:
     cfg = loaded.problem
     g = check_smallness(cfg.nonlinearity, cfg.omega, cfg.beta,
-                        estimate_embedding_constant(cfg.domain, 1.0, 1.0),
-                        delta=cfg.kernel.delta)
+                        cfg.kernel.delta)
     if g.passes:
         print(f"gate: C_F={g.c_f:.6g} < {g.threshold:.6g} -> pass "
               f"(m0={g.m0:.6g}, p0={g.p0:.6g})")
@@ -715,10 +723,13 @@ def main(argv=None) -> int:
             if args.out is None:
                 sys.stdout.write(PLOT_TEMPLATE)
             else:
-                Path(args.out).write_text(PLOT_TEMPLATE)
+                try:
+                    Path(args.out).write_text(PLOT_TEMPLATE)
+                except OSError as e:
+                    raise ConfigError(f"cannot write {args.out}: {e}") from e
             return EXIT_PASS
         raise ConfigError(f"unknown command {args.command!r}")
-    except (GateError, ValueError) as e:  # ConfigError is a ValueError
+    except ValueError as e:  # ConfigError is a ValueError
         print(f"error: {e}", file=sys.stderr)
         return EXIT_CONFIG
 

@@ -42,7 +42,7 @@ import numpy as np
 from numpy.polynomial import polynomial as npoly
 from numpy.typing import NDArray
 
-from .domain import DiscreteDomain, StateField, _factor_symmetric
+from .domain import StateField
 
 __all__ = [
     "NonlinearitySpec",
@@ -54,7 +54,6 @@ __all__ = [
     "lipschitz_bound",
     "SmallnessReport",
     "check_smallness",
-    "estimate_embedding_constant",
 ]
 
 Array = NDArray[np.float64]
@@ -272,14 +271,13 @@ class SmallnessReport:
     """Outcome of the dissipativity-versus-diffusion gate.
 
     ``c_f = max(kappa1, kappa3 + beta)`` must stay strictly below
-    ``omega / c_embed``; then the energy decays at rate at least ``m0``
+    ``threshold = omega``; then the energy decays at rate at least ``m0``
     toward the level ``p0``.
     """
 
     c_f: float
     threshold: float
     passes: bool
-    c_embed: float
     m0: Optional[float]
     p0: Optional[float]
 
@@ -291,48 +289,17 @@ class SmallnessReport:
 
 
 def check_smallness(spec: NonlinearitySpec, omega: float, beta: float,
-                    c_embed: float, delta: float = 1.0) -> SmallnessReport:
-    """Evaluate the smallness gate for the energy decay estimate."""
+                    delta: float) -> SmallnessReport:
+    """Evaluate the smallness gate ``c_f < omega / C`` for the energy decay
+    estimate, C the best constant in ||u||_X2^2 <= C ||u||_V1^2 for the
+    (1, 1) form. C = 1 exactly: K_{1,1} - M = A + Tr' A_Gamma Tr is
+    positive semidefinite and zero on constants."""
     c_f = max(spec.kappa1, spec.kappa3 + beta)
-    threshold = omega / c_embed
-    passes = c_f < threshold
+    passes = c_f < omega
     if passes:
-        m0 = min(2.0 * (threshold - c_f), delta)
+        m0 = min(2.0 * (omega - c_f), delta)
         p0 = 2.0 * (spec.kappa2 + spec.kappa4) / m0
     else:
         m0 = p0 = None
-    return SmallnessReport(c_f=c_f, threshold=threshold, passes=passes,
-                           c_embed=c_embed, m0=m0, p0=p0)
-
-
-# stopping rule of the embedding constant's power iteration
-_EMBED_TOL = 1e-8
-_EMBED_MAX_ITER = 50000
-
-
-def estimate_embedding_constant(d: DiscreteDomain, alpha: float,
-                                beta: float) -> float:
-    """Best constant in ||u||_X2^2 <= C ||u||_V1^2 for the (alpha, beta) form.
-
-    Computed as the top eigenvalue of M u = lambda K u by power iteration on
-    the inverse operator, deterministic start, relative eigenvalue residual
-    below ``_EMBED_TOL``.
-    """
-    if alpha <= 0.0 and beta <= 0.0:
-        raise ValueError("the (alpha, beta) form is only a norm for alpha > 0 or beta > 0")
-    k_mat = d.bulk_operators(alpha, beta)[0].tocsc()
-    m_diag = d.mass_diag()
-    lu = _factor_symmetric(k_mat)
-
-    x = np.ones(d.n_bulk) + 0.01 * d.x_bulk[:, 0]
-    x /= np.sqrt(x @ (m_diag * x))
-    lam = 0.0
-    for _ in range(_EMBED_MAX_ITER):
-        y = lu.solve(m_diag * x)
-        y /= np.sqrt(y @ (m_diag * y))
-        lam = float((y @ (m_diag * y)) / (y @ (k_mat @ y)))
-        res = m_diag * y - (k_mat @ y) * lam
-        if np.linalg.norm(res) <= _EMBED_TOL * np.linalg.norm(m_diag * y):
-            return lam
-        x = y
-    raise RuntimeError("power iteration did not reach the residual target")
+    return SmallnessReport(c_f=c_f, threshold=omega, passes=passes,
+                           m0=m0, p0=p0)

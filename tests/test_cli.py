@@ -250,9 +250,13 @@ def test_failed_gate_maps_to_config_error(tmp_path, capsys):
                      kernel={"omega": 0.5, "rate": 1.0},
                      eps=1.0, dt=0.0016, t_final=0.0016,
                      record_stride=1, checkpoint_step=None)
+    # refused at config load: validate fails too, and run makes no --out
+    assert main(["validate", "--config", str(path)]) == 2
+    assert "smallness gate failed" in capsys.readouterr().err
     assert main(["run", "--config", str(path),
                  "--out", str(tmp_path / "out")]) == 2
     assert "smallness gate failed" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_energy_decay_run_passes_its_assertions(tmp_path):
@@ -688,6 +692,12 @@ def _bad_input(tmp_path):
                                "0.1,0.1", "--out", str(tmp_path / "r")],
         "sweep-empty-eps-list": ["sweep-eps", "--config", str(cfg), "--eps",
                                  ",", "--out", str(tmp_path / "r")],
+        # sqrt(0.3) lies past t_final = 0.5
+        "sweep-empty-audit-window": ["sweep-eps", "--config", str(cfg),
+                                     "--eps", "0.3,0.1",
+                                     "--out", str(tmp_path / "r")],
+        "plot-script-into-a-missing-dir": ["plot-script", "--out",
+                                           str(tmp_path / "r" / "plot.py")],
         "resume-missing-checkpoint": ["resume", "--checkpoint",
                                       str(tmp_path / "nope.bin"),
                                       "--out", str(tmp_path / "r")],
@@ -706,6 +716,8 @@ def _assert_refused(code, stderr, case, tmp_path):
 
 @pytest.mark.parametrize("case", ["sweep-out-under-a-file", "sweep-one-eps",
                                   "sweep-empty-eps-list", "sweep-repeated-eps",
+                                  "sweep-empty-audit-window",
+                                  "plot-script-into-a-missing-dir",
                                   "resume-missing-checkpoint",
                                   "resume-header-without-config",
                                   *_CHECKPOINT_REFUSALS])

@@ -246,3 +246,12 @@ def test_pair_gaps_refuse_a_horizon_off_the_step_grid(interval):
         holder_pair_gap(cfg, 0.2, 0.1, u0, t_star=0.05)
     with pytest.raises(ValueError, match="integer multiple"):
         robustness_sweep(cfg, [0.2, 0.1], u0)
+
+
+def test_robustness_sweep_refuses_an_empty_audit_window(interval):
+    # sqrt(0.1) lies past t_final = 0.1: no sample is audited, every error
+    # is 0, and SweepResult refuses it
+    cfg = ProblemConfig(interval, exponential_kernel(0.5, rate=3.0), SHIFTED,
+                        alpha=0.0, beta=1.0, eps=0.2, dt=0.005, t_final=0.1)
+    with pytest.raises(ValueError, match="must be positive"):
+        robustness_sweep(cfg, [0.2, 0.1], smooth_profile(interval))

@@ -8,13 +8,11 @@ import scipy.linalg
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from memheat.domain import StateField, norm_v1_sq, norm_x2_sq
+from memheat.domain import StateField
 from memheat.physics import (
-    _EMBED_TOL,
     _check_sign_certificate,
     _horner,
     check_smallness,
-    estimate_embedding_constant,
     eval_F,
     eval_f,
     eval_g,
@@ -218,9 +216,9 @@ def test_lipschitz_bound_dominates_differences(a, b):
 
 
 def test_smallness_gate_frozen_constants():
-    # f = g = s^3 - s with omega = 0.5, beta = 0.1 against unit embedding
+    # f = g = s^3 - s with omega = 0.5, beta = 0.1
     nl = make_nonlinearity([0.0, -1.0, 0.0, 1.0], [0.0, -1.0, 0.0, 1.0])
-    gate = check_smallness(nl, omega=0.5, beta=0.1, c_embed=1.0, delta=1.0)
+    gate = check_smallness(nl, omega=0.5, beta=0.1, delta=1.0)
     assert gate.passes
     assert gate.c_f == pytest.approx(0.1, abs=1e-15)
     assert gate.threshold == pytest.approx(0.5, abs=1e-15)
@@ -229,40 +227,27 @@ def test_smallness_gate_frozen_constants():
     assert gate.absorbing_time(10.0) == pytest.approx(math.log(100.0) / 0.8,
                                                       rel=1e-12)
     # a small decay rate caps m0
-    gate2 = check_smallness(nl, 0.5, 0.1, 1.0, delta=0.3)
+    gate2 = check_smallness(nl, 0.5, 0.1, delta=0.3)
     assert gate2.m0 == pytest.approx(0.3, abs=1e-15)
 
 
 def test_smallness_gate_refusal():
     nl = make_nonlinearity([0.0, -1.0, 0.0, 1.0], [0.0, -1.0, 0.0, 1.0])
-    gate = check_smallness(nl, omega=0.5, beta=0.6, c_embed=1.0)
+    gate = check_smallness(nl, omega=0.5, beta=0.6, delta=1.0)
     assert not gate.passes
     assert gate.m0 is None and gate.p0 is None
     with pytest.raises(ValueError):
         gate.absorbing_time(10.0)
 
 
-def test_embedding_constant_on_the_interval(interval):
-    c = estimate_embedding_constant(interval, 1.0, 1.0)
-    # constants extremize the (1, 1) form on the interval, so C = 1
-    assert c == pytest.approx(1.0, abs=1e-6)
-    rng = np.random.default_rng(5)
-    for _ in range(50):
-        u = interval.field_from_bulk(rng.normal(size=interval.n_bulk))
-        x2 = norm_x2_sq(u, interval)
-        v1 = norm_v1_sq(u, interval, 1.0, 1.0)
-        assert x2 <= c * v1 * (1.0 + 1e-6)
-    with pytest.raises(ValueError):
-        estimate_embedding_constant(interval, 0.0, 0.0)
-
-
-def test_embedding_constant_is_the_top_generalized_eigenvalue(square):
-    # dense reference for the power iteration on the sparse factor
-    k_mat = square.bulk_operators(1.0, 1.0)[0].toarray()
-    top = scipy.linalg.eigh(np.diag(square.mass_diag()), k_mat,
-                            eigvals_only=True)[-1]
-    assert estimate_embedding_constant(square, 1.0, 1.0) == pytest.approx(
-        top, rel=_EMBED_TOL, abs=0.0)
+def test_the_gate_embedding_constant_is_exactly_one(interval, square):
+    # the gate takes C = 1 for ||u||_X2^2 <= C ||u||_V1^2 under the (1, 1)
+    # form; C is the top eigenvalue of M u = lambda K_{1,1} u
+    for d in (interval, square):
+        k_mat = d.bulk_operators(1.0, 1.0)[0].toarray()
+        top = scipy.linalg.eigh(np.diag(d.mass_diag()), k_mat,
+                                eigvals_only=True)[-1]
+        assert top == pytest.approx(1.0, rel=0.0, abs=1e-12)
 
 
 def test_shared_equilibrium_of_both_reaction_laws():
