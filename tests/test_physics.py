@@ -8,7 +8,7 @@ import scipy.linalg
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from memheat.domain import StateField
+from memheat.domain import StateField, norm_v1_sq, norm_x2_sq
 from memheat.physics import (
     _check_sign_certificate,
     _horner,
@@ -240,14 +240,30 @@ def test_smallness_gate_refusal():
         gate.absorbing_time(10.0)
 
 
-def test_the_gate_embedding_constant_is_exactly_one(interval, square):
-    # the gate takes C = 1 for ||u||_X2^2 <= C ||u||_V1^2 under the (1, 1)
-    # form; C is the top eigenvalue of M u = lambda K_{1,1} u
-    for d in (interval, square):
-        k_mat = d.bulk_operators(1.0, 1.0)[0].toarray()
-        top = scipy.linalg.eigh(np.diag(d.mass_diag()), k_mat,
-                                eigvals_only=True)[-1]
-        assert top == pytest.approx(1.0, rel=0.0, abs=1e-12)
+def _top_generalized_eigenvalue(d):
+    # C in ||u||_X2^2 <= C ||u||_V1^2 under the (1, 1) form is the top
+    # eigenvalue of M u = lambda K_{1,1} u
+    k_mat = d.bulk_operators(1.0, 1.0)[0].toarray()
+    return scipy.linalg.eigh(np.diag(d.mass_diag()), k_mat,
+                             eigvals_only=True)[-1]
+
+
+def test_embedding_constant_on_the_interval(interval):
+    # constants extremize the (1, 1) form, so the gate takes C = 1
+    assert _top_generalized_eigenvalue(interval) == pytest.approx(
+        1.0, rel=0.0, abs=1e-12)
+    rng = np.random.default_rng(5)
+    for _ in range(50):
+        u = interval.field_from_bulk(rng.normal(size=interval.n_bulk))
+        x2 = norm_x2_sq(u, interval)
+        v1 = norm_v1_sq(u, interval, 1.0, 1.0)
+        assert x2 <= v1 * (1.0 + 1e-12)
+
+
+def test_embedding_constant_is_the_top_generalized_eigenvalue(square):
+    # dense reference for the C = 1 that the gate takes
+    assert _top_generalized_eigenvalue(square) == pytest.approx(
+        1.0, rel=0.0, abs=1e-12)
 
 
 def test_shared_equilibrium_of_both_reaction_laws():
