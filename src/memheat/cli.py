@@ -170,7 +170,8 @@ def _build_initial(canon: dict, d: DiscreteDomain) -> StateField:
 def _check_history_size(canon: dict) -> None:
     """Refuse a history array (n_s rows of bulk nodes) larger than the
     machine's physical memory, from the integers alone, before anything is
-    allocated."""
+    allocated. One history is what a run holds: the transport overwrites
+    it in place, and ``evolve`` adds only the copy it steps."""
     n, kind = max(canon["domain"]["n"], 0), canon["domain"]["kind"]
     nodes = {"interval": n, "square": n * n}.get(kind, 0)
     need = 8 * max(canon["history"]["n_s"], 0) * nodes
@@ -180,6 +181,26 @@ def _check_history_size(canon: dict) -> None:
             f"the history array needs {need} bytes ({need / 2**30:.3g} GiB), "
             f"more than the {have} bytes ({have / 2**30:.3g} GiB) of physical "
             "memory; lower domain.n or history.n_s")
+
+
+# The most work config load accepts, in steps x bulk nodes x history nodes.
+# A step runs at about 3e8 of these per second (square n=129 on one core of
+# a 2-core Intel Xeon), so this is some nine hours of stepping, and about
+# 77,000 times the largest test, acceptance or benchmark run (square n=129
+# over 60 steps, 1.3e8). A run past it almost surely has a mistyped dt or t_final:
+# t_final 1e300 would ask for 4e302 steps.
+_MAX_WORK = 10**13
+
+
+def _check_work(n_steps: int, n_bulk: int, n_s: int) -> None:
+    """Refuse a run whose work exceeds ``_MAX_WORK``, before it starts."""
+    work = float(n_steps) * n_bulk * n_s
+    if work > _MAX_WORK:
+        raise ConfigError(
+            f"the run needs {float(n_steps):.3g} steps x {n_bulk} bulk nodes x "
+            f"{n_s} history nodes = {work:.3g}, more than the {_MAX_WORK:.0e} "
+            "a run may take; raise dt or lower t_final, domain.n or "
+            "history.n_s")
 
 
 def build_from_canonical(canon: dict) -> LoadedConfig:
@@ -205,6 +226,7 @@ def build_from_canonical(canon: dict) -> LoadedConfig:
         # that asserts decay, a failing smallness gate that run would refuse
         problem.grid
         n_total = _n_steps(problem)
+        _check_work(n_total, d.n_bulk, canon["history"]["n_s"])
         if exp == "energy_decay":
             _decay_gate(problem)
     except (GateError, ValueError) as e:
@@ -469,8 +491,11 @@ def _merge_records(head: dict, tail: TrajectoryRecord) -> TrajectoryRecord:
                             final_state=tail.final_state)
 
 
-def _run_trajectory(loaded: LoadedConfig, out: Path,
-                    start: Optional[Checkpoint] = None) -> tuple:
+def _integrate(loaded: LoadedConfig, out: Path,
+               start: Optional[Checkpoint]) -> tuple:
+    """Run the trajectory, through the checkpoint seam if one is set, and
+    return its columns and final field. The histories this run makes (the
+    seam's state, the final state) are released when it returns."""
     cfg = loaded.problem
     if start is None:
         state = lift(loaded.initial, cfg)
@@ -490,20 +515,28 @@ def _run_trajectory(loaded: LoadedConfig, out: Path,
     rec = evolve(state, cfg)
     if head is not None:
         rec = _merge_records(head, rec)
-    columns = rec.columns()
+    return rec.columns(), rec.final_state.u
 
-    d = cfg.domain
+
+def _run_trajectory(loaded: LoadedConfig, out: Path,
+                    start: Optional[Checkpoint] = None) -> tuple:
+    cfg = loaded.problem
+    # the decay fit (and its scipy.optimize import) runs after the run's
+    # histories are released, so they do not add to the peak memory
+    columns, u_final = _integrate(loaded, out, start)
+    values = dict(columns)
+
     finite = bool(all(np.all(np.isfinite(col)) for _, col in columns))
-    compatible = bool(d.is_trace_compatible(rec.final_state.u, tol=1e-9))
+    compatible = bool(cfg.domain.is_trace_compatible(u_final, tol=1e-9))
     summary = {
         "experiment": "trajectory",
         "eps": cfg.eps,
         "assertions": {"all_samples_finite": finite,
                        "final_state_trace_compatible": compatible},
-        "fits": _fit_summary(rec.times, rec.energy_h0),
-        "results": {"t_final": float(rec.times[-1]),
-                    "energy_h0_final": float(rec.energy_h0[-1]),
-                    "energy_v1_final": float(rec.energy_v1[-1])},
+        "fits": _fit_summary(values["t"], values["energy_h0"]),
+        "results": {"t_final": float(values["t"][-1]),
+                    "energy_h0_final": float(values["energy_h0"][-1]),
+                    "energy_v1_final": float(values["energy_v1"][-1])},
     }
     _write_csv(out / "trajectory.csv", columns)
     ok = finite and compatible
@@ -518,7 +551,7 @@ def _run_energy_decay(loaded: LoadedConfig, out: Path) -> tuple:
         "experiment": "energy_decay",
         "eps": cfg.eps,
         "assertions": {"decay_bound_every_sample": rep.violations == 0,
-                       "absorbed_by_t0": rep.t_absorb <= rep.t0},
+                       "absorbed_by_t0": rep.absorbed_by_t0},
         "fits": _fit_summary(rep.times, rep.energy),
         "results": {"m0": rep.gate.m0, "p0": rep.gate.p0,
                     "c_f": rep.gate.c_f, "gate_threshold": rep.gate.threshold,

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -114,7 +114,12 @@ def _sup_gap(states: tuple, step, cfg: ProblemConfig, t_lo: float,
 
 @dataclass
 class EnergyDecayReport:
-    """Pointwise audit of the weak-ball decay estimate for one run."""
+    """Pointwise audit of the weak-ball decay estimate for one run.
+
+    ``absorbed_by_t0`` is None when the run ends before t0 outside the
+    ball: the absorbing time is then not judged, and ``passed`` rests on
+    the decay bound alone.
+    """
 
     eps: float
     times: Array
@@ -126,6 +131,7 @@ class EnergyDecayReport:
     max_excess: float
     t_absorb: float
     t0: float
+    absorbed_by_t0: Optional[bool]
     passed: bool
     record: TrajectoryRecord
 
@@ -172,10 +178,12 @@ def energy_decay_experiment(cfg: ProblemConfig, radius: float,
     t0 = gate.absorbing_time(radius)
     level = e0 / radius**2 + gate.p0 + tol
     t_absorb = _entry_time(rec.times, rec.energy_h0 <= level)
-    passed = violations == 0 and t_absorb <= t0
+    absorbed = (True if t_absorb <= t0
+                else None if rec.times[-1] < t0 else False)
+    passed = violations == 0 and absorbed is not False
     return EnergyDecayReport(cfg.eps, rec.times, rec.energy_h0, bound, gate,
-                             tol, violations, max_excess, t_absorb, t0, passed,
-                             rec)
+                             tol, violations, max_excess, t_absorb, t0,
+                             absorbed, passed, rec)
 
 
 # -- history decay in eps ----------------------------------------------------

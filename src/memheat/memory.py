@@ -16,8 +16,11 @@ toward s = 0: values are pulled back along characteristics and the fresh
 segment is added by exact quadrature of the step's inflow. The pull-back
 depends only on the grid and dt: it is cached on the grid per dt as a few
 dense row blocks, each of which reads a contiguous slab of old rows and is
-written straight into the new history by one BLAS product. The oracle
-keeps its own interpolation, an independent check.
+written back into the history by one BLAS product. The transport works in
+place: a row reads only old rows at or below its own, so the blocks run
+from the last to the first and the inflow rows come last, and a run holds
+one history, not two. The oracle keeps its own interpolation, an
+independent check.
 
 The memory response on the boundary matches the one in the interior, so
 the boundary history is the trace of the bulk history, not a second
@@ -503,29 +506,34 @@ def _pullback(g: HistoryGrid, dt: float) -> tuple[tuple, int, Array]:
 
 def advance_history(phi: HistoryField, u_new: StateField, dt: float,
                     u_prev: StateField) -> HistoryField:
-    """One transport step of the history under the field's motion.
+    """One transport step of the history under the field's motion, written
+    in place: ``phi`` is overwritten and returned.
 
     Values are pulled back along the characteristic s -> s - dt by the
-    dense row blocks cached per grid and dt, each written straight into the
-    new array by one BLAS product, and the trapezoid increment of the step
-    is added to its rows while they are in cache. Nodes with s <= dt are
-    filled by exact integration of the step's inflow, linear in time from
-    ``u_prev`` to ``u_new`` (trapezoid), written in place as one product of
-    the cached inflow block with the two end values. The inflow fields are
-    trace compatible, so only their bulk is read.
+    dense row blocks cached per grid and dt, each written back into the
+    history by one BLAS product, and the trapezoid increment of the step is
+    added to its rows while they are in cache. Row i reads old rows at or
+    below i only, so the blocks run from the last to the first and no block
+    reads a row already written; a block whose own source slab overlaps
+    its rows is buffered by ``np.matmul``'s overlap rule, so the product
+    sees the old values. Nodes with s <= dt are filled last, by exact
+    integration of the step's inflow, linear in time from ``u_prev`` to
+    ``u_new`` (trapezoid), as one product of the cached inflow block with
+    the two end values. The inflow fields are trace compatible, so only
+    their bulk is read.
     """
     if dt <= 0.0:
         raise ValueError("dt must be positive")
     blocks, k, C = _pullback(phi.grid, dt)
-    out = np.empty_like(phi.bulk)
+    out = phi.bulk
     new, prev = u_new.bulk, u_prev.bulk
     inc = 0.5 * dt * (prev + new)
-    for rows, src, D in blocks:
+    for rows, src, D in reversed(blocks):
         block = out[rows]
-        np.matmul(D, phi.bulk[src], out=block)
+        np.matmul(D, out[src], out=block)
         block += inc
     np.matmul(C, np.stack([new, prev]), out=out[:k])
-    return HistoryField(phi.grid, out, phi.boundary_index)
+    return phi
 
 
 def history_oracle(times: Array, path: list[StateField],

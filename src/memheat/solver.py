@@ -25,6 +25,10 @@ included, advances through the one IMEX step ``_advance``.
 
 A state carries its step index only; its time is that index times dt, so
 a run that is checkpointed and resumed reproduces the direct run bitwise.
+
+A step consumes its input state's history: the transport writes the new
+history over the old one, so a run holds one history, not two. ``evolve``
+steps a copy of its start state and leaves the caller's state as it was.
 """
 
 from __future__ import annotations
@@ -181,7 +185,8 @@ def _h0_sq(cfg: ProblemConfig, u: StateField,
 def _advance(cfg: ProblemConfig, u: StateField, phi: Optional[HistoryField],
              *sources: StateField) -> tuple[StateField, Optional[HistoryField]]:
     """One IMEX step of the pair (u, phi): solve for u_new from
-    M u / dt - sources, then transport phi with inflow (u, u_new).
+    M u / dt - sources, then transport phi in place with inflow
+    (u, u_new); the returned history is ``phi`` itself.
 
     With a history (memory problem) its load comes first among the sources
     and the implicit operator is omega K_{0,beta}; without one (limit
@@ -205,7 +210,8 @@ def _advance(cfg: ProblemConfig, u: StateField, phi: Optional[HistoryField],
 
 
 def step_peps(state: SystemState, cfg: ProblemConfig) -> SystemState:
-    """One IMEX step of the memory problem."""
+    """One IMEX step of the memory problem; it consumes ``state``'s
+    history, which becomes the new state's."""
     if cfg.eps <= 0.0:
         raise ValueError("step_peps needs eps > 0; use step_p0 for the limit")
     reac = eval_F(state.u, cfg.nonlinearity, cfg.omega, cfg.beta)
@@ -282,7 +288,10 @@ def _trajectory_row(cfg: ProblemConfig, state: SystemState, k: int) -> tuple:
 
 def _n_steps(cfg: ProblemConfig) -> int:
     """The step count from t = 0 to t_final."""
-    n_total = round(cfg.t_final / cfg.dt)
+    ratio = cfg.t_final / cfg.dt
+    if not math.isfinite(ratio):
+        raise ValueError(f"t_final / dt = {ratio} is not a finite step count")
+    n_total = round(ratio)
     if abs(n_total * cfg.dt - cfg.t_final) > 1e-9 * max(1.0, cfg.t_final):
         raise ValueError("t_final must be an integer multiple of dt")
     return n_total
@@ -292,7 +301,8 @@ def evolve(y0: SystemState, cfg: ProblemConfig) -> TrajectoryRecord:
     """Integrate to t_final, recording every ``record_stride`` steps.
 
     The first and final states are always recorded. Deterministic: equal
-    inputs give bitwise equal records.
+    inputs give bitwise equal records. The run steps a copy of ``y0``, so
+    ``y0`` is left as it was.
     """
     _budget_check(cfg, y0.u)
     step_fn = step_peps if cfg.eps > 0.0 else step_p0

@@ -1,6 +1,7 @@
 """Command-line front end: config validation, artifacts, checkpoint safety."""
 
 import contextlib
+import gc
 import io
 import json
 import os
@@ -274,6 +275,52 @@ def test_energy_decay_run_passes_its_assertions(tmp_path):
     assert summary["results"]["violations"] == 0
 
 
+def test_energy_decay_run_that_ends_before_t0_leaves_absorption_unjudged(
+        tmp_path):
+    # on square 17 the run ends at t = 0.4 outside the absorbing ball, long
+    # before the absorbing time t0 (about 5.8): the decay bound alone rules
+    path = write_cfg(tmp_path, experiment="energy_decay", beta=0.1,
+                     domain={"kind": "square", "n": 17},
+                     nonlinearity={"f": [0.0, -1.0, 0.0, 1.0],
+                                   "g": [0.0, -1.0, 0.0, 1.0]},
+                     kernel={"omega": 0.5, "rate": 1.0},
+                     eps=0.1, dt=0.0016, t_final=0.4,
+                     record_stride=10, checkpoint_step=None)
+    out = tmp_path / "decay"
+    assert main(["run", "--config", str(path), "--out", str(out)]) == 0
+    text = (out / "summary.json").read_text()
+    assert '"absorbed_by_t0": null' in text
+    summary = json.loads(text)
+    assert summary["assertions"]["decay_bound_every_sample"]
+    assert summary["results"]["violations"] == 0
+    assert summary["results"]["t_absorb"] == float("inf")
+    assert summary["results"]["t0"] > 0.4
+
+
+def test_run_releases_every_history_before_the_decay_fit(tmp_path,
+                                                         monkeypatch):
+    # the fit (and its scipy.optimize import) must not add to the peak
+    # memory of a run that still holds its histories; the config passes
+    # the checkpoint seam, so both halves' states must be gone
+    gc.collect()
+    before = {id(o) for o in gc.get_objects() if isinstance(o, HistoryField)}
+    alive = []
+
+    def fit(times, values):
+        alive.extend(o for o in gc.get_objects()
+                     if isinstance(o, HistoryField) and id(o) not in before)
+        return real_fit(times, values)
+
+    real_fit = cli.fit_decay
+    monkeypatch.setattr(cli, "fit_decay", fit)
+    path = write_cfg(tmp_path)
+    assert main(["run", "--config", str(path),
+                 "--out", str(tmp_path / "out")]) == 0
+    summary = json.loads((tmp_path / "out" / "summary.json").read_text())
+    assert "energy" in summary["fits"]
+    assert alive == []
+
+
 def test_sweep_runs_and_is_deterministic(tmp_path):
     # the sweep audits the window [sqrt(eps), t_final], so the horizon must
     # clear sqrt(0.2)
@@ -414,6 +461,37 @@ def test_sweep_refuses_a_horizon_off_the_step_grid(tmp_path, capsys):
     assert main(["sweep-eps", "--config", str(path), "--eps", "0.2,0.1",
                  "--out", str(tmp_path / "s")]) == 2
     assert "integer multiple" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("override, named", [
+    # a bare validate exited 0 and run would have stepped 4e302 times
+    ({"t_final": 1e300}, "steps x 65 bulk nodes x 128 history nodes"),
+    # the step count overflowed round() in a traceback with exit 1
+    ({"t_final": 1e300, "dt": 1e-300, "eps": 0.0}, "not a finite step count"),
+], ids=["t_final-1e300", "step-count-overflow"])
+def test_a_run_past_the_work_budget_is_refused_at_load(tmp_path, capsys,
+                                                       override, named):
+    path = write_cfg(tmp_path, checkpoint_step=None, **override)
+    start = time.perf_counter()
+    assert main(["validate", "--config", str(path)]) == 2
+    assert named in capsys.readouterr().err
+    assert main(["run", "--config", str(path),
+                 "--out", str(tmp_path / "out")]) == 2
+    assert named in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+    assert time.perf_counter() - start < 5.0
+
+
+def test_the_work_budget_clears_every_benchmark_run_a_thousandfold():
+    sys.path.insert(0, str(Path(__file__).parents[1] / "perfbench"))
+    try:
+        from workloads import BASE_CONFIG, WORKLOADS
+    finally:
+        sys.path.pop(0)
+    for wl in WORKLOADS.values():
+        nodes = wl.n if wl.kind == "interval" else wl.n * wl.n
+        work = wl.steps * nodes * BASE_CONFIG["history"]["n_s"]
+        assert 1000 * work <= cli._MAX_WORK, wl.name
 
 
 @pytest.mark.parametrize("override", [

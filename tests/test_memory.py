@@ -285,13 +285,13 @@ def test_cached_transport_equals_the_per_call_interpolation(square, spacing,
                        square.boundary_index)
     u_prev, u_new = (square.field_from_bulk(rng.normal(size=square.n_bulk))
                      for _ in range(2))
-    out = advance_history(phi, u_new, dt, u_prev=u_prev)
+    out = advance_history(phi.copy(), u_new, dt, u_prev=u_prev)
     _assert_transport_matches(out, phi, u_new, dt, u_prev)
     cached = g._cache["transport"]
     assert cached[0] == dt and cached[2] == below
-    advance_history(phi, u_new, dt, u_prev=u_prev)
+    advance_history(phi.copy(), u_new, dt, u_prev=u_prev)
     assert g._cache["transport"] is cached
-    out = advance_history(phi, u_new, 2.0 * dt, u_prev=u_prev)
+    out = advance_history(phi.copy(), u_new, 2.0 * dt, u_prev=u_prev)
     assert g._cache["transport"][0] == 2.0 * dt
     assert g._cache["transport"][1] is not cached[1]
     _assert_transport_matches(out, phi, u_new, 2.0 * dt, u_prev)
@@ -334,7 +334,7 @@ def test_pullback_blocks_partition_the_transported_rows(square, grid, dt):
                        square.boundary_index)
     u_prev, u_new = (square.field_from_bulk(rng.normal(size=square.n_bulk))
                      for _ in range(2))
-    out = advance_history(phi, u_new, dt, u_prev=u_prev)
+    out = advance_history(phi.copy(), u_new, dt, u_prev=u_prev)
     _assert_transport_matches(out, phi, u_new, dt, u_prev)
 
 
@@ -538,6 +538,9 @@ def test_history_norms_allocate_no_history_sized_arrays():
 
 
 def test_transport_allocates_only_its_output():
+    # the transport writes in place: beyond the increment row and the two
+    # stacked inflow rows it may allocate one block's source slab, the
+    # buffer a block whose slab overlaps its own rows is computed through
     d = build_domain("square", 65)
     g = build_history_grid(exponential_kernel(0.5, rate=3.0), 0.2, n_s=128)
     dt = 0.0025
@@ -547,15 +550,42 @@ def test_transport_allocates_only_its_output():
     u_prev, u_new = (d.field_from_bulk(rng.normal(size=d.n_bulk))
                      for _ in range(2))
     advance_history(phi, u_new, dt, u_prev)  # builds the cached operator
-    assert g._cache["transport"][2] == 35
+    blocks, k, _ = memory._pullback(g, dt)
+    assert k == 35
+    slab = max(src.stop - src.start for _, src, _ in blocks)
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
-        out = advance_history(phi, u_new, dt, u_prev)
+        advance_history(phi, u_new, dt, u_prev)
         peak = tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
-    assert peak <= out.bulk.nbytes + 2**18
+    assert peak <= (slab + 3) * phi.bulk[0].nbytes
+
+
+def test_advance_history_returns_the_history_it_was_given(square):
+    # in place, from the last block to the first: the result is still the
+    # step of the old values, rows whose slab overlaps their own included
+    g = build_history_grid(exponential_kernel(0.5, rate=3.0), 0.2, n_s=128)
+    dt = 0.0025
+    rng = np.random.default_rng(23)
+    phi = HistoryField(g, rng.normal(size=(g.n_s, square.n_bulk)),
+                       square.boundary_index)
+    u_prev, u_new = (square.field_from_bulk(rng.normal(size=square.n_bulk))
+                     for _ in range(2))
+    old, bulk = phi.copy(), phi.bulk
+    blocks, k, C = memory._pullback(g, dt)
+    assert any(src.stop > rows.start for rows, src, _ in blocks)
+    out = advance_history(phi, u_new, dt, u_prev=u_prev)
+    assert out is phi and out.bulk is bulk
+    _assert_transport_matches(out, old, u_new, dt, u_prev)
+    # bitwise the same products taken into a fresh array
+    new, prev = u_new.bulk, u_prev.bulk
+    ref = np.empty_like(old.bulk)
+    for rows, src, D in blocks:
+        ref[rows] = D @ old.bulk[src] + 0.5 * dt * (prev + new)
+    ref[:k] = C @ np.stack([new, prev])
+    assert np.array_equal(out.bulk, ref)
 
 
 @pytest.mark.parametrize("kind, n", [("interval", 17), ("interval", 100),

@@ -146,6 +146,29 @@ def test_evolve_is_bitwise_deterministic(interval):
     assert r1.final_state.phi.bulk.tobytes() == r2.final_state.phi.bulk.tobytes()
 
 
+def test_evolve_leaves_its_start_state_untouched(interval):
+    # a step consumes its state's history; evolve steps a copy
+    cfg = _memory_cfg(interval, t_final=0.1)
+    y0 = SystemState(smooth_profile(interval) * 0.3,
+                     history_from_profile(cfg.grid, interval,
+                                          lambda s: np.minimum(s, 0.2),
+                                          smooth_profile(interval)), 0)
+    before = y0.copy()
+    rec = evolve(y0, cfg)
+    assert rec.final_state.phi is not y0.phi
+    assert y0.step == before.step
+    for a, b in ((y0.u.bulk, before.u.bulk), (y0.u.boundary, before.u.boundary),
+                 (y0.phi.bulk, before.phi.bulk)):
+        assert a.tobytes() == b.tobytes()
+
+
+def test_step_peps_consumes_its_states_history(interval):
+    cfg = _memory_cfg(interval)
+    y = lift(smooth_profile(interval) * 0.3, cfg)
+    phi = y.phi
+    assert step_peps(y, cfg).phi is phi
+
+
 def test_split_run_matches_direct_run_bitwise(interval):
     # integrate 4 steps, stop, continue 6 more: all arrays bitwise equal to
     # the uninterrupted run (this is what checkpoint resume relies on)
