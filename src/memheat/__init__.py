@@ -11,7 +11,6 @@ from .domain import (
     StateField,
     apply_wentzell,
     build_domain,
-    inner_v1,
     inner_x2,
     norm_v1_sq,
     norm_v2_sq,

@@ -26,10 +26,11 @@ from . import __version__
 from .domain import DiscreteDomain, StateField, build_domain
 from .memory import HistoryField, exponential_kernel
 from .physics import check_smallness, make_nonlinearity
-from .solver import (ProblemConfig, SystemState, TrajectoryRecord, _n_steps,
-                     evolve, lift)
-from .experiments import (GateError, _decay_gate, energy_decay_experiment,
-                          fit_decay, robustness_sweep, smooth_profile)
+from .solver import (ProblemConfig, SystemState, TrajectoryRecord,
+                     _budget_check, _n_steps, evolve, lift)
+from .experiments import (GateError, _decay_gate, _decay_start,
+                          energy_decay_experiment, fit_decay, robustness_sweep,
+                          smooth_profile)
 
 CHECKPOINT_FORMAT = "memheat-checkpoint-3"
 
@@ -222,13 +223,18 @@ def build_from_canonical(canon: dict) -> LoadedConfig:
                                 dt=canon["dt"], t_final=canon["t_final"],
                                 record_stride=canon["record_stride"],
                                 history=canon["history"])
-        # refuse here a history recipe, a t_final and, for the experiment
-        # that asserts decay, a failing smallness gate that run would refuse
+        # refuse here what run would: a history recipe, a t_final, a dt
+        # above the reaction budget of the data the experiment integrates,
+        # and a failing smallness gate of the experiment that asserts decay
         problem.grid
         n_total = _n_steps(problem)
         _check_work(n_total, d.n_bulk, canon["history"]["n_s"])
+        initial = _build_initial(canon, d)
         if exp == "energy_decay":
             _decay_gate(problem)
+            _budget_check(problem, _decay_start(d, canon["radius"]))
+        else:
+            _budget_check(problem, initial)
     except (GateError, ValueError) as e:
         raise ConfigError(str(e)) from e
 
@@ -244,7 +250,6 @@ def build_from_canonical(canon: dict) -> LoadedConfig:
                               "record_stride so split runs record the "
                               "same samples")
 
-    initial = _build_initial(canon, d)
     return LoadedConfig(canon=canon, sha256=config_hash(canon),
                         experiment=exp, problem=problem, initial=initial,
                         seed=canon["seed"])
@@ -494,8 +499,9 @@ def _merge_records(head: dict, tail: TrajectoryRecord) -> TrajectoryRecord:
 def _integrate(loaded: LoadedConfig, out: Path,
                start: Optional[Checkpoint]) -> tuple:
     """Run the trajectory, through the checkpoint seam if one is set, and
-    return its columns and final field. The histories this run makes (the
-    seam's state, the final state) are released when it returns."""
+    return its columns and final field. The histories this run holds (the
+    seam's state, the final state, and the state of a checkpoint ``start``,
+    which the run takes over) are released when it returns."""
     cfg = loaded.problem
     if start is None:
         state = lift(loaded.initial, cfg)
@@ -509,7 +515,7 @@ def _integrate(loaded: LoadedConfig, out: Path,
                             loaded.canon, records=head)
             state = rec1.final_state
     else:
-        state = start.state
+        state, start.state = start.state, None
         head = start.records
 
     rec = evolve(state, cfg)
@@ -552,7 +558,6 @@ def _run_energy_decay(loaded: LoadedConfig, out: Path) -> tuple:
         "eps": cfg.eps,
         "assertions": {"decay_bound_every_sample": rep.violations == 0,
                        "absorbed_by_t0": rep.absorbed_by_t0},
-        "fits": _fit_summary(rep.times, rep.energy),
         "results": {"m0": rep.gate.m0, "p0": rep.gate.p0,
                     "c_f": rep.gate.c_f, "gate_threshold": rep.gate.threshold,
                     "violations": rep.violations,
@@ -561,6 +566,9 @@ def _run_energy_decay(loaded: LoadedConfig, out: Path) -> tuple:
     }
     _write_csv(out / "trajectory.csv", rep.record.columns())
     code = EXIT_PASS if rep.passed else EXIT_ASSERTION
+    times, energy = rep.times, rep.energy
+    del rep  # the fit runs after the run's last history is released
+    summary["fits"] = _fit_summary(times, energy)
     return code, summary, ["trajectory.csv"]
 
 

@@ -34,7 +34,6 @@ __all__ = [
     "build_domain",
     "inner_x2",
     "norm_x2_sq",
-    "inner_v1",
     "norm_v1_sq",
     "norm_v2_sq",
     "apply_wentzell",
@@ -83,7 +82,8 @@ class StateField:
 
 @dataclass
 class DiscreteDomain:
-    """Assembled grid geometry and operators for one domain.
+    """Grid geometry and the primitive forms of one domain, from which every
+    operator is derived.
 
     Attributes
     ----------
@@ -99,7 +99,7 @@ class DiscreteDomain:
         Node coordinates, row-major for the square (index = ix*n + iy).
     boundary_index : ndarray of int
         Positions of the boundary chain inside the closed grid, ordered
-        counterclockwise for the square.
+        counterclockwise for the square; the trace selects these nodes.
     dx : ndarray
         Bulk quadrature weights (trapezoid / tensor trapezoid).
     dsigma : ndarray
@@ -111,17 +111,14 @@ class DiscreteDomain:
         Boundary Dirichlet form along the chain (zero on the interval).
     normal_deriv : sparse matrix, (n_boundary, n_bulk)
         One-sided second-order outward normal derivative; corner rows of the
-        square average the two incident one-sided fluxes. Assembled in one
-        pass from COO triplets, one set per side, a corner row taking weight
-        1/2 from each of its two sides; the CSR constructor sums the corner
-        node's two entries.
-    trace : sparse matrix, (n_boundary, n_bulk)
-        Boundary restriction (0/1 selector).
-    lap_stencil : sparse matrix
-        Closed-grid Laplacian consistent with the SBP identity; exact on
-        affine fields at every node including the boundary rows.
-    lb_stencil : sparse matrix
-        Laplace-Beltrami stencil on the chain, ``-W_sigma^{-1} stiff_gamma``.
+        square average the two incident one-sided fluxes.
+
+    The operators are derived on first use and cached per (alpha, beta) in
+    ``_cache``: ``bulk_operators`` builds the trace, the closed-grid
+    Laplacian and the Laplace-Beltrami stencil, and from them the merged
+    stiffness K and the equation pair P; ``edge_form`` reads K as edge and
+    node weights, which ``v1_products`` evaluates on blocks of rows, states
+    and histories alike.
     """
 
     kind: str
@@ -136,9 +133,6 @@ class DiscreteDomain:
     stiff_bulk: sp.csr_matrix
     stiff_gamma: sp.csr_matrix
     normal_deriv: sp.csr_matrix
-    trace: sp.csr_matrix
-    lap_stencil: sp.csr_matrix
-    lb_stencil: sp.csr_matrix
     _cache: dict = field(default_factory=dict, repr=False)
 
     # -- field constructors -------------------------------------------------
@@ -178,20 +172,28 @@ class DiscreteDomain:
         both as matrices on bulk vectors, cached per (alpha, beta).
 
         K = A + alpha H + Tr'(A_Gamma + beta W_sigma)Tr is symmetric PSD
-        and satisfies ``u' K v == <A_W u, v>_X2`` exactly for trace-compatible
-        fields, where A_W is the pair operator of ``apply_wentzell``. P is
-        that operator restricted to trace-compatible fields, (n_bulk +
-        n_boundary) x n_bulk, bulk equation over boundary one.
+        and satisfies ``u' K v == <P u, v>_X2`` exactly for trace-compatible
+        fields. P is the coupled operator on those fields, (n_bulk +
+        n_boundary) x n_bulk, the bulk equation ``-Lap_h u + alpha u`` over
+        the boundary one ``d_n u - LB u + beta u``. Only here are its
+        stencils built: the trace Tr (a 0/1 selector), the SBP-consistent
+        Laplacian ``Lap_h = -H^{-1}(A - Tr' W_sigma d_n)``, exact on affine
+        fields at every node, and ``LB = -W_sigma^{-1} A_Gamma``.
         """
         key = ("bulk", float(alpha), float(beta))
         if key not in self._cache:
-            tr = self.trace
+            nb = self.n_boundary
+            tr = sp.csr_matrix((np.ones(nb), (np.arange(nb), self.boundary_index)),
+                               shape=(nb, self.n_bulk))
+            w_sig = sp.diags(self.dsigma)
+            lap = -sp.diags(1.0 / self.dx) @ (self.stiff_bulk
+                                              - tr.T @ w_sig @ self.normal_deriv)
+            lb = -sp.diags(1.0 / self.dsigma) @ self.stiff_gamma
             k = (self.stiff_bulk + alpha * sp.diags(self.dx)
-                 + tr.T @ (self.stiff_gamma + beta * sp.diags(self.dsigma)) @ tr)
-            pair = sp.vstack([alpha * sp.identity(self.n_bulk) - self.lap_stencil,
+                 + tr.T @ (self.stiff_gamma + beta * w_sig) @ tr)
+            pair = sp.vstack([alpha * sp.identity(self.n_bulk) - lap,
                               self.normal_deriv
-                              + (beta * sp.identity(self.n_boundary)
-                                 - self.lb_stencil) @ tr], format="csr")
+                              + (beta * sp.identity(nb) - lb) @ tr], format="csr")
             self._cache[key] = (k.tocsr(), pair)
         return self._cache[key]
 
@@ -232,45 +234,39 @@ class DiscreteDomain:
             self._cache[key] = (tuple(edges), index, sums[index])
         return self._cache[key]
 
+    def v1_products(self, x: Array, y: Array, alpha: float, beta: float,
+                    buf: Array | None = None) -> Array:
+        """The one V1 kernel: products ``x_j' K y_j`` of the rows of two (m,
+        n_bulk) row-major blocks of trace-compatible fields (a state is a
+        one-row block), in the edge form of ``edge_form``; ``y is x`` gives
+        the energies. ``buf``, of at least m n_bulk values, is scratch space
+        a walk reuses across its blocks, since a fresh block-sized temporary
+        is mapped and faulted in anew each time; without it one is made.
+
+        The differences at offset o are taken on the flattened block, one
+        contiguous subtraction; entry j n + i is then x[j, i + o] - x[j, i]
+        for i < n - o, and the o entries past each row's end, which pair
+        nodes of two rows, are skipped by the (m, n - o) view of row stride
+        n that the product reads."""
+        edges, index, weight = self.edge_form(alpha, beta)
+        xi = x[:, index]
+        xi *= xi if y is x else y[:, index]
+        out = xi @ weight
+        m, n = x.shape
+        xf, yf = x.reshape(-1), y.reshape(-1)
+        flat = (np.empty(m * n) if buf is None else buf)[:m * n]
+        for o, c in edges:
+            df = flat[:-o]
+            np.subtract(xf[o:], xf[:-o], out=df)
+            df *= df if y is x else yf[o:] - yf[:-o]
+            out += flat.reshape(m, n)[:, :-o] @ c
+        return out
+
     def weigh_pair(self, rhs: StateField) -> Array:
         """Measure-weighted load vector of a (bulk, boundary) pair."""
         b = self.dx * rhs.bulk
         b[self.boundary_index] += self.dsigma * rhs.boundary
         return b
-
-
-def _interval_domain(n: int) -> DiscreteDomain:
-    h = 1.0 / (n - 1)
-    x = np.linspace(0.0, 1.0, n)
-    dx = np.full(n, h)
-    dx[[0, -1]] = h / 2.0
-
-    # Dirichlet form: sum over cells of (du)^2 / h
-    d1 = sp.diags([-np.ones(n - 1), np.ones(n - 1)], [0, 1], shape=(n - 1, n))
-    stiff = (d1.T @ d1) / h
-
-    # outward normal derivative, one-sided second order
-    stencil = np.array([3.0, -4.0, 1.0]) / (2 * h)
-    nd = sp.csr_matrix(
-        (np.concatenate([stencil, stencil]),
-         ([0, 0, 0, 1, 1, 1], [0, 1, 2, n - 1, n - 2, n - 3])),
-        shape=(2, n))
-
-    bidx = np.array([0, n - 1], dtype=np.int64)
-    dsig = np.ones(2)
-    tr = sp.csr_matrix((np.ones(2), (np.arange(2), bidx)), shape=(2, n))
-
-    w_sig = sp.diags(dsig)
-    lap = -sp.diags(1.0 / dx) @ (stiff - tr.T @ w_sig @ nd)
-    stiff_gamma = sp.csr_matrix((2, 2))
-    lb = sp.csr_matrix((2, 2))
-
-    return DiscreteDomain(
-        kind="interval", n=n, h=h, n_bulk=n, n_boundary=2,
-        x_bulk=x.reshape(-1, 1), boundary_index=bidx, dx=dx, dsigma=dsig,
-        stiff_bulk=stiff.tocsr(), stiff_gamma=stiff_gamma, normal_deriv=nd,
-        trace=tr, lap_stencil=lap.tocsr(), lb_stencil=lb,
-    )
 
 
 def _square_boundary_chain(n: int) -> NDArray[np.int64]:
@@ -287,42 +283,63 @@ def _square_boundary_chain(n: int) -> NDArray[np.int64]:
     return np.array(idx, dtype=np.int64)
 
 
-def _square_domain(n: int) -> DiscreteDomain:
+def build_domain(kind: str, n_bulk: int) -> DiscreteDomain:
+    """Assemble a discrete domain.
+
+    One recipe serves both kinds, which differ in geometry only: the
+    coordinates, the bulk weights and stiffness, the boundary chain with
+    its weights and Dirichlet form, and the sides, each as its chain nodes
+    and the flat stride that steps inward from it. The outward normal
+    derivative is assembled from the sides in one pass of COO triplets, a
+    node on k sides taking weight 1/k from each (the CSR constructor sums a
+    square corner's two entries). ``DiscreteDomain.bulk_operators`` derives
+    every other operator.
+
+    Parameters
+    ----------
+    kind : {"interval", "square"}
+        Unit interval or unit square.
+    n_bulk : int
+        Nodes per axis including endpoints, at least 8.
+    """
+    if n_bulk < 8:
+        raise ValueError(f"n_bulk must be >= 8, got {n_bulk}")
+    if kind not in ("interval", "square"):
+        raise ValueError(f"unknown domain kind {kind!r}")
+    n = n_bulk
     h = 1.0 / (n - 1)
     t = np.linspace(0.0, 1.0, n)
-    xx, yy = np.meshgrid(t, t, indexing="ij")
-    coords = np.column_stack([xx.ravel(), yy.ravel()])
-
     w1 = np.full(n, h)
     w1[[0, -1]] = h / 2.0
-    dx = np.multiply.outer(w1, w1).ravel()
-
+    # Dirichlet form: sum over cells of (du)^2 / h
     d1 = sp.diags([-np.ones(n - 1), np.ones(n - 1)], [0, 1], shape=(n - 1, n))
     a1 = (d1.T @ d1) / h
-    h1 = sp.diags(w1)
-    stiff = sp.kron(a1, h1) + sp.kron(h1, a1)
 
-    bidx = _square_boundary_chain(n)
-    nb = bidx.size
-    dsig = np.full(nb, h)
-    tr = sp.csr_matrix((np.ones(nb), (np.arange(nb), bidx)), shape=(nb, n * n))
+    if kind == "interval":
+        coords, dx, stiff = t.reshape(-1, 1), w1, a1
+        bidx = np.array([0, n - 1], dtype=np.int64)
+        dsig = np.ones(2)
+        stiff_gamma = sp.csr_matrix((2, 2))
+        sides = [(bidx == 0, 1), (bidx == n - 1, -1)]
+    else:
+        xx, yy = np.meshgrid(t, t, indexing="ij")
+        coords = np.column_stack([xx.ravel(), yy.ravel()])
+        dx = np.multiply.outer(w1, w1).ravel()
+        h1 = sp.diags(w1)
+        stiff = sp.kron(a1, h1) + sp.kron(h1, a1)
+        bidx = _square_boundary_chain(n)
+        dsig = np.full(bidx.size, h)
+        # periodic chain Dirichlet form
+        nb, rows = bidx.size, np.arange(bidx.size)
+        dchain = sp.csr_matrix((np.repeat([-1.0, 1.0], nb), (np.tile(rows, 2),
+                               np.concatenate([rows, (rows + 1) % nb]))),
+                               shape=(nb, nb))
+        stiff_gamma = (dchain.T @ dchain) / h
+        # each side's stencil steps inward by a flat stride: +n from x = 0,
+        # -n from x = 1, +1 from y = 0, -1 from y = 1
+        ix, iy = np.divmod(bidx, n)
+        sides = [(ix == 0, n), (ix == n - 1, -n), (iy == 0, 1), (iy == n - 1, -1)]
 
-    # periodic chain Dirichlet form and Laplace-Beltrami
-    rows = np.arange(nb)
-    nxt = (rows + 1) % nb
-    dchain = sp.csr_matrix(
-        (np.concatenate([-np.ones(nb), np.ones(nb)]),
-         (np.concatenate([rows, rows]), np.concatenate([rows, nxt]))),
-        shape=(nb, nb),
-    )
-    stiff_gamma = (dchain.T @ dchain) / h
-    lb = -sp.diags(1.0 / dsig) @ stiff_gamma
-
-    # outward normal derivative rows; corners average the two incident
-    # fluxes. Each side's stencil steps inward by a flat stride: +n from
-    # x = 0, -n from x = 1, +1 from y = 0, -1 from y = 1.
-    ix, iy = np.divmod(bidx, n)
-    sides = [(ix == 0, n), (ix == n - 1, -n), (iy == 0, 1), (iy == n - 1, -1)]
     weight = 1.0 / sum(on.astype(float) for on, _ in sides)
     c = 1.0 / (2 * h)
     rows, cols, vals = [], [], []
@@ -334,36 +351,13 @@ def _square_domain(n: int) -> DiscreteDomain:
             vals.append(weight[k] * val)
     nd = sp.csr_matrix(
         (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(nb, n * n))
-
-    w_sig = sp.diags(dsig)
-    lap = -sp.diags(1.0 / dx) @ (stiff - tr.T @ w_sig @ nd)
+        shape=(bidx.size, dx.size))
 
     return DiscreteDomain(
-        kind="square", n=n, h=h, n_bulk=n * n, n_boundary=nb,
+        kind=kind, n=n, h=h, n_bulk=dx.size, n_boundary=bidx.size,
         x_bulk=coords, boundary_index=bidx, dx=dx, dsigma=dsig,
         stiff_bulk=stiff.tocsr(), stiff_gamma=stiff_gamma.tocsr(),
-        normal_deriv=nd, trace=tr, lap_stencil=lap.tocsr(), lb_stencil=lb.tocsr(),
-    )
-
-
-def build_domain(kind: str, n_bulk: int) -> DiscreteDomain:
-    """Assemble a discrete domain.
-
-    Parameters
-    ----------
-    kind : {"interval", "square"}
-        Unit interval or unit square.
-    n_bulk : int
-        Nodes per axis including endpoints, at least 8.
-    """
-    if n_bulk < 8:
-        raise ValueError(f"n_bulk must be >= 8, got {n_bulk}")
-    if kind == "interval":
-        return _interval_domain(n_bulk)
-    if kind == "square":
-        return _square_domain(n_bulk)
-    raise ValueError(f"unknown domain kind {kind!r}")
+        normal_deriv=nd)
 
 
 # -- inner products and norms ------------------------------------------------
@@ -378,38 +372,32 @@ def norm_x2_sq(u: StateField, d: DiscreteDomain) -> float:
     return inner_x2(u, u, d)
 
 
-def inner_v1(u: StateField, v: StateField, d: DiscreteDomain,
-             alpha: float, beta: float) -> float:
-    """First-order form: Dirichlet energies plus weighted zero-order terms.
-
-    With alpha > 0 or beta > 0 this is an inner product (it vanishes only on
-    zero); with alpha = beta = 0 it is the seminorm killing constants.
-    """
-    val = u.bulk @ (d.stiff_bulk @ v.bulk) + alpha * (d.dx @ (u.bulk * v.bulk))
-    val += u.boundary @ (d.stiff_gamma @ v.boundary)
-    val += beta * (d.dsigma @ (u.boundary * v.boundary))
-    return float(val)
-
-
 def norm_v1_sq(u: StateField, d: DiscreteDomain, alpha: float, beta: float) -> float:
-    return inner_v1(u, u, d, alpha, beta)
+    """First-order energy ``u' K u`` of a trace-compatible state: Dirichlet
+    energies plus weighted zero-order terms, measured as a one-row block by
+    ``DiscreteDomain.v1_products``, the kernel of the history rows. With
+    alpha > 0 or beta > 0 it vanishes only on zero; with alpha = beta = 0
+    it is the seminorm killing constants."""
+    x = u.bulk[None]
+    return float(d.v1_products(x, x, alpha, beta)[0])
 
 
 def apply_wentzell(u: StateField, d: DiscreteDomain,
                    alpha: float, beta: float) -> StateField:
-    """Apply the coupled second-order operator, returning the equation pair.
+    """Apply the coupled second-order operator to a trace-compatible state,
+    returning the equation pair.
 
     Returns
     -------
     StateField
         ``bulk = -Lap_h u + alpha u`` on the closed grid and
-        ``boundary = d_n u - LB v + beta v`` on the chain. The pair is not
-        trace compatible for generic input; it is the residual pair of the
-        two coupled equations.
+        ``boundary = d_n u - LB u + beta u`` on the chain: the pair P of
+        ``DiscreteDomain.bulk_operators`` applied to the bulk values, whose
+        trace the boundary values are. The pair is not trace compatible for
+        generic input; it is the residual pair of the two coupled equations.
     """
-    bulk = -(d.lap_stencil @ u.bulk) + alpha * u.bulk
-    bdry = d.normal_deriv @ u.bulk - d.lb_stencil @ u.boundary + beta * u.boundary
-    return StateField(bulk, bdry)
+    pair = d.bulk_operators(alpha, beta)[1] @ u.bulk
+    return StateField(pair[:d.n_bulk], pair[d.n_bulk:])
 
 
 def norm_v2_sq(u: StateField, d: DiscreteDomain, alpha: float, beta: float) -> float:

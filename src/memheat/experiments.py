@@ -17,8 +17,9 @@ import numpy as np
 from .domain import DiscreteDomain, StateField, norm_x2_sq
 from .memory import history_from_profile
 from .physics import SmallnessReport, check_smallness
-from .solver import (ProblemConfig, SystemState, TrajectoryRecord, _h0_sq,
-                     _n_steps, evolve, lift, march, step_p0, step_peps)
+from .solver import (ProblemConfig, SystemState, TrajectoryRecord,
+                     _budget_check, _h0_sq, _n_steps, evolve, lift, march,
+                     step_p0, step_peps)
 
 Array = np.ndarray
 
@@ -156,18 +157,20 @@ def _decay_gate(cfg: ProblemConfig) -> SmallnessReport:
     return gate
 
 
+def _decay_start(d: DiscreteDomain, radius: float) -> StateField:
+    """The data ``energy_decay_experiment`` starts from: the constant of X2
+    norm ``radius``."""
+    shape = d.constant_field(1.0)
+    return shape * (radius / math.sqrt(norm_x2_sq(shape, d)))
+
+
 def energy_decay_experiment(cfg: ProblemConfig, radius: float,
                             tol_frac: float = 0.05) -> EnergyDecayReport:
     """Run from constant data of X2 norm ``radius`` and audit exponential
     decay, once the smallness gate passes (GateError if it fails).
     """
-    d = cfg.domain
     gate = _decay_gate(cfg)
-    shape = d.constant_field(1.0)
-    u0 = shape * (radius / math.sqrt(norm_x2_sq(shape, d)))
-
-    state = lift(u0, cfg)
-    rec = evolve(state, cfg)
+    rec = evolve(lift(_decay_start(cfg.domain, radius), cfg), cfg)
     e0 = rec.energy_h0[0]
     tol = tol_frac * e0
     bound = e0 * np.exp(-gate.m0 * rec.times) + gate.p0 + tol
@@ -278,8 +281,10 @@ def robustness_sweep(cfg: ProblemConfig, eps_list: Sequence[float],
     field difference plus the full memory norm of the history (the limit
     problem carries none); per eps the sup is taken over recorded samples in
     [sqrt(eps), t_final]. The calibration constant comes from the two
-    largest eps.
+    largest eps. Like ``evolve``, it refuses a dt above the reaction
+    budget of ``u0`` before the first step.
     """
+    _budget_check(cfg, u0)
     eps_arr = np.asarray(sorted(eps_list, reverse=True), dtype=float)
     limit = replace(cfg, eps=0.0)
     errors = np.empty(eps_arr.size)

@@ -29,19 +29,22 @@ on demand. The history norms have two entry points: ``memory_norm_sq``
 gives one level, and ``history_norms`` gives the recorded set (levels 1 and
 2, the dyadic tail sup and the strong norm K2) in one pass. Both walk the
 bulk in cache-sized blocks of consecutive s-rows, so no norm allocates an
-array the size of the history. The first-order (V1) rows are read off the
-merged stiffness K in the edge form of ``DiscreteDomain.edge_form``:
-weighted squared differences along the grid's edges plus weighted squares
-at the nodes, taken on the row-major blocks in place. All weights are
-nonnegative, so the energy is a sum of nonnegative terms and keeps about
-full precision where x'Kx by a sparse product cancels. The edge
-differences are taken on the flattened block, one contiguous subtraction
-per edge offset, and reduced by one BLAS product on the strided view that
-skips the differences across row ends. The second-order (M2) rows copy
-each block once to node-major order for one sparse product of the
-trace-restricted equation pair (``bulk_operators``). The d/ds rows write
-the s-differences of a block into one buffer reused across the walk and
-reduce them by one BLAS product with the merged measure.
+array the size of the history. The first-order (V1) rows are measured by
+the one V1 kernel, ``DiscreteDomain.v1_products``, which measures a state
+too: the merged stiffness K as nonnegative edge and node weights
+(``DiscreteDomain.edge_form``), so the energy is a sum of nonnegative
+terms and keeps about full precision where x'Kx by a sparse product
+cancels. It is a method, not a module function, since the benchmark's
+tracer wraps each function one module imports from another and would
+move the recorder's time out of this module. The second-order (M2) rows
+copy each block once to node-major order for one sparse product of the
+equation pair P (``bulk_operators``). That walk is hoisted on purpose: P
+and the weights are taken once per walk, and each block's image lives
+until the next product is allocated; a per-block helper that freed it
+made the walk twice as slow on square 65 (2-core Intel Xeon), each image
+mapped and faulted in anew. The d/ds rows write the s-differences of a
+block into one buffer reused across the walk and reduce them by one BLAS
+product with the merged measure.
 """
 
 from __future__ import annotations
@@ -333,43 +336,15 @@ def _x2_rows(bulk: Array, mass: Array) -> Array:
     return np.einsum("jn,jn,n->j", bulk, bulk, mass)
 
 
-def _v1_block(x: Array, y: Array, form: tuple, buf: Array) -> Array:
-    """First-order products <x_j, y_j>_V1 of the rows of two row-major
-    blocks, in the domain's ``edge_form``; ``y is x`` gives the energies. ``buf`` is scratch space for one block, reused across the
-    blocks of a walk: a fresh block-sized temporary per edge offset and
-    block is mapped and faulted in anew each time.
-
-    The differences at offset o are taken on the flattened block, one
-    contiguous subtraction; entry j n + i is then x[j, i + o] - x[j, i]
-    for i < n - o, and the o entries past each row's end, which pair
-    nodes of two rows, are skipped by the (m, n - o) view of row stride n
-    that the product reads. ``buf`` holds at least m n values; contiguous
-    blocks, as the s-row slices of a history are, flatten without a copy."""
-    edges, index, weight = form
-    xi = x[:, index]
-    xi *= xi if y is x else y[:, index]
-    out = xi @ weight
-    m, n = x.shape
-    xf, yf = x.reshape(-1), y.reshape(-1)
-    flat = buf[:m * n]
-    for o, c in edges:
-        df = flat[:-o]
-        np.subtract(xf[o:], xf[:-o], out=df)
-        df *= df if y is x else yf[o:] - yf[:-o]
-        out += flat.reshape(m, n)[:, :-o] @ c
-    return out
-
-
 def _v1_rows(phi: HistoryField, d: DiscreteDomain,
              alpha: float, beta: float) -> Array:
     """First-order energy of each history row."""
-    form = d.edge_form(alpha, beta)
     rows = np.empty(phi.grid.n_s)
     blocks = _blocks(phi)
     buf = np.empty(blocks[0].stop * d.n_bulk)
     for r in blocks:
         x = phi.bulk[r]
-        rows[r] = _v1_block(x, x, form, buf)
+        rows[r] = d.v1_products(x, x, alpha, beta, buf)
     return rows
 
 
@@ -653,7 +628,6 @@ def dissipation_check(phi: HistoryField, d: DiscreteDomain,
     inequality holds).
     """
     g = phi.grid
-    form = d.edge_form(alpha, beta)
     h = np.diff(g.s_nodes, prepend=0.0)
     # <T phi, phi> = - sum_j w_j <d_s phi_j, phi_j>_V1, computed rowwise
     rows = np.empty(g.n_s)
@@ -662,7 +636,7 @@ def dissipation_check(phi: HistoryField, d: DiscreteDomain,
     ds_buf = np.empty((blocks[0].stop, d.n_bulk))
     for r in blocks:
         ds = _s_diff(phi.bulk, r, ds_buf)
-        rows[r] = _v1_block(ds, phi.bulk[r], form, buf) / h[r]
+        rows[r] = d.v1_products(ds, phi.bulk[r], alpha, beta, buf) / h[r]
     lhs = -float(g.weights @ rows)
 
     m1 = memory_norm_sq(phi, 1, d, alpha, beta)

@@ -163,9 +163,12 @@ def lift(u: StateField, cfg: ProblemConfig) -> SystemState:
 def _budget_check(cfg: ProblemConfig, u0: StateField) -> None:
     """Refuse a dt above the reaction stability budget 1 / (2 Lip F), with
     the Lipschitz constant taken over the envelope 1.5 |amplitude| + 0.5
-    that dissipative runs stay inside."""
+    that dissipative runs stay inside. Data so large that the bound
+    overflows gets an infinite one, so a zero budget."""
     amp = float(np.max(np.abs(u0.bulk))) if u0.bulk.size else 0.0
-    lip = lipschitz_bound(cfg.nonlinearity, cfg.omega, cfg.beta, 1.5 * amp + 0.5)
+    with np.errstate(over="ignore", invalid="ignore"):
+        lip = lipschitz_bound(cfg.nonlinearity, cfg.omega, cfg.beta,
+                              1.5 * amp + 0.5)
     budget = 0.5 / max(lip, 1e-12)
     if cfg.dt > budget * (1.0 + 1e-9):
         raise ValueError(

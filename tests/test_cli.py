@@ -297,11 +297,27 @@ def test_energy_decay_run_that_ends_before_t0_leaves_absorption_unjudged(
     assert summary["results"]["t0"] > 0.4
 
 
+@pytest.mark.parametrize("command", ["run", "resume", "energy_decay"])
 def test_run_releases_every_history_before_the_decay_fit(tmp_path,
-                                                         monkeypatch):
+                                                         monkeypatch, command):
     # the fit (and its scipy.optimize import) must not add to the peak
-    # memory of a run that still holds its histories; the config passes
-    # the checkpoint seam, so both halves' states must be gone
+    # memory of a run that still holds its histories; the trajectory config
+    # passes the checkpoint seam, so both halves' states must be gone, and
+    # a resumed run must let go of the loaded checkpoint's state
+    if command == "energy_decay":
+        path = write_cfg(tmp_path, experiment="energy_decay", beta=0.1,
+                         nonlinearity={"f": [0.0, -1.0, 0.0, 1.0],
+                                       "g": [0.0, -1.0, 0.0, 1.0]},
+                         kernel={"omega": 0.5, "rate": 1.0},
+                         eps=0.1, dt=0.0016, t_final=0.4,
+                         record_stride=10, checkpoint_step=None)
+    else:
+        path = write_cfg(tmp_path)
+    argv = ["run", "--config", str(path), "--out", str(tmp_path / "out")]
+    if command == "resume":
+        assert main(argv) == 0
+        argv = ["resume", "--checkpoint", str(tmp_path / "out" / "checkpoint.bin"),
+                "--out", str(tmp_path / "resumed")]
     gc.collect()
     before = {id(o) for o in gc.get_objects() if isinstance(o, HistoryField)}
     alive = []
@@ -313,12 +329,28 @@ def test_run_releases_every_history_before_the_decay_fit(tmp_path,
 
     real_fit = cli.fit_decay
     monkeypatch.setattr(cli, "fit_decay", fit)
-    path = write_cfg(tmp_path)
-    assert main(["run", "--config", str(path),
-                 "--out", str(tmp_path / "out")]) == 0
-    summary = json.loads((tmp_path / "out" / "summary.json").read_text())
+    assert main(argv) == 0
+    summary = json.loads((Path(argv[-1]) / "summary.json").read_text())
     assert "energy" in summary["fits"]
     assert alive == []
+
+
+@pytest.mark.parametrize("command", ["validate", "run", "sweep-eps"])
+def test_a_dt_above_the_reaction_budget_is_refused_at_load(tmp_path, capsys,
+                                                           command):
+    # data of amplitude 30 leave a budget of 8.05e-5 for dt = 0.0025; every
+    # command refuses before a step, where run and the sweep once
+    # integrated into overflow first
+    path = write_cfg(tmp_path, domain={"kind": "interval", "n": 17},
+                     dt=0.0025, t_final=1.0, checkpoint_step=None,
+                     initial={"kind": "constant", "value": 30.0})
+    argv = {"validate": [], "run": ["--out", str(tmp_path / "out")],
+            "sweep-eps": ["--eps", "0.2,0.1", "--out", str(tmp_path / "out")]}
+    assert main([command, "--config", str(path)] + argv[command]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: dt = 0.0025 exceeds the reaction stability "
+                          "budget") and err.count("\n") == 1, err
+    assert not (tmp_path / "out").exists()
 
 
 def test_sweep_runs_and_is_deterministic(tmp_path):

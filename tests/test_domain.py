@@ -11,7 +11,6 @@ from memheat.domain import (
     StateField,
     apply_wentzell,
     build_domain,
-    inner_v1,
     inner_x2,
     norm_v1_sq,
     norm_v2_sq,
@@ -53,14 +52,28 @@ def test_quadrature_masses(interval, square):
     assert norm_x2_sq(ones, square) == pytest.approx(5.0, abs=1e-12)
 
 
+def _stencils(d):
+    """The trace, the closed-grid Laplacian -H^{-1} (A - Tr' W_sigma d_n)
+    and the Laplace-Beltrami stencil -W_sigma^{-1} A_Gamma, rebuilt from
+    the domain's primitives."""
+    nb = d.n_boundary
+    tr = sp.csr_matrix((np.ones(nb), (np.arange(nb), d.boundary_index)),
+                       shape=(nb, d.n_bulk))
+    lap = -sp.diags(1.0 / d.dx) @ (d.stiff_bulk
+                                   - tr.T @ sp.diags(d.dsigma) @ d.normal_deriv)
+    return tr, lap, -sp.diags(1.0 / d.dsigma) @ d.stiff_gamma
+
+
 def test_laplacian_exact_on_affine_fields(interval, square):
     # the closed-grid stencil annihilates affine fields at every node,
-    # boundary rows included
+    # boundary rows included, and is the bulk equation of the pair at
+    # alpha = 0
     u = interval.field_from_function(lambda p: 2.0 - 3.0 * p[..., 0])
-    assert np.max(np.abs(interval.lap_stencil @ u.bulk)) < 1e-10
     v = square.field_from_function(
         lambda p: 1.0 + 2.0 * p[..., 0] - 0.5 * p[..., 1])
-    assert np.max(np.abs(square.lap_stencil @ v.bulk)) < 1e-9
+    for d, w, tol in ((interval, u, 1e-10), (square, v, 1e-9)):
+        assert np.max(np.abs(_stencils(d)[1] @ w.bulk)) < tol
+        assert np.max(np.abs(apply_wentzell(w, d, 0.0, 1.0).bulk)) < tol
 
 
 def test_normal_derivative_exact_on_quadratics(interval):
@@ -173,8 +186,9 @@ def test_flat_inner_product_is_symmetric_bilinear(seed, c):
     lhs = inner_x2(u + c * v, w, d)
     rhs = inner_x2(u, w, d) + c * inner_x2(v, w, d)
     assert lhs == pytest.approx(rhs, rel=1e-9, abs=1e-9)
-    assert inner_v1(u, v, d, 0.4, 0.9) == pytest.approx(
-        inner_v1(v, u, d, 0.4, 0.9), rel=1e-10, abs=1e-10)
+    x, y = u.bulk[None], v.bulk[None]
+    assert d.v1_products(x, y, 0.4, 0.9)[0] == pytest.approx(
+        d.v1_products(y, x, 0.4, 0.9)[0], rel=1e-10, abs=1e-10)
 
 
 def _reference_normal_deriv(d):
@@ -222,11 +236,10 @@ def test_normal_derivative_matches_the_per_node_assembly(kind, n):
     d = build_domain(kind, n)
     nd = _reference_normal_deriv(d)
     _assert_same_csr(d.normal_deriv, nd)
-    # the operators assembled from it are unchanged too
-    tr = d.trace
-    lap = -sp.diags(1.0 / d.dx) @ (d.stiff_bulk - tr.T @ sp.diags(d.dsigma) @ nd)
-    _assert_same_csr(d.lap_stencil, lap)
+    # the pair assembled from it with the stencils rebuilt from the
+    # primitives is unchanged too
+    tr, lap, lb = _stencils(d)
     pair = sp.vstack([0.0 * sp.identity(d.n_bulk) - lap,
-                      nd + (1.0 * sp.identity(d.n_boundary) - d.lb_stencil) @ tr],
+                      nd + (1.0 * sp.identity(d.n_boundary) - lb) @ tr],
                      format="csr")
     _assert_same_csr(d.bulk_operators(0.0, 1.0)[1], pair)

@@ -443,8 +443,13 @@ def _unblocked_v1_rows(bulk, boundary, d, alpha, beta):
 
 
 def _unblocked_pair_rows(bulk, boundary, d, alpha, beta):
-    pb = -(d.lap_stencil @ bulk.T).T + alpha * bulk
-    pg = (d.normal_deriv @ bulk.T).T - (d.lb_stencil @ boundary.T).T + beta * boundary
+    # -Lap_h = H^{-1} (A - Tr' W_sigma d_n) and -LB = W_sigma^{-1} A_Gamma,
+    # from the domain's primitives
+    dn = (d.normal_deriv @ bulk.T).T
+    flux = np.zeros_like(bulk)
+    flux[:, d.boundary_index] = d.dsigma * dn
+    pb = ((d.stiff_bulk @ bulk.T).T - flux) / d.dx + alpha * bulk
+    pg = dn + (d.stiff_gamma @ boundary.T).T / d.dsigma + beta * boundary
     return pb, pg
 
 
@@ -636,6 +641,11 @@ def test_v1_rows_of_a_smooth_history_keep_full_precision(kind, n):
         # the edge form sums nonnegative terms; x'Kx by a sparse product
         # cancels, losing 2e-14 to 6e-13 on these histories
         assert err <= 1e-14
+        # the state is measured by the same kernel, as a one-row block;
+        # its Dirichlet sums by sparse products lost up to 1e-11 here
+        u = y.u.bulk.astype(np.longdouble)
+        ref = (u[k.row] * u[k.col]) @ k.data.astype(np.longdouble)
+        assert abs(norm_v1_sq(y.u, d, alpha, beta) - ref) / ref <= 1e-14
 
 
 def test_dissipation_inequality_holds_for_smooth_histories(interval):
