@@ -14,13 +14,15 @@ Phi^t(s) = int_0^s U(t - y) dy, and evolves by pure transport in s with
 inflow Phi^t(0) = 0. The discretization is semi-Lagrangian on a grid graded
 toward s = 0: values are pulled back along characteristics and the fresh
 segment is added by exact quadrature of the step's inflow. The pull-back
-depends only on the grid and dt: it is cached on the grid per dt as a few
+depends only on the grid, dt and the row width: it is cached on the grid as
 dense row blocks, each of which reads a contiguous slab of old rows and is
-written back into the history by one BLAS product. The transport works in
-place: a row reads only old rows at or below its own, so the blocks run
-from the last to the first and the inflow rows come last, and a run holds
-one history, not two. The oracle keeps its own interpolation, an
-independent check.
+written back into the history by one BLAS product. A block is bounded by
+its source slab: one of more than one row reads at most ``_BLOCK_BYTES``,
+so on wide rows (square 129) the blocks shrink to the few rows whose dense
+product is not mostly zeros. The transport works in place: a row reads
+only old rows at or below its own, so the blocks run from the last to the
+first and the inflow rows come last, and a run holds one history, not
+two. The oracle keeps its own interpolation, an independent check.
 
 The memory response on the boundary matches the one in the interior, so
 the boundary history is the trace of the bulk history, not a second
@@ -307,7 +309,7 @@ def history_from_profile(grid: HistoryGrid, d: DiscreteDomain,
 # Size of one block of the history walk, as its largest temporary: the
 # equation-pair image, one row per bulk and per boundary node. The block and
 # its sparse images stay in cache, and no norm allocates an array the size
-# of the history.
+# of the history. It also bounds the source slab of a pull-back block.
 _BLOCK_BYTES = 512 * 1024
 
 
@@ -430,25 +432,29 @@ def _interp_rows(s_nodes: Array, values: Array, q: Array) -> Array:
     return (1.0 - t)[:, None] * vals_ext[idx] + t[:, None] * vals_ext[idx + 1]
 
 
-# Shape of one dense block of the pull-back: at most this many rows, and a
-# dense size (rows x source rows) at most this multiple of the nonzeros it
-# replaces. Each block is one BLAS product over a contiguous source slab.
-_PULLBACK_ROWS = 8
+# Fill of one dense block of the pull-back: a dense size (rows x source
+# rows) at most this multiple of the nonzeros it replaces. Each block is one
+# BLAS product over a contiguous source slab.
 _PULLBACK_FILL = 4
 
 
-def _pullback(g: HistoryGrid, dt: float) -> tuple[tuple, int, Array]:
-    """The characteristic pull-back s -> s - dt as dense row blocks, cached
-    on the grid for the last dt, the number k of nodes with s <= dt, and
-    the k x 2 inflow block C. Those nodes are a prefix, filled by the
-    inflow. Each block is ``(rows, src, D)``: rows ``rows`` of the new
-    history are ``D`` times the consecutive old rows ``src``; the blocks
-    partition rows k..n_s-1. Row i interpolates linearly between the two
-    nodes around s_i - dt, the zero inflow anchor at s = 0 dropping out.
-    Row i of C holds the trapezoid weights of the step's end values,
-    s_i - s_i^2 / 2dt on u_new and s_i^2 / 2dt on u_prev."""
+def _pullback(g: HistoryGrid, dt: float,
+              width: int) -> tuple[tuple, int, Array]:
+    """The characteristic pull-back s -> s - dt as dense row blocks for
+    history rows of ``width`` nodes, cached on the grid for the last (dt,
+    width), the number k of nodes with s <= dt, and the k x 2 inflow block
+    C. Those nodes are a prefix, filled by the inflow. Each block is
+    ``(rows, src, D)``: rows ``rows`` of the new history are ``D`` times
+    the consecutive old rows ``src``; the blocks partition rows k..n_s-1.
+    A block of more than one row reads a source slab of at most
+    ``_BLOCK_BYTES``, so a wide row's block does not multiply mostly zeros,
+    and fills its dense D at most ``_PULLBACK_FILL`` times its nonzeros.
+    Row i interpolates linearly between the two nodes around s_i - dt,
+    the zero inflow anchor at s = 0 dropping out. Row i of C holds the
+    trapezoid weights of the step's end values, s_i - s_i^2 / 2dt on u_new
+    and s_i^2 / 2dt on u_prev."""
     hit = g._cache.get("transport")
-    if hit is None or hit[0] != dt:
+    if hit is None or hit[0] != (dt, width):
         s = g.s_nodes
         k = int(np.searchsorted(s, dt, side="right"))
         q = s[k:] - dt
@@ -459,10 +465,11 @@ def _pullback(g: HistoryGrid, dt: float) -> tuple[tuple, int, Array]:
         # idx is nondecreasing in i, so a run of rows reads one slab
         lo = np.maximum(idx - 1, 0)
         nnz = idx - lo + 1
+        slab_rows = _BLOCK_BYTES // (8 * width)
         blocks, a = [], 0
         while a < q.size:
             b = a + 1
-            while (b < q.size and b - a < _PULLBACK_ROWS and
+            while (b < q.size and idx[b] - lo[a] + 1 <= slab_rows and
                    (b + 1 - a) * (idx[b] - lo[a] + 1)
                    <= _PULLBACK_FILL * nnz[a:b + 1].sum()):
                 b += 1
@@ -474,8 +481,8 @@ def _pullback(g: HistoryGrid, dt: float) -> tuple[tuple, int, Array]:
             blocks.append((slice(k + a, k + b), slice(lo[a], idx[b - 1] + 1), D))
             a = b
         curv = s[:k] ** 2 / (2.0 * dt)
-        hit = g._cache["transport"] = (
-            dt, tuple(blocks), k, np.stack([s[:k] - curv, curv], axis=1))
+        hit = g._cache["transport"] = ((dt, width), tuple(blocks), k,
+                                       np.stack([s[:k] - curv, curv], axis=1))
     return hit[1:]
 
 
@@ -485,21 +492,22 @@ def advance_history(phi: HistoryField, u_new: StateField, dt: float,
     in place: ``phi`` is overwritten and returned.
 
     Values are pulled back along the characteristic s -> s - dt by the
-    dense row blocks cached per grid and dt, each written back into the
-    history by one BLAS product, and the trapezoid increment of the step is
-    added to its rows while they are in cache. Row i reads old rows at or
-    below i only, so the blocks run from the last to the first and no block
-    reads a row already written; a block whose own source slab overlaps
-    its rows is buffered by ``np.matmul``'s overlap rule, so the product
-    sees the old values. Nodes with s <= dt are filled last, by exact
-    integration of the step's inflow, linear in time from ``u_prev`` to
-    ``u_new`` (trapezoid), as one product of the cached inflow block with
-    the two end values. The inflow fields are trace compatible, so only
-    their bulk is read.
+    dense row blocks cached per grid, dt and row width, each reading a
+    source slab bounded by ``_BLOCK_BYTES`` (a single row excepted) and
+    written back into the history by one BLAS product; the trapezoid
+    increment of the step is added to its rows while they are in cache.
+    Row i reads old rows at or below i only, so the blocks run from the
+    last to the first and no block reads a row already written; a block
+    whose own source slab overlaps its rows is buffered by ``np.matmul``'s
+    overlap rule, so the product sees the old values. Nodes with s <= dt
+    are filled last, by exact integration of the step's inflow, linear in
+    time from ``u_prev`` to ``u_new`` (trapezoid), as one product of the
+    cached inflow block with the two end values. The inflow fields are
+    trace compatible, so only their bulk is read.
     """
     if dt <= 0.0:
         raise ValueError("dt must be positive")
-    blocks, k, C = _pullback(phi.grid, dt)
+    blocks, k, C = _pullback(phi.grid, dt, phi.bulk.shape[1])
     out = phi.bulk
     new, prev = u_new.bulk, u_prev.bulk
     inc = 0.5 * dt * (prev + new)
@@ -599,8 +607,10 @@ def history_norms(phi: Optional[HistoryField], d: DiscreteDomain,
     pair and d/ds rows: ``memory_norm_sq`` at levels 1 and 2, the dyadic sup
     of tau * tail, and the squared strong norm K2, which is the level-2
     energy plus eps times the d/ds flat energy plus that sup. ``phi=None``
-    gives zeros."""
-    if phi is None:
+    and a history at rest (every row zero) give exact zeros without a
+    walk; a history that has moved has a nonzero newest row, so that check
+    reads one row."""
+    if phi is None or not (phi.bulk[0].any() or phi.bulk.any()):
         return 0.0, 0.0, 0.0, 0.0
     w = phi.grid.weights
     v1 = _v1_rows(phi, d, alpha, beta)

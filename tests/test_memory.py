@@ -252,7 +252,7 @@ def _assert_transport_matches(out, phi, u_new, dt, u_prev):
     # entry (the pull-back rows plus trapezoid increment, the inflow rows)
     g = phi.grid
     s = g.s_nodes
-    blocks, k, _ = memory._pullback(g, dt)
+    blocks, k, _ = memory._pullback(g, dt, phi.bulk.shape[1])
     P = np.zeros((g.n_s, g.n_s))
     for rows, src, D in blocks:
         P[rows, src] = D
@@ -288,11 +288,11 @@ def test_cached_transport_equals_the_per_call_interpolation(square, spacing,
     out = advance_history(phi.copy(), u_new, dt, u_prev=u_prev)
     _assert_transport_matches(out, phi, u_new, dt, u_prev)
     cached = g._cache["transport"]
-    assert cached[0] == dt and cached[2] == below
+    assert cached[0] == (dt, square.n_bulk) and cached[2] == below
     advance_history(phi.copy(), u_new, dt, u_prev=u_prev)
     assert g._cache["transport"] is cached
     out = advance_history(phi.copy(), u_new, 2.0 * dt, u_prev=u_prev)
-    assert g._cache["transport"][0] == 2.0 * dt
+    assert g._cache["transport"][0] == (2.0 * dt, square.n_bulk)
     assert g._cache["transport"][1] is not cached[1]
     _assert_transport_matches(out, phi, u_new, 2.0 * dt, u_prev)
 
@@ -309,7 +309,7 @@ def test_pullback_blocks_partition_the_transported_rows(square, grid, dt):
     g = build_history_grid(exponential_kernel(0.5, rate=3.0),
                            **{"n_s": 128, **grid})
     s = g.s_nodes
-    blocks, k, C = memory._pullback(g, dt)
+    blocks, k, C = memory._pullback(g, dt, square.n_bulk)
     assert k == int(np.sum(s <= dt)) and C.shape == (k, 2)
     covered = np.concatenate([np.arange(g.n_s)[rows] for rows, _, _ in blocks]
                              + [np.arange(0)])
@@ -321,11 +321,16 @@ def test_pullback_blocks_partition_the_transported_rows(square, grid, dt):
     nnz = 0
     for rows, src, D in blocks:
         assert D.shape == (rows.stop - rows.start, src.stop - src.start)
-        assert D.shape[0] <= memory._PULLBACK_ROWS
+        # a block of more than one row reads a slab within the block budget
+        assert D.shape[0] == 1 or \
+            8 * square.n_bulk * D.shape[1] <= memory._BLOCK_BYTES
+        block_nnz = 0
         for i in range(rows.start, rows.stop):
             cols = [above[i]] if above[i] == 0 else [above[i] - 1, above[i]]
             assert src.start <= cols[0] and cols[-1] < src.stop
-            nnz += len(cols)
+            block_nnz += len(cols)
+        assert D.size <= memory._PULLBACK_FILL * block_nnz
+        nnz += block_nnz
     assert sum(D.size for _, _, D in blocks) <= memory._PULLBACK_FILL * nnz
     if dt >= g.s_max:
         assert k == g.n_s and blocks == ()
@@ -336,6 +341,36 @@ def test_pullback_blocks_partition_the_transported_rows(square, grid, dt):
                      for _ in range(2))
     out = advance_history(phi.copy(), u_new, dt, u_prev=u_prev)
     _assert_transport_matches(out, phi, u_new, dt, u_prev)
+
+
+def test_pullback_blocks_of_wide_rows_stay_within_the_block_budget():
+    # rows of 40,000 nodes: even a 2-row slab exceeds the block budget, so
+    # every block is one row, over budget only by the two old rows it needs
+    d = build_domain("interval", 40_000)
+    g = build_history_grid(exponential_kernel(0.5, rate=3.0), 0.2, n_s=64)
+    dt = 0.0025
+    assert 3 * 8 * d.n_bulk > memory._BLOCK_BYTES
+    blocks, k, _ = memory._pullback(g, dt, d.n_bulk)
+    covered = np.concatenate([np.arange(g.n_s)[rows] for rows, _, _ in blocks])
+    assert k > 0 and np.array_equal(covered, np.arange(k, g.n_s))
+    for rows, src, D in blocks:
+        assert D.shape[0] == 1 or \
+            8 * d.n_bulk * (src.stop - src.start) <= memory._BLOCK_BYTES
+    assert any(8 * d.n_bulk * (src.stop - src.start) > memory._BLOCK_BYTES
+               for _, src, _ in blocks)
+    _assert_in_place_step(d, g, dt, seed=29)
+
+
+@pytest.mark.parametrize("kind, n", [("square", 65), ("interval", 1025)])
+def test_pullback_blocks_of_narrow_rows_keep_their_count(kind, n):
+    # rows of up to 8,192 nodes: the fill bound, not the slab budget, cuts
+    # the blocks, as on the benchmark's square 65 and interval 1025 grids
+    width = build_domain(kind, n).n_bulk
+    assert 8 * 8 * width <= memory._BLOCK_BYTES
+    counts = [len(memory._pullback(
+        build_history_grid(exponential_kernel(0.5, rate=3.0), eps, n_s=128),
+        0.0025, width)[0]) for eps in (0.2, 0.1, 0.05, 0.025)]
+    assert counts == [17, 16, 16, 14]
 
 
 def test_transport_matches_oracle_on_step_aligned_grid(interval):
@@ -512,6 +547,28 @@ def test_blocked_norms_match_the_unblocked_formulas(kind, n, monkeypatch):
         lhs, rel=1e-12, abs=0.0)
 
 
+def test_history_norms_of_a_history_at_rest_walk_no_rows(interval,
+                                                        monkeypatch):
+    g = build_history_grid(exponential_kernel(0.5, rate=3.0), 0.2, n_s=64)
+    rng = np.random.default_rng(31)
+    moved = HistoryField(g, rng.normal(size=(g.n_s, interval.n_bulk)),
+                         interval.boundary_index)
+    # the newest row is zero, the older rows are not: the full walk runs
+    moved.bulk[0] = 0.0
+    expect = _unblocked_norms(moved, interval, 0.7, 1.3)[:4]
+    assert history_norms(moved, interval, 0.7, 1.3) == pytest.approx(
+        expect, rel=1e-12, abs=0.0)
+
+    def walk(*args):
+        raise AssertionError("a history at rest walks no rows")
+    for name in ("_v1_rows", "_pair_rows", "_ds_rows"):
+        monkeypatch.setattr(memory, name, walk)
+    rest = zero_history(g, interval)
+    norms = history_norms(rest, interval, 0.7, 1.3)
+    assert norms == (0.0, 0.0, 0.0, 0.0)
+    assert all(type(v) is float for v in norms)
+
+
 def _peak_bytes(fn) -> int:
     """Peak bytes allocated while ``fn`` runs, above what it started with."""
     tracemalloc.start()
@@ -555,7 +612,7 @@ def test_transport_allocates_only_its_output():
     u_prev, u_new = (d.field_from_bulk(rng.normal(size=d.n_bulk))
                      for _ in range(2))
     advance_history(phi, u_new, dt, u_prev)  # builds the cached operator
-    blocks, k, _ = memory._pullback(g, dt)
+    blocks, k, _ = memory._pullback(g, dt, d.n_bulk)
     assert k == 35
     slab = max(src.stop - src.start for _, src, _ in blocks)
     tracemalloc.start()
@@ -569,17 +626,20 @@ def test_transport_allocates_only_its_output():
 
 
 def test_advance_history_returns_the_history_it_was_given(square):
+    g = build_history_grid(exponential_kernel(0.5, rate=3.0), 0.2, n_s=128)
+    _assert_in_place_step(square, g, 0.0025, seed=23)
+
+
+def _assert_in_place_step(d, g, dt, seed):
     # in place, from the last block to the first: the result is still the
     # step of the old values, rows whose slab overlaps their own included
-    g = build_history_grid(exponential_kernel(0.5, rate=3.0), 0.2, n_s=128)
-    dt = 0.0025
-    rng = np.random.default_rng(23)
-    phi = HistoryField(g, rng.normal(size=(g.n_s, square.n_bulk)),
-                       square.boundary_index)
-    u_prev, u_new = (square.field_from_bulk(rng.normal(size=square.n_bulk))
+    rng = np.random.default_rng(seed)
+    phi = HistoryField(g, rng.normal(size=(g.n_s, d.n_bulk)),
+                       d.boundary_index)
+    u_prev, u_new = (d.field_from_bulk(rng.normal(size=d.n_bulk))
                      for _ in range(2))
     old, bulk = phi.copy(), phi.bulk
-    blocks, k, C = memory._pullback(g, dt)
+    blocks, k, C = memory._pullback(g, dt, d.n_bulk)
     assert any(src.stop > rows.start for rows, src, _ in blocks)
     out = advance_history(phi, u_new, dt, u_prev=u_prev)
     assert out is phi and out.bulk is bulk
