@@ -172,7 +172,7 @@ def _check_history_size(canon: dict) -> None:
     """Refuse a history array (n_s rows of bulk nodes) larger than the
     machine's physical memory, from the integers alone, before anything is
     allocated. One history is what a run holds: the transport overwrites
-    it in place, and ``evolve`` adds only the copy it steps."""
+    it in place, and ``evolve`` steps the state it is given."""
     n, kind = max(canon["domain"]["n"], 0), canon["domain"]["kind"]
     nodes = {"interval": n, "square": n * n}.get(kind, 0)
     need = 8 * max(canon["history"]["n_s"], 0) * nodes
@@ -346,7 +346,8 @@ def checkpoint_save(state: SystemState, path, canon: dict,
     """One-line JSON header, then raw little-endian binary64 arrays.
 
     The header embeds the full canonical config and its hash, so a resume
-    needs no external config file and can refuse mismatched ones.
+    needs no external config file and can refuse mismatched ones. Each
+    array is written from its own buffer, so saving copies no history.
     """
     grid = None if state.phi is None else state.phi.grid
     arrays = _state_arrays(state, grid)
@@ -364,7 +365,7 @@ def checkpoint_save(state: SystemState, path, canon: dict,
         fh.write(json.dumps(header, sort_keys=True,
                             separators=(",", ":")).encode() + b"\n")
         for _, a in arrays:
-            fh.write(np.ascontiguousarray(a, dtype="<f8").tobytes())
+            fh.write(np.ascontiguousarray(a, dtype="<f8").data)
 
 
 def checkpoint_load(path, expect_canon: Optional[dict] = None) -> Checkpoint:
@@ -381,7 +382,7 @@ def checkpoint_load(path, expect_canon: Optional[dict] = None) -> Checkpoint:
     try:
         with open(path, "rb") as fh:
             header = json.loads(fh.readline().decode())
-            blob = fh.read()
+            start, end = fh.tell(), os.fstat(fh.fileno()).st_size
     except OSError as e:
         raise ConfigError(f"cannot read checkpoint {path}: {e}") from e
     found = header.get("format") if isinstance(header, dict) else None
@@ -415,15 +416,23 @@ def checkpoint_load(path, expect_canon: Optional[dict] = None) -> Checkpoint:
     _check_arrays(declared, header["step"], loaded.problem)
     counts = [int(np.prod(shape, dtype=np.int64)) if shape else 1
               for _, shape in declared]
-    if 8 * sum(counts) != len(blob):
-        raise ConfigError("checkpoint refused: binary payload size does not "
-                          "match the declared shapes")
+    short = ConfigError("checkpoint refused: binary payload size does not "
+                        "match the declared shapes")
+    if 8 * sum(counts) != end - start:
+        raise short
+    # each array is read from the file into its own buffer, so loading
+    # holds no payload-sized copy next to the arrays
     arrays = {}
-    offset = 0
-    for (name, shape), count in zip(declared, counts):
-        arr = np.frombuffer(blob, dtype="<f8", count=count, offset=offset)
-        arrays[name] = arr.reshape(shape).copy()
-        offset += count * 8
+    try:
+        with open(path, "rb") as fh:
+            fh.seek(start)
+            for (name, shape), count in zip(declared, counts):
+                arr = np.empty(count, dtype="<f8")
+                if fh.readinto(arr) != arr.nbytes:
+                    raise short
+                arrays[name] = arr.reshape(shape)
+    except OSError as e:
+        raise ConfigError(f"cannot read checkpoint {path}: {e}") from e
 
     u = loaded.problem.domain.field_from_bulk(arrays["u_bulk"])
     phi = None
@@ -499,9 +508,9 @@ def _merge_records(head: dict, tail: TrajectoryRecord) -> TrajectoryRecord:
 def _integrate(loaded: LoadedConfig, out: Path,
                start: Optional[Checkpoint]) -> tuple:
     """Run the trajectory, through the checkpoint seam if one is set, and
-    return its columns and final field. The histories this run holds (the
-    seam's state, the final state, and the state of a checkpoint ``start``,
-    which the run takes over) are released when it returns."""
+    return its columns and final field. The run holds one history: both
+    halves step the same state's history in place, and a checkpoint
+    ``start`` hands its state over. It is released when this returns."""
     cfg = loaded.problem
     if start is None:
         state = lift(loaded.initial, cfg)
@@ -510,10 +519,9 @@ def _integrate(loaded: LoadedConfig, out: Path,
         if ck is not None:
             part = dataclasses.replace(cfg, t_final=ck * cfg.dt)
             rec1 = evolve(state, part)
-            head = dict(rec1.columns())
-            checkpoint_save(rec1.final_state, out / "checkpoint.bin",
-                            loaded.canon, records=head)
-            state = rec1.final_state
+            head, state = dict(rec1.columns()), rec1.final_state
+            checkpoint_save(state, out / "checkpoint.bin", loaded.canon,
+                            records=head)
     else:
         state, start.state = start.state, None
         head = start.records
@@ -527,8 +535,8 @@ def _integrate(loaded: LoadedConfig, out: Path,
 def _run_trajectory(loaded: LoadedConfig, out: Path,
                     start: Optional[Checkpoint] = None) -> tuple:
     cfg = loaded.problem
-    # the decay fit (and its scipy.optimize import) runs after the run's
-    # histories are released, so they do not add to the peak memory
+    # the decay fit runs after the run's history is released, so the two
+    # do not add up in the peak memory
     columns, u_final = _integrate(loaded, out, start)
     values = dict(columns)
 

@@ -41,11 +41,78 @@ class DecayFit:
     residual: float
 
 
-def fit_decay(times: Array, values: Array) -> DecayFit:
-    """Least-squares fit of a decaying exponential with nonnegative floor.
+# The rate scan: grid points per decade of the rate, and its smallest
+# positive rate, as r times the sampled time span (below it the model is
+# linear in t to about 1e-18). Its largest rate makes exp(-r dt) < 1e-16
+# over the shortest sample gap dt: the model is then a step at the first
+# sample.
+_SCAN_PER_DECADE = 16
+_SCAN_FLOOR = 1e-9
+_STEP_LOG = 37.0
+# the most (rate, sample) pairs evaluated at once: 256 KiB of exponentials
+# and three times that of residuals
+_BLOCK_ELEMENTS = 1 << 15
+# points per refinement pass; each pass shrinks the bracket 16-fold
+_REFINE_POINTS = 33
 
-    Initialization is deterministic, from the endpoint samples only, so
-    repeated fits of the same series are bit-identical.
+
+def _profile_block(rates: Array, tau: Array, y: Array) -> tuple:
+    e = np.exp(np.multiply.outer(-rates, tau))
+    e_mean = e.sum(axis=1) / tau.size
+    y_mean = y.sum() / y.size
+    dev = e - e_mean[:, None]
+    see = np.einsum("ij,ij->i", dev, dev)
+    # see is 0 where the columns coincide (r = 0); dev, and so a_free, is
+    # 0 there
+    a_free = np.einsum("ij,j->i", dev, y - y_mean) / np.where(see > 0.0,
+                                                              see, 1.0)
+    a_face = np.einsum("ij,j->i", e, y) / np.einsum("ij,ij->i", e, e)
+    zero = np.zeros_like(rates)
+    # the candidates: free, a = 0 and c = 0
+    amp = np.array([a_free, zero, a_face])
+    off = np.array([y_mean - a_free * e_mean, zero + y_mean, zero])
+    res = e * amp[:, :, None]
+    res += off[:, :, None]
+    res -= y
+    ss = np.einsum("kij,kij->ki", res, res)
+    ss[0, (a_free < 0.0) | (off[0] < 0.0)] = np.inf
+    ss[2, see == 0.0] = np.inf  # coinciding columns: the level is c's
+    k = ss.argmin(axis=0)[None]
+    return tuple(np.take_along_axis(v, k, 0)[0] for v in (amp, off, ss))
+
+
+def _profile(rates: Array, tau: Array, y: Array) -> tuple:
+    """For each rate r, the nonnegative (a, c) that fit ``a exp(-r tau) +
+    c`` to ``y`` best, and the residual sum of squares, as three arrays.
+
+    At a fixed rate the model is linear in (a, c), so this is a 2 x 2
+    nonnegative least-squares problem: the free solution when it is
+    nonnegative, else the better of the faces a = 0 and c = 0. Where the
+    two columns coincide (r = 0) the level goes to c. Ties go to the free
+    solution, then to a = 0. The rates are taken a block at a time, of at
+    most ``_BLOCK_ELEMENTS`` (rate, sample) pairs.
+    """
+    rows = max(_BLOCK_ELEMENTS // tau.size, 1)
+    parts = zip(*(_profile_block(rates[i:i + rows], tau, y)
+                  for i in range(0, rates.size, rows)))
+    return tuple(map(np.concatenate, parts))
+
+
+def fit_decay(times: Array, values: Array) -> DecayFit:
+    """Least-squares fit of a decaying exponential with nonnegative floor,
+    with amplitude, rate and offset all >= 0.
+
+    Variable projection (Golub and Pereyra): for a fixed rate the best
+    amplitude and offset have a closed form (``_profile``), so the fit is
+    a search in the rate alone. It scans 0 and a geometric grid up to the
+    rate whose exponential drops below 1e-16 over the shortest sample gap,
+    then refines the bracket around the best rate with evenly spaced grids
+    until it is a few units in the last place wide or the residual is flat
+    across it. Ties go to the smaller rate. At rate 0 amplitude and offset
+    cannot be told apart, so a best rate of 0 reports amplitude 0 and the
+    whole level as offset; a fit whose best amplitude is 0 has rate 0.
+    Numpy only, and deterministic: repeated fits of the same series are
+    bit-identical.
     """
     t = np.asarray(times, dtype=float)
     y = np.asarray(values, dtype=float)
@@ -53,30 +120,37 @@ def fit_decay(times: Array, values: Array) -> DecayFit:
         raise ValueError("times and values must be equal-length 1-d arrays")
     if t.size < 10:
         raise ValueError(f"need at least 10 samples to fit, got {t.size}")
+    if not (np.all(np.isfinite(t)) and np.all(np.isfinite(y))):
+        raise ValueError("decay fit expects finite times and samples")
     if np.any(y < 0.0):
         raise ValueError("decay fit expects nonnegative samples")
 
-    offset0 = max(min(y[-1], float(y.min())), 0.0)
-    amp0 = max(y[0] - offset0, 1e-12)
-    span = max(t[-1] - t[0], 1e-12)
-    head = max(y[0] - offset0, 1e-300)
-    tail = max(y[-1] - offset0, 1e-300)
-    rate0 = max(math.log(head / tail) / span, 0.0)
-
-    def resid(p):
-        return p[0] * np.exp(-p[1] * (t - t[0])) + p[2] - y
-
-    # imported here, as only a fit needs scipy.optimize (~17 MiB, ~0.4 s)
-    from scipy.optimize import least_squares
-    sol = least_squares(resid, x0=[amp0, rate0, offset0],
-                        bounds=([0.0, 0.0, 0.0], [np.inf, np.inf, np.inf]),
-                        method="trf", xtol=1e-15, ftol=1e-15, gtol=1e-15)
-    res = float(np.sqrt(np.mean(sol.fun**2)))
-    if not sol.success:
-        raise RuntimeError(f"decay fit did not converge; residual {res:.3e}")
-    amp, rate, offset = (float(v) for v in sol.x)
-    # x0 anchors the amplitude at t[0]; report it at t = 0
-    return DecayFit(amp * math.exp(rate * t[0]), rate, offset, res)
+    t0 = float(t.min())
+    tau = t - t0
+    gaps = np.diff(np.unique(tau))
+    grid = np.zeros(1)
+    if gaps.size:
+        top = _STEP_LOG / gaps.min()
+        decades = math.log10(top * tau.max() / _SCAN_FLOOR)
+        grid = np.concatenate([grid, top * np.logspace(
+            -decades, 0.0, math.ceil(decades * _SCAN_PER_DECADE) + 1)])
+    a, c, ss = _profile(grid, tau, y)
+    i = int(ss.argmin())
+    best = (float(grid[i]), a[i], c[i], ss[i])
+    lo, hi = grid[max(i - 1, 0)], grid[min(i + 1, grid.size - 1)]
+    while hi - lo > 4.0 * np.spacing(hi):
+        rates = np.linspace(lo, hi, _REFINE_POINTS)
+        a, c, ss = _profile(rates, tau, y)
+        j = int(ss.argmin())
+        if ss[j] < best[3]:
+            best = (float(rates[j]), a[j], c[j], ss[j])
+        if ss[j] == ss.max():
+            break  # the residual is flat across the bracket
+        lo, hi = rates[max(j - 1, 0)], rates[min(j + 1, rates.size - 1)]
+    rate, amp, offset, sum_sq = best
+    # the amplitude is fitted at t0; report it at t = 0
+    return DecayFit(float(amp) * math.exp(rate * t0), rate, float(offset),
+                    math.sqrt(sum_sq / t.size))
 
 
 # -- shared data helpers -----------------------------------------------------

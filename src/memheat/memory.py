@@ -332,12 +332,6 @@ def _s_diff(values: Array, r: slice, buf: Array) -> Array:
     return out
 
 
-def _x2_rows(bulk: Array, mass: Array) -> Array:
-    """Flat energy of each row of (rows, nodes) trace-compatible bulk values,
-    against the merged measure ``mass_diag``."""
-    return np.einsum("jn,jn,n->j", bulk, bulk, mass)
-
-
 def _v1_rows(phi: HistoryField, d: DiscreteDomain,
              alpha: float, beta: float) -> Array:
     """First-order energy of each history row."""
@@ -379,22 +373,19 @@ def _ds_rows(phi: HistoryField, d: DiscreteDomain) -> Array:
 
 def memory_norm_sq(phi: Optional[HistoryField], level: int, d: DiscreteDomain,
                    alpha: float, beta: float) -> float:
-    """Squared mu_eps-weighted norm of the history at first-order level 0/1/2.
+    """Squared mu_eps-weighted norm of the history at level 1 or 2.
 
-    Level 0 integrates the flat pair norm, level 1 the first-order form,
-    level 2 the squared equation-pair image. ``phi=None`` (no memory, eps=0)
-    gives 0.
+    Level 1 integrates the first-order form, level 2 the squared
+    equation-pair image. ``phi=None`` (no memory, eps=0) gives 0.
     """
     if phi is None:
         return 0.0
-    if level == 0:
-        rows = _x2_rows(phi.bulk, d.mass_diag())
-    elif level == 1:
+    if level == 1:
         rows = _v1_rows(phi, d, alpha, beta)
     elif level == 2:
         rows = _pair_rows(phi, d, alpha, beta)
     else:
-        raise ValueError(f"level must be 0, 1 or 2, got {level}")
+        raise ValueError(f"level must be 1 or 2, got {level}")
     return float(phi.grid.weights @ rows)
 
 

@@ -28,7 +28,8 @@ a run that is checkpointed and resumed reproduces the direct run bitwise.
 
 A step consumes its input state's history: the transport writes the new
 history over the old one, so a run holds one history, not two. ``evolve``
-steps a copy of its start state and leaves the caller's state as it was.
+steps the start state it is given, so it consumes that state's history
+too: the final state holds the same history object, advanced.
 """
 
 from __future__ import annotations
@@ -304,8 +305,10 @@ def evolve(y0: SystemState, cfg: ProblemConfig) -> TrajectoryRecord:
     """Integrate to t_final, recording every ``record_stride`` steps.
 
     The first and final states are always recorded. Deterministic: equal
-    inputs give bitwise equal records. The run steps a copy of ``y0``, so
-    ``y0`` is left as it was.
+    inputs give bitwise equal records. The run steps ``y0`` itself and
+    consumes its history, as ``step_peps`` does: afterwards ``y0.phi`` is
+    the final state's history. A caller that needs the start history again
+    passes a copy.
     """
     _budget_check(cfg, y0.u)
     step_fn = step_peps if cfg.eps > 0.0 else step_p0
@@ -314,7 +317,7 @@ def evolve(y0: SystemState, cfg: ProblemConfig) -> TrajectoryRecord:
     stop = _n_steps(cfg)
     if stop < y0.step:
         raise ValueError("state is already past t_final")
-    final, rows = march(y0.copy(), lambda s: step_fn(s, cfg), y0.step, stop,
+    final, rows = march(y0, lambda s: step_fn(s, cfg), y0.step, stop,
                         cfg.record_stride,
                         lambda s, k: _trajectory_row(cfg, s, k))
     return TrajectoryRecord(*map(np.array, zip(*rows)), final_state=final)

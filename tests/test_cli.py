@@ -8,6 +8,7 @@ import os
 import subprocess
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -16,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import memheat
-from memheat import cli
+from memheat import cli, solver
 from memheat.cli import (
     _SCHEMA,
     ConfigError,
@@ -300,10 +301,10 @@ def test_energy_decay_run_that_ends_before_t0_leaves_absorption_unjudged(
 @pytest.mark.parametrize("command", ["run", "resume", "energy_decay"])
 def test_run_releases_every_history_before_the_decay_fit(tmp_path,
                                                          monkeypatch, command):
-    # the fit (and its scipy.optimize import) must not add to the peak
-    # memory of a run that still holds its histories; the trajectory config
-    # passes the checkpoint seam, so both halves' states must be gone, and
-    # a resumed run must let go of the loaded checkpoint's state
+    # the fit must not add to the peak memory of a run that still holds
+    # its histories; the trajectory config passes the checkpoint seam, so
+    # both halves' states must be gone, and a resumed run must let go of
+    # the loaded checkpoint's state
     if command == "energy_decay":
         path = write_cfg(tmp_path, experiment="energy_decay", beta=0.1,
                          nonlinearity={"f": [0.0, -1.0, 0.0, 1.0],
@@ -681,34 +682,100 @@ def test_a_blow_up_exits_1_with_its_trajectory_and_no_fit(tmp_path, capsys,
 _IMPORT_PROBE = """
 import json, sys
 from memheat.cli import main
-cfg, out = sys.argv[1:]
+cfg, decay, out = sys.argv[1:]
 lazy = ("scipy.optimize", "scipy.special", "scipy.spatial", "scipy.fft",
         "scipy.constants")
 codes = [main(["validate", "--config", cfg]),
          main(["sweep-eps", "--config", cfg, "--eps", "0.2,0.1",
                "--out", out + "/sweep"])]
 before = [name for name in lazy if name in sys.modules]
-codes.append(main(["run", "--config", cfg, "--out", out + "/run"]))
+codes += [main(["run", "--config", cfg, "--out", out + "/run"]),
+          main(["resume", "--checkpoint", out + "/run/checkpoint.bin",
+                "--out", out + "/resumed"]),
+          main(["run", "--config", decay, "--out", out + "/decay"])]
 print(json.dumps({"codes": codes, "before": before,
                   "optimize_after": "scipy.optimize" in sys.modules}))
 """
 
 
-def test_only_a_decay_fit_imports_scipy_optimize(tmp_path):
-    # a fresh interpreter, since the suite itself imports scipy.optimize
+def test_no_command_imports_scipy_optimize(tmp_path):
+    # a fresh interpreter, since the suite itself imports scipy.optimize;
+    # the decay fit is numpy only, so no command loads it, a run that fits,
+    # a resume and an energy_decay run included
     cfg = write_cfg(tmp_path, domain={"kind": "interval", "n": 17},
                     dt=0.0025, t_final=0.5, record_stride=4,
-                    checkpoint_step=None)
+                    checkpoint_step=100)
+    decay = write_cfg(tmp_path, name="decay.json", experiment="energy_decay",
+                      domain={"kind": "interval", "n": 17}, beta=0.1,
+                      nonlinearity={"f": [0.0, -1.0, 0.0, 1.0],
+                                    "g": [0.0, -1.0, 0.0, 1.0]},
+                      kernel={"omega": 0.5, "rate": 1.0},
+                      eps=0.1, dt=0.0016, t_final=0.4,
+                      record_stride=10, checkpoint_step=None)
     src = Path(memheat.__file__).resolve().parent.parent
     proc = subprocess.run([sys.executable, "-c", _IMPORT_PROBE, str(cfg),
-                           str(tmp_path)], capture_output=True, text=True,
-                          env=dict(os.environ, PYTHONPATH=str(src)))
+                           str(decay), str(tmp_path)], capture_output=True,
+                          text=True, env=dict(os.environ, PYTHONPATH=str(src)))
     assert proc.returncode == 0, proc.stderr
     probe = json.loads(proc.stdout.splitlines()[-1])
-    assert probe == {"codes": [0, 0, 0], "before": [], "optimize_after": True}
-    summary = json.loads((tmp_path / "run" / "summary.json").read_text())
-    assert set(summary["fits"]["energy"]) == {"amplitude", "rate", "offset",
-                                              "residual"}
+    assert probe == {"codes": [0, 0, 0, 0, 0], "before": [],
+                     "optimize_after": False}
+    for run in ("run", "resumed", "decay"):
+        summary = json.loads((tmp_path / run / "summary.json").read_text())
+        assert set(summary["fits"]["energy"]) == {"amplitude", "rate",
+                                                  "offset", "residual"}
+
+
+@pytest.mark.parametrize("command", ["run", "resume"])
+def test_a_run_steps_one_history_and_moves_it_to_disk_without_a_copy(
+        tmp_path, monkeypatch, command):
+    # evolve steps the state it is given, so a run holds one history at
+    # every step, past its checkpoint seam too, and a resume steps the
+    # checkpoint's own; the save writes the history from its buffer, and
+    # the load reads it into its buffer
+    path = write_cfg(tmp_path, domain={"kind": "square", "n": 17})
+    argv = ["run", "--config", str(path), "--out", str(tmp_path / "out")]
+    if command == "resume":
+        assert main(argv) == 0
+        argv = ["resume", "--checkpoint", str(tmp_path / "out" / "checkpoint.bin"),
+                "--out", str(tmp_path / "resumed")]
+    gc.collect()
+    # held, so no id among them is reused by a history made below
+    before = [o for o in gc.get_objects() if isinstance(o, HistoryField)]
+    seen = {id(o) for o in before}
+    alive, peaks = [], {}
+
+    def counting(phi, *args, **kwargs):
+        alive.append(sum(1 for o in gc.get_objects()
+                         if isinstance(o, HistoryField) and id(o) not in seen))
+        return real_advance(phi, *args, **kwargs)
+
+    def traced(real):
+        def call(*args, **kwargs):
+            tracemalloc.start()
+            try:
+                out = real(*args, **kwargs)
+                peaks[real.__name__] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            return out
+        return call
+
+    real_advance = solver.advance_history
+    monkeypatch.setattr(solver, "advance_history", counting)
+    for name in ("checkpoint_save", "checkpoint_load"):
+        monkeypatch.setattr(cli, name, traced(getattr(cli, name)))
+    assert main(argv) == 0
+    # 20 steps, the seam at step 10; a resume runs the last 10
+    assert alive == [1] * (20 if command == "run" else 10)
+    history = 8 * 128 * 17 * 17  # n_s x n_bulk binary64 values
+    if command == "run":
+        assert set(peaks) == {"checkpoint_save"}
+        assert peaks["checkpoint_save"] < history / 2
+    else:
+        # the loaded history itself, and the domain and grid it rebuilds
+        assert set(peaks) == {"checkpoint_load"}
+        assert peaks["checkpoint_load"] < 1.5 * history
 
 
 def _hand_written_checkpoint(path, canon, arrays, declared=None, step=0):

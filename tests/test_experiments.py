@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from memheat import experiments
 from memheat.domain import build_domain
 from memheat.memory import exponential_kernel
 from memheat.physics import make_nonlinearity
@@ -64,6 +65,101 @@ def test_fit_decay_input_validation():
         fit_decay(np.linspace(0, 1, 12), np.linspace(-0.1, 1, 12))
     with pytest.raises(ValueError):
         fit_decay(np.linspace(0, 1, 12), np.ones((12, 1)))
+    with pytest.raises(ValueError, match="finite"):
+        fit_decay(np.linspace(0, 1, 12), np.full(12, np.nan))
+
+
+def _least_squares_fit(t, y):
+    """The decay fit before variable projection: scipy's bounded
+    trust-region least squares started from the endpoint samples. Returns
+    (amplitude at t = 0, rate, offset, residual)."""
+    from scipy.optimize import least_squares
+    offset0 = max(min(y[-1], float(y.min())), 0.0)
+    amp0 = max(y[0] - offset0, 1e-12)
+    span = max(t[-1] - t[0], 1e-12)
+    head = max(y[0] - offset0, 1e-300)
+    tail = max(y[-1] - offset0, 1e-300)
+    rate0 = max(math.log(head / tail) / span, 0.0)
+    sol = least_squares(
+        lambda p: p[0] * np.exp(-p[1] * (t - t[0])) + p[2] - y,
+        x0=[amp0, rate0, offset0], bounds=([0.0] * 3, [np.inf] * 3),
+        method="trf", xtol=1e-15, ftol=1e-15, gtol=1e-15)
+    assert sol.success
+    amp, rate, offset = sol.x
+    return (amp * math.exp(rate * t[0]), rate, offset,
+            float(np.sqrt(np.mean(sol.fun**2))))
+
+
+def _fit_series():
+    """(name, times, values, whether least squares determines the rate)."""
+    run = np.arange(41) * 0.0025  # the sample times of a 40-step run
+    step = np.full(20, 0.5)
+    step[0] = 2.0
+    series = [
+        # the series of the tests above, and one sampled from t = 1, where
+        # least squares ends at rate 312.6 with residual 0.022
+        ("floor", np.linspace(0.0, 4.0, 60),
+         lambda t: 2.0 * np.exp(-3.0 * t) + 0.5, True),
+        ("constant", np.linspace(0.0, 5.0, 25),
+         lambda t: np.full(t.size, 1.7), False),
+        ("unit", np.linspace(0.0, 2.0, 40), lambda t: np.exp(-t) + 0.1, True),
+        ("anchored", np.linspace(1.0, 3.0, 30),
+         lambda t: 0.7 * np.exp(-2.0 * t) + 0.2, False),
+        # the shapes of the recorded energies: rising to a plateau, rising
+        # (twice), and a decay whose free fit has a negative offset (the
+        # bound is active)
+        ("flat", run, lambda t: 1.86 + 0.033 * np.sin(15.7 * t), False),
+        ("rising", run, lambda t: 0.5 + 0.1 * (1.0 - np.exp(-5.0 * t)),
+         False),
+        ("ramp", run, lambda t: 0.55 + 0.03 * t, False),
+        ("zero-floor", run, lambda t: 3.0 * np.exp(-0.5 * t) - 0.05, True),
+        ("step", np.linspace(0.0, 1.0, 20), lambda t: step, False),
+    ]
+    t = np.linspace(0.0, 3.0, 50)
+    for seed in range(8):
+        rng = np.random.default_rng(seed)
+        a, r, c = rng.uniform(0.5, 3.0), rng.uniform(0.3, 4.0), rng.uniform(0.0, 1.0)
+        y = np.maximum(a * np.exp(-r * t) + c + 0.01 * rng.standard_normal(50),
+                       0.0)
+        series.append((f"noisy{seed}", t, lambda t, y=y: y, True))
+    return [(name, t, f(t), determined) for name, t, f, determined in series]
+
+
+@pytest.mark.parametrize("name, t, y, determined", _fit_series(),
+                         ids=[s[0] for s in _fit_series()])
+def test_fit_decay_is_no_worse_than_least_squares(name, t, y, determined):
+    amp, rate, offset, residual = _least_squares_fit(t, y)
+    fit = fit_decay(t, y)
+    assert min(fit.amplitude, fit.rate, fit.offset) >= 0.0
+    # a residual of exact data is rounding: allow that much on top
+    rounding = 8.0 * np.finfo(float).eps * float(y.max())
+    assert fit.residual <= residual * (1.0 + 1e-9) + rounding
+    if determined:
+        assert (fit.amplitude, fit.rate, fit.offset) == pytest.approx(
+            (amp, rate, offset), rel=1e-6, abs=1e-12)
+
+
+@pytest.mark.parametrize("name", ["constant", "flat", "rising", "ramp"])
+def test_a_decay_fit_without_a_rate_puts_the_level_in_the_offset(name):
+    # at rate 0 the amplitude and the offset cannot be told apart: least
+    # squares ends at a rate of at most 1e-10 with some split of the level,
+    # the fit reports rate 0, amplitude 0 and the whole level as offset
+    _, t, y, _ = next(s for s in _fit_series() if s[0] == name)
+    amp, rate, offset, residual = _least_squares_fit(t, y)
+    assert rate <= 1e-10
+    fit = fit_decay(t, y)
+    assert (fit.amplitude, fit.rate) == (0.0, 0.0)
+    assert fit.offset == pytest.approx(y.mean(), rel=1e-15)
+    assert fit.offset == pytest.approx(amp + offset, rel=1e-9)
+    assert fit.residual == pytest.approx(residual, rel=1e-10, abs=1e-15)
+
+
+def test_fit_decay_scans_in_blocks_without_changing_the_fit(monkeypatch):
+    # a long series is scanned a few rates at a time; the fit is the same
+    # bit for bit, since each rate's profile is computed on its own
+    whole = [fit_decay(t, y) for _, t, y, _ in _fit_series()]
+    monkeypatch.setattr(experiments, "_BLOCK_ELEMENTS", 100)
+    assert [fit_decay(t, y) for _, t, y, _ in _fit_series()] == whole
 
 
 def test_smooth_profile_is_reproducible(interval):

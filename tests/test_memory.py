@@ -9,7 +9,7 @@ import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from memheat.domain import apply_wentzell, build_domain, norm_v1_sq, norm_x2_sq
+from memheat.domain import apply_wentzell, build_domain, norm_v1_sq
 from memheat.memory import (
     HistoryField,
     advance_history,
@@ -131,7 +131,7 @@ def test_uniform_grids_share_nodes_across_eps():
 def test_zero_history_has_zero_norms(interval):
     g = build_history_grid(exponential_kernel(0.5, rate=1.0), 0.5)
     phi = zero_history(g, interval)
-    for level in (0, 1, 2):
+    for level in (1, 2):
         assert memory_norm_sq(phi, level, interval, 1.0, 1.0) == 0.0
     assert history_norms(phi, interval, 1.0, 1.0) == (0.0, 0.0, 0.0, 0.0)
     # the limit problem carries no history at all
@@ -145,12 +145,11 @@ def test_separable_history_norm_factorizes(interval):
     shape = smooth_profile(interval)
     phi = history_from_profile(g, interval, lambda s: np.ones_like(s), shape)
     mass = g.weights.sum()
-    assert memory_norm_sq(phi, 0, interval, 0.7, 1.3) == pytest.approx(
-        mass * norm_x2_sq(shape, interval), rel=1e-12)
     assert memory_norm_sq(phi, 1, interval, 0.7, 1.3) == pytest.approx(
         mass * norm_v1_sq(shape, interval, 0.7, 1.3), rel=1e-12)
-    with pytest.raises(ValueError):
-        memory_norm_sq(phi, 3, interval, 0.7, 1.3)
+    for level in (0, 3):
+        with pytest.raises(ValueError, match="level must be 1 or 2"):
+            memory_norm_sq(phi, level, interval, 0.7, 1.3)
 
 
 def test_memory_norm_scales_quadratically(interval):
@@ -520,9 +519,7 @@ def _unblocked_norms(phi, d, alpha, beta):
     sg = d.stiff_gamma @ phi.boundary.T
     rows = rows + np.einsum("jn,nj->j", dg, sg)
     rows = rows + beta * ((dg * phi.boundary) @ d.dsigma)
-    return (g.weights @ v1, m2, tail_sup, k2,
-            g.weights @ _unblocked_x2_rows(phi.bulk, phi.boundary, d),
-            -(g.weights @ rows))
+    return g.weights @ v1, m2, tail_sup, k2, -(g.weights @ rows)
 
 
 @pytest.mark.parametrize("kind, n", [("interval", 65), ("square", 9)])
@@ -538,11 +535,9 @@ def test_blocked_norms_match_the_unblocked_formulas(kind, n, monkeypatch):
     step = blocks[0].stop
     assert len(blocks) > 1 and g.n_s % step != 0
     assert blocks[-1].stop - blocks[-1].start == g.n_s % step
-    m1, m2, tail_sup, k2, m0, lhs = _unblocked_norms(phi, d, alpha, beta)
+    m1, m2, tail_sup, k2, lhs = _unblocked_norms(phi, d, alpha, beta)
     assert history_norms(phi, d, alpha, beta) == pytest.approx(
         (m1, m2, tail_sup, k2), rel=1e-12, abs=0.0)
-    assert memory_norm_sq(phi, 0, d, alpha, beta) == pytest.approx(
-        m0, rel=1e-12, abs=0.0)
     assert dissipation_check(phi, d, alpha, beta).lhs == pytest.approx(
         lhs, rel=1e-12, abs=0.0)
 
