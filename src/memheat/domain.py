@@ -283,13 +283,37 @@ def _square_boundary_chain(n: int) -> NDArray[np.int64]:
     return np.array(idx, dtype=np.int64)
 
 
+def _stencil_csr(offsets: tuple, band: Array) -> sp.csr_matrix:
+    """The square CSR matrix whose row i holds ``band[i, j]`` in column
+    ``i + offsets[j]``, for ascending offsets, so each row's columns come
+    sorted. Zero entries are left out, as a sparse sum or product leaves
+    them out; their columns, which may fall off the matrix, are clipped
+    into it before the matrix is formed."""
+    size, width = band.shape
+    index = np.int32 if band.size < 2**31 else np.int64
+    # one row per offset, so each sum runs over a contiguous row
+    cols = np.arange(size, dtype=index) + np.array(offsets, dtype=index)[:, None]
+    np.clip(cols, 0, size - 1, out=cols)
+    m = sp.csr_matrix((band.ravel(), cols.T.ravel(),
+                       np.arange(0, band.size + 1, width, dtype=index)),
+                      shape=(size, size))
+    m.eliminate_zeros()
+    return m
+
+
 def build_domain(kind: str, n_bulk: int) -> DiscreteDomain:
     """Assemble a discrete domain.
 
     One recipe serves both kinds, which differ in geometry only: the
     coordinates, the bulk weights and stiffness, the boundary chain with
     its weights and Dirichlet form, and the sides, each as its chain nodes
-    and the flat stride that steps inward from it. The outward normal
+    and the flat stride that steps inward from it. The stiffness forms are
+    written as their stencils, straight into CSR arrays (``_stencil_csr``):
+    the tridiagonal 1-D form a1 = D'D / h, the square's five-point form,
+    whose entries are those of kron(a1, H1) + kron(H1, a1) (H1 the 1-D
+    weights), each off-diagonal entry the same product and each diagonal
+    entry the same sum, and the periodic chain's form; the arrays equal
+    those of the sparse products bit for bit. The outward normal
     derivative is assembled from the sides in one pass of COO triplets, a
     node on k sides taking weight 1/k from each (the CSR constructor sums a
     square corner's two entries). ``DiscreteDomain.bulk_operators`` derives
@@ -311,12 +335,19 @@ def build_domain(kind: str, n_bulk: int) -> DiscreteDomain:
     t = np.linspace(0.0, 1.0, n)
     w1 = np.full(n, h)
     w1[[0, -1]] = h / 2.0
-    # Dirichlet form: sum over cells of (du)^2 / h
-    d1 = sp.diags([-np.ones(n - 1), np.ones(n - 1)], [0, 1], shape=(n - 1, n))
-    a1 = (d1.T @ d1) / h
+    # Dirichlet form a1 = D'D / h, D the cell differences: its diagonal is
+    # 1/h at the ends and 2/h inside, its off-diagonal -1/h, each the
+    # product D'D's integer entry times 1/h that the sparse forms give
+    inv = 1.0 / h
+    a1_diag = np.full(n, 2.0 * inv)
+    a1_diag[[0, -1]] = inv
 
     if kind == "interval":
-        coords, dx, stiff = t.reshape(-1, 1), w1, a1
+        coords, dx = t.reshape(-1, 1), w1
+        band = np.zeros((n, 3))
+        band[1:, 0] = band[:-1, 2] = -inv
+        band[:, 1] = a1_diag
+        stiff = _stencil_csr((-1, 0, 1), band)
         bidx = np.array([0, n - 1], dtype=np.int64)
         dsig = np.ones(2)
         stiff_gamma = sp.csr_matrix((2, 2))
@@ -325,16 +356,24 @@ def build_domain(kind: str, n_bulk: int) -> DiscreteDomain:
         xx, yy = np.meshgrid(t, t, indexing="ij")
         coords = np.column_stack([xx.ravel(), yy.ravel()])
         dx = np.multiply.outer(w1, w1).ravel()
-        h1 = sp.diags(w1)
-        stiff = sp.kron(a1, h1) + sp.kron(h1, a1)
+        # the five-point stencil of kron(a1, H1) + kron(H1, a1), H1 the
+        # weights w1, at node (i, k): a1[i, i -+ 1] w1[k] and w1[i] a1[k,
+        # k -+ 1] off the diagonal, a1[i, i] w1[k] + w1[i] a1[k, k] on it
+        off = -inv * w1
+        band = np.zeros((n, n, 5))
+        band[1:, :, 0] = band[:-1, :, 4] = off
+        band[:, 1:, 1] = band[:, :-1, 3] = off[:, None]
+        band[:, :, 2] = np.multiply.outer(a1_diag, w1) + np.multiply.outer(w1, a1_diag)
+        stiff = _stencil_csr((-n, -1, 0, 1, n), band.reshape(-1, 5))
         bidx = _square_boundary_chain(n)
         dsig = np.full(bidx.size, h)
-        # periodic chain Dirichlet form
-        nb, rows = bidx.size, np.arange(bidx.size)
-        dchain = sp.csr_matrix((np.repeat([-1.0, 1.0], nb), (np.tile(rows, 2),
-                               np.concatenate([rows, (rows + 1) % nb]))),
-                               shape=(nb, nb))
-        stiff_gamma = (dchain.T @ dchain) / h
+        # periodic chain Dirichlet form: 2/h on the diagonal, -1/h to each
+        # neighbour along the chain, the last node's next being the first
+        nb = bidx.size
+        band = np.zeros((nb, 5))
+        band[-1, 0] = band[1:, 1] = band[:-1, 3] = band[0, 4] = -inv
+        band[:, 2] = 2.0 * inv
+        stiff_gamma = _stencil_csr((1 - nb, -1, 0, 1, nb - 1), band)
         # each side's stencil steps inward by a flat stride: +n from x = 0,
         # -n from x = 1, +1 from y = 0, -1 from y = 1
         ix, iy = np.divmod(bidx, n)
@@ -356,8 +395,7 @@ def build_domain(kind: str, n_bulk: int) -> DiscreteDomain:
     return DiscreteDomain(
         kind=kind, n=n, h=h, n_bulk=dx.size, n_boundary=bidx.size,
         x_bulk=coords, boundary_index=bidx, dx=dx, dsigma=dsig,
-        stiff_bulk=stiff.tocsr(), stiff_gamma=stiff_gamma.tocsr(),
-        normal_deriv=nd)
+        stiff_bulk=stiff, stiff_gamma=stiff_gamma, normal_deriv=nd)
 
 
 # -- inner products and norms ------------------------------------------------

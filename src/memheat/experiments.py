@@ -148,9 +148,24 @@ def fit_decay(times: Array, values: Array) -> DecayFit:
             break  # the residual is flat across the bracket
         lo, hi = rates[max(j - 1, 0)], rates[min(j + 1, rates.size - 1)]
     rate, amp, offset, sum_sq = best
-    # the amplitude is fitted at t0; report it at t = 0
-    return DecayFit(float(amp) * math.exp(rate * t0), rate, float(offset),
-                    math.sqrt(sum_sq / t.size))
+    return DecayFit(_amplitude_at_zero(float(amp), rate, t0), rate,
+                    float(offset), math.sqrt(sum_sq / t.size))
+
+
+def _amplitude_at_zero(amp: float, rate: float, t0: float) -> float:
+    """The amplitude ``amp`` fitted at t0, moved back to t = 0: ``amp
+    e^{rate t0}``. Where the factor alone overflows, the sum of logarithms
+    gives the value, so the result is inf only when the value itself
+    exceeds the float range; an amplitude of 0 stays 0."""
+    if amp == 0.0:
+        return 0.0
+    try:
+        return amp * math.exp(rate * t0)
+    except OverflowError:
+        try:
+            return math.exp(math.log(amp) + rate * t0)
+        except OverflowError:
+            return math.inf
 
 
 # -- shared data helpers -----------------------------------------------------
@@ -371,8 +386,11 @@ def robustness_sweep(cfg: ProblemConfig, eps_list: Sequence[float],
 
     with np.errstate(divide="ignore"):  # SweepResult refuses an error of 0
         slope, intercept = np.polyfit(np.log(eps_arr), np.log(errors), 1)
-    c_cal = float(np.max(errors[:2] / np.sqrt(eps_arr[:2])))
-    bound_ok = bool(np.all(errors <= c_cal * np.sqrt(eps_arr)))
+    # compared as scaled errors, as calibrated: (e / s) * s can round
+    # below e, which would fail the calibration eps by one ulp
+    scaled = errors / np.sqrt(eps_arr)
+    c_cal = float(scaled[:2].max())
+    bound_ok = bool(np.all(scaled <= c_cal))
     monotone = bool(np.all(np.diff(errors) < 0.0))
     return SweepResult(eps_arr, errors, float(slope), float(intercept),
                        c_cal, bound_ok, monotone)

@@ -22,7 +22,9 @@ so on wide rows (square 129) the blocks shrink to the few rows whose dense
 product is not mostly zeros. The transport works in place: a row reads
 only old rows at or below its own, so the blocks run from the last to the
 first and the inflow rows come last, and a run holds one history, not
-two. The oracle keeps its own interpolation, an independent check.
+two. The step's increment is added in one pass per run of finished rows,
+a run holding as many rows as a ``_BLOCK_BYTES`` slab, not once per
+block. The oracle keeps its own interpolation, an independent check.
 
 The memory response on the boundary matches the one in the interior, so
 the boundary history is the trace of the bulk history, not a second
@@ -485,28 +487,39 @@ def advance_history(phi: HistoryField, u_new: StateField, dt: float,
     Values are pulled back along the characteristic s -> s - dt by the
     dense row blocks cached per grid, dt and row width, each reading a
     source slab bounded by ``_BLOCK_BYTES`` (a single row excepted) and
-    written back into the history by one BLAS product; the trapezoid
-    increment of the step is added to its rows while they are in cache.
-    Row i reads old rows at or below i only, so the blocks run from the
-    last to the first and no block reads a row already written; a block
-    whose own source slab overlaps its rows is buffered by ``np.matmul``'s
-    overlap rule, so the product sees the old values. Nodes with s <= dt
-    are filled last, by exact integration of the step's inflow, linear in
-    time from ``u_prev`` to ``u_new`` (trapezoid), as one product of the
-    cached inflow block with the two end values. The inflow fields are
+    written back into the history by one BLAS product. Row i reads old
+    rows at or below i only, so the blocks run from the last to the first
+    and no block reads a row already written; a block whose own source
+    slab overlaps its rows is buffered by ``np.matmul``'s overlap rule, so
+    the product sees the old values. Rows from a block's first row on are
+    then final, and the trapezoid increment of the step is added to them
+    in runs of ``_BLOCK_BYTES // (8 width)`` rows, counted from the last
+    row, while they are in cache: one pass per run, not per block, and
+    each entry still gets its product first and the increment second.
+    Nodes with s <= dt are filled last, by exact integration of the
+    step's inflow, linear in time from ``u_prev`` to ``u_new``
+    (trapezoid), as one product of the cached inflow block with the two
+    end values, which also form the increment. The inflow fields are
     trace compatible, so only their bulk is read.
     """
     if dt <= 0.0:
         raise ValueError("dt must be positive")
     blocks, k, C = _pullback(phi.grid, dt, phi.bulk.shape[1])
     out = phi.bulk
-    new, prev = u_new.bulk, u_prev.bulk
-    inc = 0.5 * dt * (prev + new)
+    ends = np.stack([u_new.bulk, u_prev.bulk])
+    inc = ends[1] + ends[0]
+    inc *= 0.5 * dt
+    run = max(1, _BLOCK_BYTES // (8 * out.shape[1]))
+    stop = out.shape[0]
     for rows, src, D in reversed(blocks):
-        block = out[rows]
-        np.matmul(D, out[src], out=block)
-        block += inc
-    np.matmul(C, np.stack([new, prev]), out=out[:k])
+        np.matmul(D, out[src], out=out[rows])
+        # rows from rows.start on are final: no later block reads them
+        start = stop - (stop - rows.start) // run * run
+        if start < stop:
+            out[start:stop] += inc
+            stop = start
+    out[k:stop] += inc
+    np.matmul(C, ends, out=out[:k])
     return phi
 
 

@@ -243,3 +243,46 @@ def test_normal_derivative_matches_the_per_node_assembly(kind, n):
                       nd + (1.0 * sp.identity(d.n_boundary) - lb) @ tr],
                      format="csr")
     _assert_same_csr(d.bulk_operators(0.0, 1.0)[1], pair)
+
+
+def _product_stiffness(kind, n):
+    # the stiffness forms as sparse products and Kronecker sums: a1 = D'D /
+    # h from the cell differences D, kron(a1, H1) + kron(H1, a1) on the
+    # square, and the periodic chain's D_c'D_c / h
+    h = 1.0 / (n - 1)
+    w1 = np.full(n, h)
+    w1[[0, -1]] = h / 2.0
+    d1 = sp.diags([-np.ones(n - 1), np.ones(n - 1)], [0, 1], shape=(n - 1, n))
+    a1 = ((d1.T @ d1) / h).tocsr()
+    if kind == "interval":
+        return a1, None
+    h1 = sp.diags(w1)
+    nb = 4 * (n - 1)
+    rows = np.arange(nb)
+    dchain = sp.csr_matrix((np.repeat([-1.0, 1.0], nb),
+                            (np.tile(rows, 2),
+                             np.concatenate([rows, (rows + 1) % nb]))),
+                           shape=(nb, nb))
+    return ((sp.kron(a1, h1) + sp.kron(h1, a1)).tocsr(),
+            ((dchain.T @ dchain) / h).tocsr())
+
+
+@pytest.mark.parametrize("kind, n", [("interval", 8), ("interval", 17),
+                                     ("interval", 1025), ("square", 8),
+                                     ("square", 9), ("square", 17),
+                                     ("square", 65), ("square", 129)])
+def test_stiffness_stencils_are_the_product_forms_bit_for_bit(kind, n):
+    # the stencils written directly hold the same CSR arrays as the sparse
+    # products they replace: every entry the same product, every diagonal
+    # entry the same sum, every row's columns sorted
+    d = build_domain(kind, n)
+    bulk, gamma = _product_stiffness(kind, n)
+    pairs = [(d.stiff_bulk, bulk)]
+    if gamma is not None:
+        pairs.append((d.stiff_gamma, gamma))
+    for built, ref in pairs:
+        assert isinstance(built, sp.csr_matrix)
+        assert built.shape == ref.shape
+        for attr in ("indptr", "indices", "data"):
+            a, b = getattr(built, attr), getattr(ref, attr)
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), attr

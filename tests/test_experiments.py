@@ -162,6 +162,43 @@ def test_fit_decay_scans_in_blocks_without_changing_the_fit(monkeypatch):
     assert [fit_decay(t, y) for _, t, y, _ in _fit_series()] == whole
 
 
+def test_a_late_steep_fit_reports_its_amplitude_without_overflow():
+    # a step at t0 = 10 fits rate 703, so the factor e^{rate t0} that moves
+    # the amplitude to t = 0 overflows; the amplitude itself, 1.5 e^{7030},
+    # exceeds the float range too and reads inf
+    t = np.linspace(10.0, 11.0, 20)
+    y = np.full(20, 0.5)
+    y[0] = 2.0
+    fit = fit_decay(t, y)
+    assert fit.rate > 700.0 and fit.amplitude == math.inf
+    assert fit.offset == pytest.approx(0.5, rel=1e-12)
+    # where only the factor overflows, the value comes from its logarithm;
+    # an amplitude of 0 stays 0, and a factor in range is applied as is
+    amp = experiments._amplitude_at_zero
+    assert amp(1e-300, 1.0, 800.0) == math.exp(math.log(1e-300) + 800.0)
+    assert math.isfinite(amp(1e-300, 1.0, 800.0))
+    assert amp(0.0, 703.0, 10.0) == 0.0
+    assert amp(2.0, 3.0, 0.0) == 2.0
+    assert amp(2.0, 3.0, 1.5) == 2.0 * math.exp(4.5)
+
+
+def test_the_sweep_verdict_compares_scaled_errors(interval, monkeypatch):
+    # at the calibration eps 0.2, (e0 / sqrt(0.2)) * sqrt(0.2) rounds below
+    # e0, so an envelope check on unscaled errors fails the very error it
+    # was calibrated on; the scaled errors compare exactly
+    e0 = 0.0038064830680943694
+    assert (e0 / math.sqrt(0.2)) * math.sqrt(0.2) < e0
+    errors = iter([e0, e0 / 2.0, 0.3 * e0, 0.2 * e0])
+    monkeypatch.setattr(experiments, "_sup_gap",
+                        lambda *args: next(errors))
+    cfg = ProblemConfig(interval, exponential_kernel(0.5, rate=3.0), SHIFTED,
+                        alpha=0.0, beta=1.0, eps=0.2, dt=0.0025, t_final=1.0)
+    sw = robustness_sweep(cfg, [0.2, 0.1, 0.05, 0.025],
+                          interval.constant_field(0.5))
+    assert sw.c_calibrated == e0 / math.sqrt(0.2)
+    assert sw.bound_ok and sw.monotone
+
+
 def test_smooth_profile_is_reproducible(interval):
     a = smooth_profile(interval)
     b = smooth_profile(interval)

@@ -9,7 +9,7 @@ import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from memheat.domain import apply_wentzell, build_domain, norm_v1_sq
+from memheat.domain import StateField, apply_wentzell, build_domain, norm_v1_sq
 from memheat.memory import (
     HistoryField,
     advance_history,
@@ -358,6 +358,54 @@ def test_pullback_blocks_of_wide_rows_stay_within_the_block_budget():
     assert any(8 * d.n_bulk * (src.stop - src.start) > memory._BLOCK_BYTES
                for _, src, _ in blocks)
     _assert_in_place_step(d, g, dt, seed=29)
+
+
+def _per_block_transport(phi, u_new, dt, u_prev):
+    # the transport that adds the step's increment to each pull-back block
+    # right after its product, one pass per block
+    blocks, k, C = memory._pullback(phi.grid, dt, phi.bulk.shape[1])
+    out = phi.bulk
+    new, prev = u_new.bulk, u_prev.bulk
+    inc = 0.5 * dt * (prev + new)
+    for rows, src, D in reversed(blocks):
+        block = out[rows]
+        np.matmul(D, out[src], out=block)
+        block += inc
+    np.matmul(C, np.stack([new, prev]), out=out[:k])
+    return phi
+
+
+@pytest.mark.parametrize("width", [1, 17, 1025, 4225])
+@pytest.mark.parametrize("run_rows", [None, 1, 3, 7])
+@pytest.mark.parametrize("grid", [
+    dict(eps=0.2),
+    # the first node lies past dt, so no row is filled by the inflow
+    dict(eps=0.2, n_s=192, spacing="uniform", s_max=2.0),
+])
+def test_increment_runs_match_the_per_block_increment(width, run_rows, grid,
+                                                      monkeypatch):
+    # the increment is added once per run of finished rows, a run holding
+    # _BLOCK_BYTES // (8 width) rows (the default, or 1, 3 or 7 rows, so
+    # that runs end inside blocks, and at 7 rows the last one is ragged);
+    # each entry still gets the block product first and the increment
+    # second, so the step is bit for bit the per-block one
+    if run_rows is not None:
+        monkeypatch.setattr(memory, "_BLOCK_BYTES", 8 * width * run_rows)
+    g = build_history_grid(exponential_kernel(0.5, rate=3.0),
+                           **{"n_s": 128, **grid})
+    dt = 0.0025
+    rng = np.random.default_rng(width)
+    phi = HistoryField(g, rng.normal(size=(g.n_s, width)), np.array([0]))
+    u_prev, u_new = (StateField(b, b[:1]) for b in rng.normal(size=(2, width)))
+    ref = _per_block_transport(phi.copy(), u_new, dt, u_prev)
+    out = advance_history(phi, u_new, dt, u_prev)
+    assert out.bulk.tobytes() == ref.bulk.tobytes()
+    if run_rows in (3, 7):
+        blocks, k, _ = memory._pullback(g, dt, width)
+        bounds = range(g.n_s - run_rows, k, -run_rows)
+        assert any(rows.start < b < rows.stop for b in bounds
+                   for rows, _, _ in blocks)
+        assert run_rows == 3 or (g.n_s - k) % run_rows != 0
 
 
 @pytest.mark.parametrize("kind, n", [("square", 65), ("interval", 1025)])
