@@ -18,14 +18,12 @@ from .domain import (
     solve_wentzell_shifted,
 )
 from .memory import (
-    DissipationReport,
     HistoryField,
     HistoryGrid,
     KernelSpec,
     advance_history,
     build_history_grid,
     convolve_wentzell,
-    dissipation_check,
     exponential_kernel,
     history_from_profile,
     history_oracle,

@@ -32,7 +32,7 @@ from .experiments import (GateError, _decay_gate, _decay_start,
                           energy_decay_experiment, fit_decay, robustness_sweep,
                           smooth_profile)
 
-CHECKPOINT_FORMAT = "memheat-checkpoint-3"
+CHECKPOINT_FORMAT = "memheat-checkpoint-4"
 
 EXIT_PASS = 0
 EXIT_ASSERTION = 1
@@ -65,7 +65,6 @@ _SCHEMA = {
                 "offset": (float, 0.0), "amplitude": (float, 1.0)},
     "radius": (float, 10.0),
     "tol_frac": (float, 0.05),
-    "seed": (int, 0),
     "checkpoint_step": (int, None),
 }
 
@@ -155,7 +154,6 @@ class LoadedConfig:
     experiment: str
     problem: ProblemConfig
     initial: StateField
-    seed: int
 
 
 def _build_initial(canon: dict, d: DiscreteDomain) -> StateField:
@@ -251,11 +249,10 @@ def build_from_canonical(canon: dict) -> LoadedConfig:
                               "same samples")
 
     return LoadedConfig(canon=canon, sha256=config_hash(canon),
-                        experiment=exp, problem=problem, initial=initial,
-                        seed=canon["seed"])
+                        experiment=exp, problem=problem, initial=initial)
 
 
-def load_config(path, seed: Optional[int] = None) -> LoadedConfig:
+def load_config(path) -> LoadedConfig:
     """Parse, key-check, default-fill, and assemble a config file."""
     try:
         text = Path(path).read_text()
@@ -267,10 +264,7 @@ def load_config(path, seed: Optional[int] = None) -> LoadedConfig:
         raise ConfigError(
             f"config parse error at line {e.lineno} column {e.colno}: {e.msg}"
         ) from e
-    canon = _canonical(user)
-    if seed is not None:
-        canon["seed"] = seed
-    return build_from_canonical(canon)
+    return build_from_canonical(_canonical(user))
 
 
 # -- checkpoints -------------------------------------------------------------
@@ -466,7 +460,6 @@ def _manifest(loaded: LoadedConfig, outputs) -> dict:
         "config_sha256": loaded.sha256,
         "tool_version": __version__,
         "experiment": loaded.experiment,
-        "seed": loaded.seed,
         "outputs": sorted(outputs),
     }
 
@@ -730,7 +723,6 @@ def main(argv=None) -> int:
     p_run = sub.add_parser("run", help="run the configured experiment")
     p_run.add_argument("--config", required=True)
     p_run.add_argument("--out", required=True)
-    p_run.add_argument("--seed", type=int, default=None)
 
     p_sweep = sub.add_parser("sweep-eps", help="robustness sweep over eps")
     p_sweep.add_argument("--config", required=True)
@@ -752,7 +744,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         if args.command == "run":
-            loaded = load_config(args.config, seed=args.seed)
+            loaded = load_config(args.config)
             _print_gate(loaded)
             return run_experiment(loaded, args.out)
         if args.command == "sweep-eps":

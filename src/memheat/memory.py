@@ -5,7 +5,9 @@ kernel k(s) = rate exp(-rate s), of unit mass. Internally all quadrature
 runs against mu = -(1 - omega) k', the positive, decreasing density that
 weights the history. Its domination inequality mu' + delta mu <= 0 reads
 (delta - rate) mu <= 0 exactly, so a kernel is admissible if and only if
-0 < delta <= rate, and cell masses are exact integrals. The singular
+0 < delta <= rate, and cell masses are exact integrals. So too a history
+with Phi(0) = 0 has <T Phi, Phi>_M1 = -(rate / 2 eps) ||Phi||_M1^2 exactly,
+an identity that only measures the s-grid's quadrature error. The singular
 family mu_eps(s) = eps^-2 mu(s/eps) concentrates the memory near s = 0 as
 eps -> 0; its total mass scales like 1/eps.
 
@@ -76,8 +78,6 @@ __all__ = [
     "advance_history",
     "history_oracle",
     "tail_function",
-    "DissipationReport",
-    "dissipation_check",
 ]
 
 Array = NDArray[np.float64]
@@ -273,22 +273,10 @@ class HistoryField:
     def copy(self) -> "HistoryField":
         return HistoryField(self.grid, self.bulk.copy(), self.boundary_index)
 
-    def _check_mate(self, other: "HistoryField"):
+    def __sub__(self, other: "HistoryField") -> "HistoryField":
         if not self.grid.same_nodes(other.grid):
             raise ValueError("history fields live on different s-grids")
-
-    def __add__(self, other: "HistoryField") -> "HistoryField":
-        self._check_mate(other)
-        return HistoryField(self.grid, self.bulk + other.bulk, self.boundary_index)
-
-    def __sub__(self, other: "HistoryField") -> "HistoryField":
-        self._check_mate(other)
         return HistoryField(self.grid, self.bulk - other.bulk, self.boundary_index)
-
-    def __mul__(self, c: float) -> "HistoryField":
-        return HistoryField(self.grid, self.bulk * c, self.boundary_index)
-
-    __rmul__ = __mul__
 
 
 def zero_history(grid: HistoryGrid, d: DiscreteDomain) -> HistoryField:
@@ -623,40 +611,3 @@ def history_norms(phi: Optional[HistoryField], d: DiscreteDomain,
     k2 = m2 + phi.grid.eps * float(w @ _ds_rows(phi, d)) + tail_sup
     return float(w @ v1), m2, tail_sup, k2
 
-
-@dataclass
-class DissipationReport:
-    lhs: float
-    bound: float
-    slack: float
-    passed: bool
-
-
-def dissipation_check(phi: HistoryField, d: DiscreteDomain,
-                      alpha: float, beta: float) -> DissipationReport:
-    """Verify <T Phi, Phi>_M1 <= -(delta / 2 eps) ||Phi||_M1^2.
-
-    The transport generator T acts as -d/ds; the discrete pairing uses the
-    same one-sided derivative and mu_eps quadrature as the strong norm.
-    Returns the measured slack (bound - lhs, nonnegative when the
-    inequality holds).
-    """
-    g = phi.grid
-    h = np.diff(g.s_nodes, prepend=0.0)
-    # <T phi, phi> = - sum_j w_j <d_s phi_j, phi_j>_V1, computed rowwise
-    rows = np.empty(g.n_s)
-    blocks = _blocks(phi)
-    buf = np.empty(blocks[0].stop * d.n_bulk)
-    ds_buf = np.empty((blocks[0].stop, d.n_bulk))
-    for r in blocks:
-        ds = _s_diff(phi.bulk, r, ds_buf)
-        rows[r] = d.v1_products(ds, phi.bulk[r], alpha, beta, buf) / h[r]
-    lhs = -float(g.weights @ rows)
-
-    m1 = memory_norm_sq(phi, 1, d, alpha, beta)
-    bound = -(g.kernel.delta / (2.0 * g.eps)) * m1
-    slack = bound - lhs
-    # kernels at the domination equality sit at slack 0 up to s-quadrature
-    # error, so the pass margin is a fraction of the bound, not roundoff
-    tol = 0.05 * abs(bound) + 1e-12
-    return DissipationReport(lhs=lhs, bound=bound, slack=slack, passed=slack >= -tol)

@@ -20,7 +20,9 @@ bitwise equal to it, without a temporary per coefficient.
 Every check rests on one rule: a polynomial of degree at most four takes its
 extremes on a set only at the set's ends or at real critical points.
 ``_critical_points`` supplies 0 and the real parts of all roots of the
-derivative, a superset that can neither lower a minimum nor raise a maximum.
+derivative, a superset that can neither lower a minimum nor raise a maximum;
+a real root that fails its backward error, which the companion roots give
+when the coefficients span hundreds of decades, is polished by Newton steps.
 The sign certificate evaluates p(s) = s f(s) + kappa1 s^2 + kappa2, plus a
 tolerance of a few rounding units of its |terms| at s, at the critical
 points of each half-line in ``np.longdouble``. It refuses, with a
@@ -78,14 +80,64 @@ def _horner(s, coeffs):
     return y
 
 
+# Newton steps a real critical point may take to pass ``_is_root``
+_NEWTON_STEPS = 32
+# the rounding unit and the least subnormal of binary64
+_EPS = float(np.finfo(float).eps)
+_TINY = float(np.finfo(float).smallest_subnormal)
+
+
+def _is_root(der: list, x: float) -> bool:
+    """Whether ``x`` is a root of ``der`` (ascending float coefficients) to
+    8 rounding units of its terms at x, plus its slope times the least
+    subnormal, the spacing left to a root that underflows. The terms are
+    summed exactly (``math.fsum``), so the float nearest a simple root
+    passes, and a companion root far off it does not."""
+    powers = [1.0]
+    for _ in der[1:]:
+        powers.append(powers[-1] * x)
+    terms = [c * p for c, p in zip(der, powers)]
+    slope = [k * c * p for k, (c, p) in enumerate(zip(der[1:], powers), 1)]
+    try:
+        return abs(math.fsum(terms)) <= 8 * (
+            _EPS * math.fsum(map(abs, terms))
+            + _TINY * math.fsum(map(abs, slope)))
+    except (OverflowError, ValueError):  # inf - inf certifies nothing
+        return False
+
+
+def _polished(der: list, r: float) -> float:
+    """The first Newton iterate from ``r`` on ``der``, stepped in
+    ``np.longdouble``, that passes ``_is_root``; ``LinAlgError`` if none of
+    ``_NEWTON_STEPS`` does."""
+    d = np.array(der, np.longdouble)
+    slope = npoly.polyder(d)
+    x = np.longdouble(r)
+    for _ in range(_NEWTON_STEPS):
+        x -= _horner(x, d) / _horner(x, slope)
+        if _is_root(der, float(x)):
+            return float(x)
+    raise np.linalg.LinAlgError(f"Newton steps from the real root {r:.6g} "
+                                "of the derivative do not settle")
+
+
 def _critical_points(coeffs) -> Array:
     """0 and the real parts of all roots of the polynomial's derivative: its
-    real critical points and a few harmless extra points."""
+    real critical points and a few harmless extra points.
+
+    The companion roots err relative to the largest root, so a root returned
+    as real that fails ``_is_root`` (a small real root beside a huge complex
+    pair) is polished and added. A linear derivative's root, -d0 / d1
+    rounded once, needs no check."""
     der = npoly.polyder(coeffs)
-    crit = [0.0]
+    crit, polished = [0.0], []
     if len(der) > 1:
-        crit += [float(r.real) for r in npoly.polyroots(der)]
-    return np.array(crit)
+        d = der.tolist()
+        for r in npoly.polyroots(der).tolist():
+            crit.append(r.real)
+            if len(d) > 2 and r.imag == 0.0 and not _is_root(d, r.real):
+                polished.append(_polished(d, r.real))
+    return np.array(crit + polished)
 
 
 def _poly_min(coeffs) -> float:
@@ -136,13 +188,12 @@ def _check_sign_certificate(coeffs, kappa1, kappa2, which: str) -> None:
     if not (kappa1 >= 0.0 and kappa2 >= 0.0):
         raise ValueError(why + f"has a negative constant: {kappa1!r}, "
                          f"{kappa2!r}")
-    ulp = np.finfo(float)
     p = np.zeros(max(len(coeffs) + 1, 3), np.longdouble)
     p[1:len(coeffs) + 1] = coeffs
-    tol = 8 * ulp.eps * np.abs(p)
-    p[0], tol[0] = kappa2, 8 * (ulp.eps * kappa2 + ulp.smallest_subnormal)
+    tol = 8 * _EPS * np.abs(p)
+    p[0], tol[0] = kappa2, 8 * (_EPS * kappa2 + _TINY)
     p[2] += kappa1
-    tol[2] += 8 * ulp.eps * kappa1
+    tol[2] += 8 * _EPS * kappa1
     # p(s) + tol(s) on each half-line s = t and s = -t, t >= 0
     for q in (p + tol, p * (-1.0) ** np.arange(p.size) + tol):
         if npoly.polytrim(q)[-1] < 0.0:
@@ -188,7 +239,7 @@ def _reaction_constants(coeffs, which: str) -> tuple[float, float, float]:
     constant overflows, or that s f(s) does for |s| <= _FINITE_RANGE, or
     whose critical points cannot be computed, or constants that fail the
     certificate, raise ValueError."""
-    with np.errstate(over="ignore", invalid="ignore"):
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         try:
             ka, kb = _sign_constants(coeffs)
             m = max(0.0, -_poly_min(npoly.polyder(coeffs)))

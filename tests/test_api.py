@@ -1,6 +1,7 @@
 """The public API: each module's ``__all__`` and the package's re-exports."""
 
 import ast
+import dataclasses
 import importlib
 import inspect
 import pkgutil
@@ -37,6 +38,18 @@ def test_the_package_reexports_only_declared_names():
                   if a.name not in mod.__all__]
     assert checked > 0
     assert stray == []
+
+
+def test_what_no_run_read_is_gone():
+    # the exponential kernel's dissipation is an identity (tests/test_memory),
+    # no run read a seed, and no module added or scaled whole histories
+    assert not hasattr(memory, "dissipation_check")
+    assert not hasattr(memory, "DissipationReport")
+    assert [op for op in ("__add__", "__mul__", "__rmul__")
+            if hasattr(memory.HistoryField, op)] == []
+    assert "seed" not in cli._SCHEMA
+    assert "seed" not in {f.name for f in dataclasses.fields(cli.LoadedConfig)}
+    assert list(inspect.signature(cli.load_config).parameters) == ["path"]
 
 
 # the span tracer of the benchmark reads these arguments by position and

@@ -192,12 +192,14 @@ def test_resume_refuses_a_checkpoint_of_another_format(tmp_path, capsys):
     path = write_cfg(tmp_path)
     out = tmp_path / "direct"
     assert main(["run", "--config", str(path), "--out", str(out)]) == 0
-    header = json.loads((out / "checkpoint.bin").read_bytes().split(b"\n")[0])
-    assert header["format"] == "memheat-checkpoint-3"
+    head, payload = (out / "checkpoint.bin").read_bytes().split(b"\n", 1)
+    header = json.loads(head)
+    assert header["format"] == "memheat-checkpoint-4"
     assert [name for name, _ in header["arrays"]][:3] == [
         "u_bulk", "phi_bulk", "s_nodes"]
     # format 1 also stored the boundary history, the trace of phi_bulk, and
-    # formats 1 and 2 the field's boundary values, the trace of u_bulk
+    # formats 1 and 2 the field's boundary values, the trace of u_bulk;
+    # format 3 stored today's arrays, but its embedded config held a seed
     old_arrays = {1: [["u_bulk", [65]], ["u_boundary", [2]],
                       ["phi_bulk", [128, 65]], ["phi_boundary", [128, 2]],
                       ["s_nodes", [128]]],
@@ -212,7 +214,18 @@ def test_resume_refuses_a_checkpoint_of_another_format(tmp_path, capsys):
                      "--out", str(tmp_path / "r")]) == 2
         err = capsys.readouterr().err
         assert f"'memheat-checkpoint-{version}'" in err
-        assert "'memheat-checkpoint-3'" in err
+        assert "'memheat-checkpoint-4'" in err
+    canon = dict(header["config"], seed=0)
+    old = tmp_path / "old3.bin"
+    old.write_bytes(json.dumps(dict(
+        header, format="memheat-checkpoint-3", config=canon,
+        config_sha256=config_hash(canon))).encode() + b"\n" + payload)
+    assert main(["resume", "--checkpoint", str(old),
+                 "--out", str(tmp_path / "r3")]) == 2
+    err = capsys.readouterr().err
+    assert err == (f"error: checkpoint refused: {old} has format "
+                   "'memheat-checkpoint-3', expected 'memheat-checkpoint-4'\n")
+    assert not (tmp_path / "r3").exists()
 
 
 def test_checkpoint_roundtrip_preserves_state_bitwise(tmp_path):
@@ -450,13 +463,25 @@ def test_sweep_refuses_a_bad_history_recipe_before_making_its_output(
     assert not out.exists()
 
 
-def test_seed_override_lands_in_the_manifest(tmp_path):
+@pytest.mark.parametrize("command", ["validate", "run"])
+def test_a_config_that_sets_a_seed_is_refused(tmp_path, capsys, command):
+    # no run reads a seed, so the key is unknown, not ignored
+    path = write_cfg(tmp_path, seed=1)
+    out = tmp_path / "out"
+    args = ["--out", str(out)] if command == "run" else []
+    assert main([command, "--config", str(path), *args]) == 2
+    err = capsys.readouterr().err
+    assert err == "error: unknown config key 'seed'\n"
+    assert not out.exists()
+
+
+def test_run_has_no_seed_option(tmp_path, capsys):
     path = write_cfg(tmp_path)
-    out = tmp_path / "seeded"
-    assert main(["run", "--config", str(path), "--out", str(out),
-                 "--seed", "7"]) == 0
-    summary = json.loads((out / "summary.json").read_text())
-    assert summary["manifest"]["seed"] == 7
+    with pytest.raises(SystemExit) as exc:
+        main(["run", "--config", str(path), "--out", str(tmp_path / "o"),
+              "--seed", "1"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --seed 1" in capsys.readouterr().err
 
 
 def test_plot_script_is_compilable(tmp_path, capsys):
@@ -599,7 +624,7 @@ def test_validate_accepts_or_refuses_any_leaf(tmp_path_factory, path, value):
 @pytest.mark.parametrize("path, value, named", [
     ("eps", None, "'eps' must be float, not null"),  # a traceback before
     ("initial.value", None, "'initial.value'"),
-    ("seed", None, "'seed' must be int, not null"),  # accepted before
+    ("seed", None, "unknown config key 'seed'"),  # no run reads a seed
     ("tol_frac", None, "'tol_frac'"),
     ("history.s_max", -1, "s_max must lie in"),  # NaN nodes before
     ("history.s_max_factor", -1, "s_max = s_max_factor * eps / delta must"),
@@ -779,12 +804,12 @@ def test_a_run_steps_one_history_and_moves_it_to_disk_without_a_copy(
 
 
 def _hand_written_checkpoint(path, canon, arrays, declared=None, step=0):
-    """A format-3 checkpoint of ``canon`` at ``step`` holding ``arrays``, a
+    """A format-4 checkpoint of ``canon`` at ``step`` holding ``arrays``, a
     list of (name, array), under the header entry ``declared`` (by default
     their names and shapes)."""
     if declared is None:
         declared = [[name, list(a.shape)] for name, a in arrays]
-    header = {"format": "memheat-checkpoint-3", "config": canon,
+    header = {"format": "memheat-checkpoint-4", "config": canon,
               "config_sha256": config_hash(canon), "step": step,
               "arrays": declared}
     path.write_bytes(json.dumps(header).encode() + b"\n"
@@ -820,7 +845,7 @@ def _bad_input(tmp_path):
     afile = tmp_path / "afile"
     afile.write_text("")
     headless = tmp_path / "headless.bin"
-    headless.write_bytes(json.dumps({"format": "memheat-checkpoint-3"}).encode()
+    headless.write_bytes(json.dumps({"format": "memheat-checkpoint-4"}).encode()
                          + b"\n")
     loaded = load_config(cfg)
     d, grid = loaded.problem.domain, loaded.problem.grid

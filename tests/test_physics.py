@@ -8,6 +8,7 @@ import scipy.linalg
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from memheat import physics
 from memheat.domain import StateField, norm_v1_sq, norm_x2_sq
 from memheat.physics import (
     _check_sign_certificate,
@@ -151,6 +152,22 @@ def test_sign_oracle_refuses_what_is_not_finite_on_its_grid(coeffs, k1, k2):
     # signs are looked at
     with pytest.raises(ValueError, match="g cannot .* is not finite"):
         _check_sign_certificate(coeffs, k1, k2, "g")
+
+
+def test_a_small_real_critical_point_beside_a_huge_complex_pair(monkeypatch):
+    # (s f)' has the real root -c0 / (2 c1) = -0.0924 and a complex pair near
+    # +-2.82e53 i; the companion roots return that real root as 0, so the
+    # minimum of s f, -c0^2 / (4 c1) = -2.3659e149, was read as -6.731e106
+    c0, c1 = 5.12e150, 2.77e151
+    f = [c0, c1, 6.1, 1.74e44]
+    nl = make_nonlinearity(f, WORKLOAD_G)
+    assert nl.kappa1 == 0.0
+    assert nl.kappa2 == pytest.approx(c0 * c0 / (4.0 * c1), rel=1e-12)
+    # a real root that Newton's steps leave off is refused, naming f
+    monkeypatch.setattr(physics, "_NEWTON_STEPS", 0)
+    with pytest.raises(ValueError, match="f cannot be certified: its "
+                       "critical points cannot be computed .*Newton"):
+        make_nonlinearity(f, WORKLOAD_G)
 
 
 def test_inadmissible_polynomials_are_rejected():
