@@ -32,7 +32,7 @@ from .experiments import (GateError, _decay_gate, _decay_start,
                           energy_decay_experiment, fit_decay, robustness_sweep,
                           smooth_profile)
 
-CHECKPOINT_FORMAT = "memheat-checkpoint-4"
+CHECKPOINT_FORMAT = "memheat-checkpoint-5"
 
 EXIT_PASS = 0
 EXIT_ASSERTION = 1
@@ -335,6 +335,22 @@ def _check_arrays(declared, step, problem: ProblemConfig) -> None:
                           f"rows, found {rows[0]}")
 
 
+def _checked_rest(rest, bulk):
+    """The header's flat-tail start ``rest`` of a stored history, refused
+    unless it is an integer in [0, n_s) and the rows above it are bitwise
+    equal to row ``rest``."""
+    n_s = bulk.shape[0]
+    if type(rest) is not int or not 0 <= rest < n_s:
+        raise ConfigError("checkpoint refused: its rest must be an integer "
+                          f"in [0, {n_s}), found {rest!r}")
+    # row by row, so the check allocates no array the size of the history
+    bits = bulk.view(np.uint64)
+    if any((row != bits[rest]).any() for row in bits[rest + 1:]):
+        raise ConfigError(f"checkpoint refused: the history rows above its "
+                          f"rest {rest} are not bitwise equal to row {rest}")
+    return rest
+
+
 def checkpoint_save(state: SystemState, path, canon: dict,
                     records: Optional[dict] = None) -> None:
     """One-line JSON header, then raw little-endian binary64 arrays.
@@ -353,6 +369,7 @@ def checkpoint_save(state: SystemState, path, canon: dict,
         "config": canon,
         "config_sha256": config_hash(canon),
         "step": state.step,
+        "rest": None if state.phi is None else state.phi.rest,
         "arrays": [[name, list(a.shape)] for name, a in arrays],
     }
     with open(path, "wb") as fh:
@@ -370,8 +387,10 @@ def checkpoint_load(path, expect_canon: Optional[dict] = None) -> Checkpoint:
     config that ``load_config`` would refuse or would change, a caller config
     that differs from the stored one, a state array that is missing or of
     another shape than the config implies, a step off the run's step grid,
-    recorded columns other than all samples up to that step, or a rebuilt
-    history grid whose nodes do not match the stored ones bit for bit.
+    recorded columns other than all samples up to that step, a rebuilt
+    history grid whose nodes do not match the stored ones bit for bit, or
+    a flat-tail start ``rest`` that is not null without a history, not in
+    [0, n_s) with one, or above which the rows are not all bitwise equal.
     """
     try:
         with open(path, "rb") as fh:
@@ -383,7 +402,7 @@ def checkpoint_load(path, expect_canon: Optional[dict] = None) -> Checkpoint:
     if found != CHECKPOINT_FORMAT:
         raise ConfigError(f"checkpoint refused: {path} has format {found!r}, "
                           f"expected {CHECKPOINT_FORMAT!r}")
-    missing = sorted({"config", "config_sha256", "step", "arrays"}
+    missing = sorted({"config", "config_sha256", "step", "rest", "arrays"}
                      - header.keys())
     if missing:
         raise ConfigError(f"checkpoint refused: the header of {path} lacks "
@@ -436,7 +455,11 @@ def checkpoint_load(path, expect_canon: Optional[dict] = None) -> Checkpoint:
             raise ConfigError("checkpoint refused: stored history grid "
                               "differs from the one the config rebuilds")
         phi = HistoryField(grid, arrays["phi_bulk"],
-                           loaded.problem.domain.boundary_index)
+                           loaded.problem.domain.boundary_index,
+                           _checked_rest(header["rest"], arrays["phi_bulk"]))
+    elif header["rest"] is not None:
+        raise ConfigError("checkpoint refused: its rest must be null "
+                          f"without a history, found {header['rest']!r}")
     state = SystemState(u, phi, header["step"])
 
     records = {name[4:]: arrays[name] for name in arrays

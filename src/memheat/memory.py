@@ -28,6 +28,19 @@ two. The step's increment is added in one pass per run of finished rows,
 a run holding as many rows as a ``_BLOCK_BYTES`` slab, not once per
 block. The oracle keeps its own interpolation, an independent check.
 
+A history carries the start ``rest`` of its flat tail: rows ``rest`` to
+n_s - 1 are bitwise equal. A run starts at rest (every row zero, ``rest``
+0), and Phi^t(s) = int_0^s U(t - y) dy is then constant in s for s >= t,
+so only the rows the inflow has reached differ. The pull-back keeps that
+structure exactly: a row whose sources all lie in the tail interpolates
+between equal rows V with weights that sum to 1, so its new value is
+V + inc, and the transport writes that one vector to all such rows instead
+of taking their products. The load folds the tail's weights onto row
+``rest``, and the norm walks stop there, the tail rows sharing its
+energies and having a zero d/ds row. All three change results by rounding
+only, and a history whose ``rest`` is n_s - 1 is treated bitwise as
+without the rule.
+
 The memory response on the boundary matches the one in the interior, so
 the boundary history is the trace of the bulk history, not a second
 unknown: a history stores its bulk rows only and derives the boundary rows
@@ -157,7 +170,8 @@ class HistoryGrid:
     ``s_nodes`` carry the field values; ``edges`` bound the quadrature cells
     (edges[0] = 0, edges[-1] = s_max); ``weights[j]`` is the exact mu_eps
     mass of cell j, so sums over nodes integrate against mu_eps. ``_cache``
-    holds grid-only work: the last dt's transport blocks, the tail windows.
+    holds grid-only work: the last dt's transport blocks, the tail windows,
+    the weights' tail masses.
     A run's grid is built by ``ProblemConfig.grid`` from the problem's
     ``history`` recipe.
     """
@@ -259,11 +273,23 @@ class HistoryField:
 
     Every history row is trace compatible, so only the bulk is stored, with
     the domain's ``boundary_index``; ``boundary`` derives the boundary rows.
+
+    ``rest`` is the start of the flat tail: rows ``rest`` to n_s - 1 are
+    bitwise equal to row ``rest``. The default n_s - 1 claims nothing. A
+    history at rest has ``rest`` 0 (``zero_history``), and the transport
+    keeps the tail of the rows that still hold the initial history; the
+    load and the norms treat the tail as one row of its summed weight.
+    Whoever writes into ``bulk`` keeps the claim true or resets ``rest``.
     """
 
     grid: HistoryGrid
     bulk: Array
     boundary_index: NDArray[np.int64]
+    rest: Optional[int] = None
+
+    def __post_init__(self):
+        if self.rest is None:
+            self.rest = self.bulk.shape[0] - 1
 
     @property
     def boundary(self) -> Array:
@@ -271,16 +297,19 @@ class HistoryField:
         return self.bulk[:, self.boundary_index]
 
     def copy(self) -> "HistoryField":
-        return HistoryField(self.grid, self.bulk.copy(), self.boundary_index)
+        return HistoryField(self.grid, self.bulk.copy(), self.boundary_index,
+                            self.rest)
 
     def __sub__(self, other: "HistoryField") -> "HistoryField":
         if not self.grid.same_nodes(other.grid):
             raise ValueError("history fields live on different s-grids")
-        return HistoryField(self.grid, self.bulk - other.bulk, self.boundary_index)
+        return HistoryField(self.grid, self.bulk - other.bulk,
+                            self.boundary_index, max(self.rest, other.rest))
 
 
 def zero_history(grid: HistoryGrid, d: DiscreteDomain) -> HistoryField:
-    return HistoryField(grid, np.zeros((grid.n_s, d.n_bulk)), d.boundary_index)
+    return HistoryField(grid, np.zeros((grid.n_s, d.n_bulk)),
+                        d.boundary_index, 0)
 
 
 def history_from_profile(grid: HistoryGrid, d: DiscreteDomain,
@@ -304,10 +333,11 @@ _BLOCK_BYTES = 512 * 1024
 
 
 def _blocks(phi: HistoryField) -> list[slice]:
-    """Consecutive s-row blocks of about ``_BLOCK_BYTES`` each."""
-    n_s, n_bulk = phi.bulk.shape
+    """Consecutive s-row blocks of about ``_BLOCK_BYTES`` each, over rows
+    0 to ``phi.rest``: the rows of the flat tail above it are not walked."""
+    stop, n_bulk = phi.rest + 1, phi.bulk.shape[1]
     step = max(1, _BLOCK_BYTES // (8 * (n_bulk + phi.boundary_index.size)))
-    return [slice(a, min(a + step, n_s)) for a in range(0, n_s, step)]
+    return [slice(a, min(a + step, stop)) for a in range(0, stop, step)]
 
 
 def _s_diff(values: Array, r: slice, buf: Array) -> Array:
@@ -324,19 +354,22 @@ def _s_diff(values: Array, r: slice, buf: Array) -> Array:
 
 def _v1_rows(phi: HistoryField, d: DiscreteDomain,
              alpha: float, beta: float) -> Array:
-    """First-order energy of each history row."""
+    """First-order energy of each history row; the tail copies row
+    ``rest``'s."""
     rows = np.empty(phi.grid.n_s)
     blocks = _blocks(phi)
     buf = np.empty(blocks[0].stop * d.n_bulk)
     for r in blocks:
         x = phi.bulk[r]
         rows[r] = d.v1_products(x, x, alpha, beta, buf)
+    rows[phi.rest + 1:] = rows[phi.rest]
     return rows
 
 
 def _pair_rows(phi: HistoryField, d: DiscreteDomain,
                alpha: float, beta: float) -> Array:
-    """Flat energy of the equation-pair image of each history row."""
+    """Flat energy of the equation-pair image of each history row; the tail
+    copies row ``rest``'s."""
     _, pair = d.bulk_operators(alpha, beta)
     w = np.concatenate([d.dx, d.dsigma])
     rows = np.empty(phi.grid.n_s)
@@ -344,14 +377,16 @@ def _pair_rows(phi: HistoryField, d: DiscreteDomain,
         p = pair @ phi.bulk[r].T.copy()
         p *= p
         rows[r] = w @ p
+    rows[phi.rest + 1:] = rows[phi.rest]
     return rows
 
 
 def _ds_rows(phi: HistoryField, d: DiscreteDomain) -> Array:
-    """Flat energy of the one-sided s-derivative of each history row."""
+    """Flat energy of the one-sided s-derivative of each history row; it is
+    exactly 0 on the tail above row ``rest``."""
     h2 = np.diff(phi.grid.s_nodes, prepend=0.0) ** 2
     mass = d.mass_diag()
-    rows = np.empty(phi.grid.n_s)
+    rows = np.zeros(phi.grid.n_s)
     blocks = _blocks(phi)
     buf = np.empty((blocks[0].stop, d.n_bulk))
     for r in blocks:
@@ -379,6 +414,18 @@ def memory_norm_sq(phi: Optional[HistoryField], level: int, d: DiscreteDomain,
     return float(phi.grid.weights @ rows)
 
 
+def _folded_weights(g: HistoryGrid, rest: int) -> Array:
+    """The grid weights of rows 0 to ``rest``, row ``rest`` carrying the
+    mass of the whole tail, sum_{i >= rest} w_i, from a reversed cumulative
+    sum cached on the grid; at rest n_s - 1, the plain weights."""
+    if rest == g.n_s - 1:
+        return g.weights
+    tail = g._cache.get("tail_mass")
+    if tail is None:
+        tail = g._cache["tail_mass"] = np.cumsum(g.weights[::-1])[::-1]
+    return np.append(g.weights[:rest], tail[rest])
+
+
 def convolve_wentzell(phi: HistoryField, d: DiscreteDomain,
                       alpha: float, beta: float) -> StateField:
     """Memory load: the mu_eps-weighted integral of the equation pair.
@@ -386,10 +433,13 @@ def convolve_wentzell(phi: HistoryField, d: DiscreteDomain,
     By linearity this equals applying the coupled operator to the weighted
     sum of the history slices. The slices are trace compatible, so it is
     evaluated as the trace-restricted pair of ``bulk_operators`` applied to
-    the weighted sum of the bulk rows.
+    the weighted sum of the bulk rows. The flat tail enters as its row
+    ``rest`` with the tail's summed weight, so only rows 0 to ``rest`` are
+    read.
     """
     _, pair = d.bulk_operators(alpha, beta)
-    load = pair @ (phi.grid.weights @ phi.bulk)
+    r = phi.rest + 1
+    load = pair @ (_folded_weights(phi.grid, phi.rest) @ phi.bulk[:r])
     return StateField(load[:d.n_bulk], load[d.n_bulk:])
 
 
@@ -419,21 +469,23 @@ def _interp_rows(s_nodes: Array, values: Array, q: Array) -> Array:
 _PULLBACK_FILL = 4
 
 
-def _pullback(g: HistoryGrid, dt: float,
-              width: int) -> tuple[tuple, int, Array]:
+def _pullback(g: HistoryGrid, dt: float, width: int) -> tuple:
     """The characteristic pull-back s -> s - dt as dense row blocks for
     history rows of ``width`` nodes, cached on the grid for the last (dt,
-    width), the number k of nodes with s <= dt, and the k x 2 inflow block
-    C. Those nodes are a prefix, filled by the inflow. Each block is
-    ``(rows, src, D)``: rows ``rows`` of the new history are ``D`` times
-    the consecutive old rows ``src``; the blocks partition rows k..n_s-1.
+    width), the number k of nodes with s <= dt, the k x 2 inflow block C,
+    and the row map ``(lo, hi, n_blocks)``. Those nodes are a prefix,
+    filled by the inflow. Each block is ``(rows, src, D)``: rows ``rows``
+    of the new history are ``D`` times the consecutive old rows ``src``;
+    the blocks partition rows k..n_s-1, and the first ``n_blocks[i]`` of
+    them start below row i.
     A block of more than one row reads a source slab of at most
     ``_BLOCK_BYTES``, so a wide row's block does not multiply mostly zeros,
     and fills its dense D at most ``_PULLBACK_FILL`` times its nonzeros.
-    Row i interpolates linearly between the two nodes around s_i - dt,
-    the zero inflow anchor at s = 0 dropping out. Row i of C holds the
-    trapezoid weights of the step's end values, s_i - s_i^2 / 2dt on u_new
-    and s_i^2 / 2dt on u_prev."""
+    Row k + j interpolates linearly between the two nodes around
+    s_{k+j} - dt, old rows ``lo[j]`` to ``hi[j]``, the zero inflow anchor
+    at s = 0 dropping out (then ``lo[j]`` = ``hi[j]`` = 0). Row i of C
+    holds the trapezoid weights of the step's end values,
+    s_i - s_i^2 / 2dt on u_new and s_i^2 / 2dt on u_prev."""
     hit = g._cache.get("transport")
     if hit is None or hit[0] != (dt, width):
         s = g.s_nodes
@@ -462,8 +514,11 @@ def _pullback(g: HistoryGrid, dt: float,
             blocks.append((slice(k + a, k + b), slice(lo[a], idx[b - 1] + 1), D))
             a = b
         curv = s[:k] ** 2 / (2.0 * dt)
+        starts = [rows.start for rows, _, _ in blocks]
+        n_blocks = np.searchsorted(starts, np.arange(s.size + 1)).tolist()
         hit = g._cache["transport"] = ((dt, width), tuple(blocks), k,
-                                       np.stack([s[:k] - curv, curv], axis=1))
+                                       np.stack([s[:k] - curv, curv], axis=1),
+                                       (lo, idx, n_blocks))
     return hit[1:]
 
 
@@ -482,24 +537,53 @@ def advance_history(phi: HistoryField, u_new: StateField, dt: float,
     the product sees the old values. Rows from a block's first row on are
     then final, and the trapezoid increment of the step is added to them
     in runs of ``_BLOCK_BYTES // (8 width)`` rows, counted from the last
-    row, while they are in cache: one pass per run, not per block, and
-    each entry still gets its product first and the increment second.
-    Nodes with s <= dt are filled last, by exact integration of the
-    step's inflow, linear in time from ``u_prev`` to ``u_new``
+    transported row, while they are in cache: one pass per run, not per
+    block, and each entry still gets its product first and the increment
+    second. Nodes with s <= dt are filled last, by exact integration of
+    the step's inflow, linear in time from ``u_prev`` to ``u_new``
     (trapezoid), as one product of the cached inflow block with the two
     end values, which also form the increment. The inflow fields are
     trace compatible, so only their bulk is read.
+
+    The flat tail is carried, not transported. A row whose two sources
+    both lie in the old tail, at or above row max(rest, 1) so that no
+    source is the inflow anchor, interpolates between equal rows V with
+    weights that sum to 1, so its new value is V + inc up to rounding. The
+    sources' lowest row is nondecreasing in the row, so these rows are the
+    new tail from the first of them, T, found by one ``searchsorted``;
+    each gets the one vector ``bulk[rest] + inc``, computed before any
+    block writes, so the tail stays bitwise flat. The block that straddles
+    T is cut to its rows below T, the blocks above T are skipped, and
+    ``rest`` becomes T, or n_s - 1 if no row qualifies. Then the pull-back
+    is the plain one: a history whose ``rest`` is n_s - 1 moves bitwise as
+    without the rule.
     """
     if dt <= 0.0:
         raise ValueError("dt must be positive")
-    blocks, k, C = _pullback(phi.grid, dt, phi.bulk.shape[1])
+    blocks, k, C, (lo, hi, n_blocks) = _pullback(phi.grid, dt,
+                                                 phi.bulk.shape[1])
     out = phi.bulk
     ends = np.stack([u_new.bulk, u_prev.bulk])
     inc = ends[1] + ends[0]
     inc *= 0.5 * dt
+    # the new tail starts at row tail, n_s when no row qualifies, as none
+    # does when the old tail is the last row alone
+    n_s = tail = out.shape[0]
+    if phi.rest < n_s - 1:
+        tail = k + int(np.searchsorted(lo, max(phi.rest, 1)))
+        if tail < n_s:
+            np.add(out[phi.rest], inc, out=out[tail])
+            out[tail + 1:] = out[tail]
+        phi.rest = min(tail, n_s - 1)
     run = max(1, _BLOCK_BYTES // (8 * out.shape[1]))
-    stop = out.shape[0]
-    for rows, src, D in reversed(blocks):
+    stop = tail
+    for rows, src, D in reversed(blocks[:n_blocks[tail]]):
+        if rows.stop > tail:
+            # the block straddles the tail: cut to its rows below it, whose
+            # sources end at the last such row's upper source
+            src = slice(src.start, hi[tail - 1 - k] + 1)
+            D = D[:tail - rows.start, :src.stop - src.start]
+            rows = slice(rows.start, tail)
         np.matmul(D, out[src], out=out[rows])
         # rows from rows.start on are final: no later block reads them
         start = stop - (stop - rows.start) // run * run
@@ -598,11 +682,12 @@ def history_norms(phi: Optional[HistoryField], d: DiscreteDomain,
     """The recorded history norms of one sample, from one pass of the V1,
     pair and d/ds rows: ``memory_norm_sq`` at levels 1 and 2, the dyadic sup
     of tau * tail, and the squared strong norm K2, which is the level-2
-    energy plus eps times the d/ds flat energy plus that sup. ``phi=None``
-    and a history at rest (every row zero) give exact zeros without a
-    walk; a history that has moved has a nonzero newest row, so that check
-    reads one row."""
-    if phi is None or not (phi.bulk[0].any() or phi.bulk.any()):
+    energy plus eps times the d/ds flat energy plus that sup. The walks
+    stop at row ``rest``, the rows of the flat tail above it taking its
+    energies and a zero d/ds row. ``phi=None`` and a history at rest, a
+    zero row 0 whose tail starts at row 0, give exact zeros without a
+    walk."""
+    if phi is None or (phi.rest == 0 and not phi.bulk[0].any()):
         return 0.0, 0.0, 0.0, 0.0
     w = phi.grid.weights
     v1 = _v1_rows(phi, d, alpha, beta)

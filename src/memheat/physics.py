@@ -21,8 +21,10 @@ Every check rests on one rule: a polynomial of degree at most four takes its
 extremes on a set only at the set's ends or at real critical points.
 ``_critical_points`` supplies 0 and the real parts of all roots of the
 derivative, a superset that can neither lower a minimum nor raise a maximum;
-a real root that fails its backward error, which the companion roots give
-when the coefficients span hundreds of decades, is polished by Newton steps.
+where a real root fails its backward error, which the companion roots give
+when the coefficients span hundreds of decades, every real root is also
+bracketed, by exact sign changes between the roots of the derivative's
+derivative.
 The sign certificate evaluates p(s) = s f(s) + kappa1 s^2 + kappa2, plus a
 tolerance of a few rounding units of its |terms| at s, at the critical
 points of each half-line in ``np.longdouble``. It refuses, with a
@@ -37,6 +39,7 @@ makes it monotone, which the splitting experiments rely on.
 from __future__ import annotations
 
 import math
+import struct
 from dataclasses import dataclass
 from typing import Optional
 
@@ -80,8 +83,6 @@ def _horner(s, coeffs):
     return y
 
 
-# Newton steps a real critical point may take to pass ``_is_root``
-_NEWTON_STEPS = 32
 # the rounding unit and the least subnormal of binary64
 _EPS = float(np.finfo(float).eps)
 _TINY = float(np.finfo(float).smallest_subnormal)
@@ -92,52 +93,123 @@ def _is_root(der: list, x: float) -> bool:
     8 rounding units of its terms at x, plus its slope times the least
     subnormal, the spacing left to a root that underflows. The terms are
     summed exactly (``math.fsum``), so the float nearest a simple root
-    passes, and a companion root far off it does not."""
+    passes, and a companion root far off it does not. A term or slope
+    term that overflows certifies nothing."""
     powers = [1.0]
     for _ in der[1:]:
         powers.append(powers[-1] * x)
     terms = [c * p for c, p in zip(der, powers)]
     slope = [k * c * p for k, (c, p) in enumerate(zip(der[1:], powers), 1)]
+    if not all(map(math.isfinite, terms + slope)):
+        return False
     try:
         return abs(math.fsum(terms)) <= 8 * (
             _EPS * math.fsum(map(abs, terms))
             + _TINY * math.fsum(map(abs, slope)))
-    except (OverflowError, ValueError):  # inf - inf certifies nothing
+    except OverflowError:  # the sum of the magnitudes overflows
         return False
 
 
-def _polished(der: list, r: float) -> float:
-    """The first Newton iterate from ``r`` on ``der``, stepped in
-    ``np.longdouble``, that passes ``_is_root``; ``LinAlgError`` if none of
-    ``_NEWTON_STEPS`` does."""
-    d = np.array(der, np.longdouble)
-    slope = npoly.polyder(d)
-    x = np.longdouble(r)
-    for _ in range(_NEWTON_STEPS):
-        x -= _horner(x, d) / _horner(x, slope)
-        if _is_root(der, float(x)):
-            return float(x)
-    raise np.linalg.LinAlgError(f"Newton steps from the real root {r:.6g} "
-                                "of the derivative do not settle")
+def _bracketed_roots(der: list) -> list[float]:
+    """``_real_roots`` of ``der``, ascending float coefficients, taken
+    exactly; ``LinAlgError`` if a coefficient is not finite, or if a root
+    may lie past the largest float, where the brackets end: that is, if
+    Fujiwara's bound on the roots, 2 max_k |d_{n-k} / d_n|^(1/k), does
+    not stay below it."""
+    # imported here: only this rare path needs it, and it loads ``decimal``
+    from fractions import Fraction
+    if not all(map(math.isfinite, der)):
+        raise np.linalg.LinAlgError("the derivative's coefficients overflow")
+    coeffs = [Fraction(c) for c in np.trim_zeros(der, "b")]
+    n, half = len(coeffs) - 1, Fraction(float(np.finfo(float).max)) / 2
+    if any(abs(coeffs[n - k] / coeffs[n]) > half ** k for k in range(1, n + 1)):
+        raise np.linalg.LinAlgError("a real root of the derivative may lie "
+                                    "past the largest float")
+    return _real_roots(coeffs)
+
+
+def _exact_sign(coeffs: list, x: float) -> int:
+    """The sign of the polynomial with ascending Fraction ``coeffs`` at the
+    float ``x``, evaluated exactly."""
+    y, x = 0 * coeffs[-1], coeffs[-1].from_float(x)
+    for c in reversed(coeffs):
+        y = y * x + c
+    return (y > 0) - (y < 0)
+
+
+def _ordered(x: float) -> int:
+    """The float ``x`` as an integer of the same order, adjacent floats
+    adjacent integers (both zeros are 0)."""
+    n = struct.unpack("<q", struct.pack("<d", x))[0]
+    return n if n >= 0 else -(n & 0x7FFFFFFFFFFFFFFF)
+
+
+def _unordered(n: int) -> float:
+    """The float that ``_ordered`` maps to ``n``."""
+    bits = n if n >= 0 else -n | 1 << 63
+    return struct.unpack("<d", struct.pack("<Q", bits))[0]
+
+
+def _real_roots(coeffs: list) -> list[float]:
+    """Floats bracketing every real root of odd multiplicity of the
+    polynomial with ascending Fraction ``coeffs``, each by the adjacent
+    pair of floats (or the one float) where its exact sign changes; roots
+    past the largest float are not bracketed.
+
+    Between consecutive real roots of the derivative the polynomial is
+    monotone, so it has at most one root there, found by bisection over
+    the floats in their integer order: at most 64 exact sign evaluations.
+    The derivative's roots are bracketed the same way, down to a linear
+    polynomial. The brackets, the derivative's included, are a superset
+    of the real critical points of the polynomial's antiderivative. The
+    leading coefficient must not be 0."""
+    if len(coeffs) < 2:
+        return []
+    seps = _real_roots([k * c for k, c in enumerate(coeffs)][1:])
+    big = float(np.finfo(float).max)
+    ends = sorted({-big, big, *seps})
+    signs = [_exact_sign(coeffs, x) for x in ends]
+    roots = list(seps)
+    for a, b, sa, sb in zip(ends, ends[1:], signs, signs[1:]):
+        if sa * sb < 0:
+            lo, hi = _ordered(a), _ordered(b)
+            while hi - lo > 1:
+                mid = (lo + hi) // 2
+                sm = _exact_sign(coeffs, _unordered(mid))
+                if sm == 0:
+                    lo = hi = mid
+                elif sm == sa:
+                    lo = mid
+                else:
+                    hi = mid
+            roots += [_unordered(lo), _unordered(hi)]
+        elif sa == 0:
+            roots.append(a)
+    return roots
 
 
 def _critical_points(coeffs) -> Array:
     """0 and the real parts of all roots of the polynomial's derivative: its
     real critical points and a few harmless extra points.
 
-    The companion roots err relative to the largest root, so a root returned
-    as real that fails ``_is_root`` (a small real root beside a huge complex
-    pair) is polished and added. A linear derivative's root, -d0 / d1
-    rounded once, needs no check."""
+    The companion roots err relative to the largest root, so where a root
+    returned as real fails ``_is_root`` (a small real root beside a huge
+    complex pair), or the companion matrix overflows, every real root is
+    bracketed and added (``_bracketed_roots``). A linear derivative's root,
+    -d0 / d1 rounded once, needs no check."""
     der = npoly.polyder(coeffs)
-    crit, polished = [0.0], []
+    crit = [0.0]
     if len(der) > 1:
         d = der.tolist()
-        for r in npoly.polyroots(der).tolist():
-            crit.append(r.real)
-            if len(d) > 2 and r.imag == 0.0 and not _is_root(d, r.real):
-                polished.append(_polished(d, r.real))
-    return np.array(crit + polished)
+        try:
+            roots = npoly.polyroots(der).tolist()
+        except np.linalg.LinAlgError:
+            return np.array(crit + _bracketed_roots(d))
+        crit += [r.real for r in roots]
+        if len(d) > 2 and any(r.imag == 0.0 and not _is_root(d, r.real)
+                              for r in roots):
+            crit += _bracketed_roots(d)
+    return np.array(crit)
 
 
 def _poly_min(coeffs) -> float:

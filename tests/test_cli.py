@@ -194,12 +194,13 @@ def test_resume_refuses_a_checkpoint_of_another_format(tmp_path, capsys):
     assert main(["run", "--config", str(path), "--out", str(out)]) == 0
     head, payload = (out / "checkpoint.bin").read_bytes().split(b"\n", 1)
     header = json.loads(head)
-    assert header["format"] == "memheat-checkpoint-4"
+    assert header["format"] == "memheat-checkpoint-5"
     assert [name for name, _ in header["arrays"]][:3] == [
         "u_bulk", "phi_bulk", "s_nodes"]
     # format 1 also stored the boundary history, the trace of phi_bulk, and
     # formats 1 and 2 the field's boundary values, the trace of u_bulk;
-    # format 3 stored today's arrays, but its embedded config held a seed
+    # format 3 stored today's arrays, but its embedded config held a seed;
+    # format 4 stored no flat-tail start ``rest``
     old_arrays = {1: [["u_bulk", [65]], ["u_boundary", [2]],
                       ["phi_bulk", [128, 65]], ["phi_boundary", [128, 2]],
                       ["s_nodes", [128]]],
@@ -214,7 +215,7 @@ def test_resume_refuses_a_checkpoint_of_another_format(tmp_path, capsys):
                      "--out", str(tmp_path / "r")]) == 2
         err = capsys.readouterr().err
         assert f"'memheat-checkpoint-{version}'" in err
-        assert "'memheat-checkpoint-4'" in err
+        assert "'memheat-checkpoint-5'" in err
     canon = dict(header["config"], seed=0)
     old = tmp_path / "old3.bin"
     old.write_bytes(json.dumps(dict(
@@ -224,8 +225,36 @@ def test_resume_refuses_a_checkpoint_of_another_format(tmp_path, capsys):
                  "--out", str(tmp_path / "r3")]) == 2
     err = capsys.readouterr().err
     assert err == (f"error: checkpoint refused: {old} has format "
-                   "'memheat-checkpoint-3', expected 'memheat-checkpoint-4'\n")
+                   "'memheat-checkpoint-3', expected 'memheat-checkpoint-5'\n")
     assert not (tmp_path / "r3").exists()
+    old = tmp_path / "old4.bin"
+    four = {key: value for key, value in header.items() if key != "rest"}
+    old.write_bytes(json.dumps(dict(four, format="memheat-checkpoint-4"))
+                    .encode() + b"\n" + payload)
+    assert main(["resume", "--checkpoint", str(old),
+                 "--out", str(tmp_path / "r4")]) == 2
+    err = capsys.readouterr().err
+    assert err == (f"error: checkpoint refused: {old} has format "
+                   "'memheat-checkpoint-4', expected 'memheat-checkpoint-5'\n")
+    assert not (tmp_path / "r4").exists()
+
+
+def test_a_checkpoint_keeps_the_tail_start_a_resume_continues_from(tmp_path):
+    # the benchmark's square 65 history grid and dt on square n = 17: the
+    # tail start depends on the grid and dt only, and is row 80 at the seam
+    # of step 20; the resume continues from it and matches the direct run
+    path = write_cfg(tmp_path, domain={"kind": "square", "n": 17},
+                     dt=0.0025, record_stride=1, checkpoint_step=20)
+    direct, resumed = tmp_path / "direct", tmp_path / "resumed"
+    assert main(["run", "--config", str(path), "--out", str(direct)]) == 0
+    header = json.loads((direct / "checkpoint.bin").read_bytes()
+                        .split(b"\n", 1)[0])
+    assert header["rest"] == 80
+    assert checkpoint_load(direct / "checkpoint.bin").state.phi.rest == 80
+    assert main(["resume", "--checkpoint", str(direct / "checkpoint.bin"),
+                 "--out", str(resumed)]) == 0
+    for name in ("trajectory.csv", "summary.json"):
+        assert (direct / name).read_bytes() == (resumed / name).read_bytes()
 
 
 def test_checkpoint_roundtrip_preserves_state_bitwise(tmp_path):
@@ -803,15 +832,19 @@ def test_a_run_steps_one_history_and_moves_it_to_disk_without_a_copy(
         assert peaks["checkpoint_load"] < 1.5 * history
 
 
-def _hand_written_checkpoint(path, canon, arrays, declared=None, step=0):
-    """A format-4 checkpoint of ``canon`` at ``step`` holding ``arrays``, a
+def _hand_written_checkpoint(path, canon, arrays, declared=None, step=0,
+                             rest=0):
+    """A format-5 checkpoint of ``canon`` at ``step`` holding ``arrays``, a
     list of (name, array), under the header entry ``declared`` (by default
-    their names and shapes)."""
+    their names and shapes), with the flat-tail start ``rest`` (``...``:
+    no ``rest`` entry)."""
     if declared is None:
         declared = [[name, list(a.shape)] for name, a in arrays]
-    header = {"format": "memheat-checkpoint-4", "config": canon,
+    header = {"format": "memheat-checkpoint-5", "config": canon,
               "config_sha256": config_hash(canon), "step": step,
               "arrays": declared}
+    if rest is not ...:
+        header["rest"] = rest
     path.write_bytes(json.dumps(header).encode() + b"\n"
                      + b"".join(a.astype("<f8").tobytes() for _, a in arrays))
     return path
@@ -836,6 +869,13 @@ _CHECKPOINT_REFUSALS = {
                                    "be a JSON object",
     "resume-config-with-a-string-n": "embedded config is invalid: config key "
                                      "'domain.n' must be int",
+    "resume-without-rest": "lacks rest",
+    "resume-rest-past-the-grid": "its rest must be an integer in [0, 128), "
+                                 "found 128",
+    "resume-fractional-rest": "its rest must be an integer in [0, 128), "
+                              "found 2.5",
+    "resume-rest-below-a-moved-row": "the history rows above its rest 0 are "
+                                     "not bitwise equal to row 0",
 }
 
 
@@ -845,7 +885,7 @@ def _bad_input(tmp_path):
     afile = tmp_path / "afile"
     afile.write_text("")
     headless = tmp_path / "headless.bin"
-    headless.write_bytes(json.dumps({"format": "memheat-checkpoint-4"}).encode()
+    headless.write_bytes(json.dumps({"format": "memheat-checkpoint-5"}).encode()
                          + b"\n")
     loaded = load_config(cfg)
     d, grid = loaded.problem.domain, loaded.problem.grid
@@ -869,6 +909,14 @@ def _bad_input(tmp_path):
         "resume-empty-config": state,
         "resume-config-not-an-object": state,
         "resume-config-with-a-string-n": state,
+        "resume-without-rest": state,
+        "resume-rest-past-the-grid": state,
+        "resume-fractional-rest": state,
+        # the last row differs from the at-rest rows in its sign bit only
+        "resume-rest-below-a-moved-row":
+            state[:1] + [("phi_bulk", np.vstack([
+                np.zeros((grid.n_s - 1, d.n_bulk)),
+                np.full((1, d.n_bulk), -0.0)]))] + state[2:],
     }
     configs = {"resume-empty-config": {},
                "resume-config-not-an-object": [1, 2],
@@ -877,13 +925,16 @@ def _bad_input(tmp_path):
     declared = {"resume-malformed-array-list": "u_bulk"}
     steps = {"resume-records-cut-short": 10, "resume-negative-step": -4,
              "resume-fractional-step": 2.7, "resume-step-off-the-stride": 7}
+    rests = {"resume-without-rest": ..., "resume-rest-past-the-grid": 128,
+             "resume-fractional-rest": 2.5}
     return {
         **{case: ["resume", "--checkpoint",
                   str(_hand_written_checkpoint(tmp_path / f"{case}.bin",
                                                configs.get(case, loaded.canon),
                                                arrays,
                                                declared.get(case),
-                                               steps.get(case, 0))),
+                                               steps.get(case, 0),
+                                               rests.get(case, 0))),
                   "--out", str(tmp_path / "r")]
            for case, arrays in checkpoints.items()},
         "sweep-out-under-a-file": ["sweep-eps", "--config", str(cfg), "--eps",

@@ -251,7 +251,7 @@ def _assert_transport_matches(out, phi, u_new, dt, u_prev):
     # entry (the pull-back rows plus trapezoid increment, the inflow rows)
     g = phi.grid
     s = g.s_nodes
-    blocks, k, _ = memory._pullback(g, dt, phi.bulk.shape[1])
+    blocks, k, _, _ = memory._pullback(g, dt, phi.bulk.shape[1])
     P = np.zeros((g.n_s, g.n_s))
     for rows, src, D in blocks:
         P[rows, src] = D
@@ -308,7 +308,7 @@ def test_pullback_blocks_partition_the_transported_rows(square, grid, dt):
     g = build_history_grid(exponential_kernel(0.5, rate=3.0),
                            **{"n_s": 128, **grid})
     s = g.s_nodes
-    blocks, k, C = memory._pullback(g, dt, square.n_bulk)
+    blocks, k, C, _ = memory._pullback(g, dt, square.n_bulk)
     assert k == int(np.sum(s <= dt)) and C.shape == (k, 2)
     covered = np.concatenate([np.arange(g.n_s)[rows] for rows, _, _ in blocks]
                              + [np.arange(0)])
@@ -349,7 +349,7 @@ def test_pullback_blocks_of_wide_rows_stay_within_the_block_budget():
     g = build_history_grid(exponential_kernel(0.5, rate=3.0), 0.2, n_s=64)
     dt = 0.0025
     assert 3 * 8 * d.n_bulk > memory._BLOCK_BYTES
-    blocks, k, _ = memory._pullback(g, dt, d.n_bulk)
+    blocks, k, _, _ = memory._pullback(g, dt, d.n_bulk)
     covered = np.concatenate([np.arange(g.n_s)[rows] for rows, _, _ in blocks])
     assert k > 0 and np.array_equal(covered, np.arange(k, g.n_s))
     for rows, src, D in blocks:
@@ -363,7 +363,7 @@ def test_pullback_blocks_of_wide_rows_stay_within_the_block_budget():
 def _per_block_transport(phi, u_new, dt, u_prev):
     # the transport that adds the step's increment to each pull-back block
     # right after its product, one pass per block
-    blocks, k, C = memory._pullback(phi.grid, dt, phi.bulk.shape[1])
+    blocks, k, C, _ = memory._pullback(phi.grid, dt, phi.bulk.shape[1])
     out = phi.bulk
     new, prev = u_new.bulk, u_prev.bulk
     inc = 0.5 * dt * (prev + new)
@@ -401,7 +401,7 @@ def test_increment_runs_match_the_per_block_increment(width, run_rows, grid,
     out = advance_history(phi, u_new, dt, u_prev)
     assert out.bulk.tobytes() == ref.bulk.tobytes()
     if run_rows in (3, 7):
-        blocks, k, _ = memory._pullback(g, dt, width)
+        blocks, k, _, _ = memory._pullback(g, dt, width)
         bounds = range(g.n_s - run_rows, k, -run_rows)
         assert any(rows.start < b < rows.stop for b in bounds
                    for rows, _, _ in blocks)
@@ -658,7 +658,7 @@ def test_transport_allocates_only_its_output():
     u_prev, u_new = (d.field_from_bulk(rng.normal(size=d.n_bulk))
                      for _ in range(2))
     advance_history(phi, u_new, dt, u_prev)  # builds the cached operator
-    blocks, k, _ = memory._pullback(g, dt, d.n_bulk)
+    blocks, k, _, _ = memory._pullback(g, dt, d.n_bulk)
     assert k == 35
     slab = max(src.stop - src.start for _, src, _ in blocks)
     tracemalloc.start()
@@ -685,7 +685,7 @@ def _assert_in_place_step(d, g, dt, seed):
     u_prev, u_new = (d.field_from_bulk(rng.normal(size=d.n_bulk))
                      for _ in range(2))
     old, bulk = phi.copy(), phi.bulk
-    blocks, k, C = memory._pullback(g, dt, d.n_bulk)
+    blocks, k, C, _ = memory._pullback(g, dt, d.n_bulk)
     assert any(src.stop > rows.start for rows, src, _ in blocks)
     out = advance_history(phi, u_new, dt, u_prev=u_prev)
     assert out is phi and out.bulk is bulk
@@ -796,6 +796,142 @@ def test_the_dissipation_identity_holds_on_a_ramp_profile_to_grid_error(
     assert 1.5 <= gaps[0] / gaps[1] <= 2.5
     assert all(3.0 <= a / b <= 5.0 for a, b in zip(gaps[1:], gaps[2:])), gaps
     assert abs(gaps[-1]) <= 3e-3
+
+
+# -- the flat tail ----------------------------------------------------------
+
+
+def _without_tail(phi):
+    """The same history, claiming no flat tail (``rest`` n_s - 1)."""
+    return HistoryField(phi.grid, phi.bulk.copy(), phi.boundary_index)
+
+
+def _rel_gap(a, b):
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    return float(np.max(np.abs(a - b)) / max(np.max(np.abs(b)), 1e-300))
+
+
+@pytest.mark.parametrize("kind, n", [("interval", 65), ("square", 17)])
+def test_a_run_from_rest_keeps_a_flat_tail_that_changes_only_rounding(kind,
+                                                                     n):
+    # 200 steps from a history at rest, on the benchmark's physics: after
+    # every step the rows from rest on are bitwise equal, and the history,
+    # its load and its norms agree to 1e-12 with the same step taken, and
+    # the same quantities read, without the tail rule
+    d = build_domain(kind, n)
+    nl = make_nonlinearity([-0.125, 0.0, 0.0, 1.0], [-0.375, 0.0, 0.0, 1.0])
+    cfg = ProblemConfig(d, exponential_kernel(0.5, rate=3.0), nl, alpha=0.0,
+                        beta=1.0, eps=0.2, dt=0.0025, t_final=0.5,
+                        record_stride=1, history={"n_s": 128})
+    u0 = d.field_from_function(lambda p: 0.5 * np.cos(np.pi * p[..., 0]))
+    state = lift(u0, cfg)
+    assert state.phi.rest == 0
+    plain = _without_tail(state.phi)
+    g, (_, pair) = state.phi.grid, d.bulk_operators(0.0, 1.0)
+    rests = []
+    for _ in range(200):
+        u_prev = state.u
+        state = step_peps(state, cfg)
+        phi = state.phi
+        advance_history(plain, state.u, cfg.dt, u_prev=u_prev)
+        assert plain.rest == g.n_s - 1
+        bits = phi.bulk.view(np.uint64)
+        assert np.all(bits[phi.rest:] == bits[phi.rest])
+        assert _rel_gap(phi.bulk, plain.bulk) <= 1e-12
+        flat = _without_tail(phi)
+        # the load is a difference operator, scale 1/h^2, applied to the
+        # weighted row sum, so it is compared against the size of the terms
+        # of that product, the scale of its rounding
+        a, b = (convolve_wentzell(x, d, 0.0, 1.0) for x in (phi, flat))
+        terms = abs(pair) @ np.abs(g.weights @ flat.bulk)
+        gap = np.abs(np.concatenate([a.bulk - b.bulk,
+                                     a.boundary - b.boundary]))
+        assert np.all(gap <= 1e-12 * terms.max())
+        assert _rel_gap(history_norms(phi, d, 0.0, 1.0),
+                        history_norms(flat, d, 0.0, 1.0)) <= 1e-12
+        rests.append(phi.rest)
+    # the tail shrinks as the inflow fills the history, and is gone when
+    # the front reaches the last row
+    assert rests[0] == 36 and rests[19] == 80 and rests[-1] == 127
+    assert rests == sorted(rests)
+
+
+def test_a_history_without_a_tail_moves_loads_and_records_as_before(square):
+    # rest n_s - 1 claims nothing: the transport runs every block, the load
+    # takes the plain weights and the walks cover every row, bitwise
+    g = build_history_grid(exponential_kernel(0.5, rate=3.0), 0.2, n_s=128)
+    dt, d = 0.0025, square
+    rng = np.random.default_rng(37)
+    phi = HistoryField(g, rng.normal(size=(g.n_s, d.n_bulk)),
+                       d.boundary_index)
+    assert phi.rest == g.n_s - 1
+    _, pair = d.bulk_operators(0.7, 1.3)
+    load = convolve_wentzell(phi, d, 0.7, 1.3)
+    assert np.array_equal(np.concatenate([load.bulk, load.boundary]),
+                          pair @ (g.weights @ phi.bulk))
+    v1 = np.concatenate([d.v1_products(phi.bulk[r], phi.bulk[r], 0.7, 1.3,
+                                       np.empty(phi.bulk[r].size))
+                         for r in memory._blocks(phi)])
+    assert memory._blocks(phi)[-1].stop == g.n_s
+    assert np.array_equal(memory._v1_rows(phi, d, 0.7, 1.3), v1)
+    _assert_in_place_step(d, g, dt, seed=41)
+
+
+def test_a_tail_start_survives_copy_and_difference(interval):
+    g = build_history_grid(exponential_kernel(0.5, rate=3.0), 0.2, n_s=64)
+    rng = np.random.default_rng(43)
+    bulk = np.repeat(rng.normal(size=(1, interval.n_bulk)), g.n_s, axis=0)
+    bulk[:10] = rng.normal(size=(10, interval.n_bulk))
+    a = HistoryField(g, bulk, interval.boundary_index, 10)
+    b = HistoryField(g, bulk[::-1].copy(), interval.boundary_index, 53)
+    b.bulk[54:] = b.bulk[53]
+    assert a.copy().rest == 10 and (a - b).rest == (b - a).rest == 53
+    assert zero_history(g, interval).rest == 0
+    # the difference's rows from its rest on are still equal
+    diff = (a - b).bulk
+    assert np.all(diff[53:] == diff[53])
+
+
+def test_the_tail_rule_is_cut_per_row_and_read_before_written(square):
+    # a straddling block is cut to its rows below the tail and the tail
+    # gets bulk[rest] + inc of the old history, against the rows the plain
+    # pull-back computes from the same history, to rounding
+    g = build_history_grid(exponential_kernel(0.5, rate=3.0), 0.2, n_s=128)
+    dt, d = 0.0025, square
+    blocks, k, _, (lo, _, _) = memory._pullback(g, dt, d.n_bulk)
+    starts = [rows.start for rows, _, _ in blocks]
+    rng = np.random.default_rng(47)
+    for rest in (0, 1, 40, 80, 126):
+        bulk = rng.normal(size=(g.n_s, d.n_bulk))
+        bulk[rest + 1:] = bulk[rest]
+        phi = HistoryField(g, bulk, d.boundary_index, rest)
+        plain = _without_tail(phi)
+        u_prev, u_new = (d.field_from_bulk(rng.normal(size=d.n_bulk))
+                         for _ in range(2))
+        advance_history(phi, u_new, dt, u_prev=u_prev)
+        advance_history(plain, u_new, dt, u_prev=u_prev)
+        tail = k + int(np.searchsorted(lo, max(rest, 1)))
+        assert phi.rest == min(tail, g.n_s - 1)
+        assert np.all(lo[phi.rest - k:] >= max(rest, 1))
+        assert _rel_gap(phi.bulk, plain.bulk) <= 1e-12
+        if tail < g.n_s:
+            assert np.array_equal(phi.bulk[tail:],
+                                  np.broadcast_to(phi.bulk[tail],
+                                                  phi.bulk[tail:].shape))
+        # rows below the tail are the plain step's, bitwise, when the
+        # tail starts on a block's first row
+        if tail in starts:
+            assert np.array_equal(phi.bulk[:tail], plain.bulk[:tail])
+
+
+def test_folded_weights_carry_the_tail_mass(interval):
+    g = build_history_grid(exponential_kernel(0.5, rate=3.0), 0.2, n_s=64)
+    for rest in (0, 17, 40):
+        w = memory._folded_weights(g, rest)
+        assert w.size == rest + 1
+        assert np.array_equal(w[:rest], g.weights[:rest])
+        assert w[rest] == pytest.approx(g.weights[rest:].sum(), rel=1e-15)
+    assert np.array_equal(memory._folded_weights(g, 63), g.weights)
 
 
 @settings(max_examples=20, deadline=None)

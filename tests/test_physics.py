@@ -154,7 +154,7 @@ def test_sign_oracle_refuses_what_is_not_finite_on_its_grid(coeffs, k1, k2):
         _check_sign_certificate(coeffs, k1, k2, "g")
 
 
-def test_a_small_real_critical_point_beside_a_huge_complex_pair(monkeypatch):
+def test_a_small_real_critical_point_beside_a_huge_complex_pair():
     # (s f)' has the real root -c0 / (2 c1) = -0.0924 and a complex pair near
     # +-2.82e53 i; the companion roots return that real root as 0, so the
     # minimum of s f, -c0^2 / (4 c1) = -2.3659e149, was read as -6.731e106
@@ -163,11 +163,122 @@ def test_a_small_real_critical_point_beside_a_huge_complex_pair(monkeypatch):
     nl = make_nonlinearity(f, WORKLOAD_G)
     assert nl.kappa1 == 0.0
     assert nl.kappa2 == pytest.approx(c0 * c0 / (4.0 * c1), rel=1e-12)
-    # a real root that Newton's steps leave off is refused, naming f
-    monkeypatch.setattr(physics, "_NEWTON_STEPS", 0)
-    with pytest.raises(ValueError, match="f cannot be certified: its "
-                       "critical points cannot be computed .*Newton"):
-        make_nonlinearity(f, WORKLOAD_G)
+
+
+def _reference_kappa2(c):
+    """kappa2 = max(0, -min s f(s)) of the cubic f with ascending ``c`` and
+    positive leading term, and the certificate's tolerance 8 eps |terms| at
+    the minimizer, by mpmath: the real roots of (s f)' by Cardano's formula,
+    each polished by Newton steps, all carried at 2500 digits, enough for
+    the cancellation of coefficients 1e-300 to 1e300 to leave more than 80."""
+    mpmath = pytest.importorskip("mpmath")
+    mpf = mpmath.mpf
+    with mpmath.mp.workdps(2500):
+        c = [mpf(x) for x in c]
+        a3, a2, a1, a0 = 4 * c[3], 3 * c[2], 2 * c[1], c[0]
+        p = (3 * a3 * a1 - a2**2) / (3 * a3**2)
+        q = (2 * a2**3 - 9 * a3 * a2 * a1 + 27 * a3**2 * a0) / (27 * a3**3)
+        disc = q**2 / 4 + p**3 / 27
+        if disc > 0:
+            u, v = (-q / 2 + r for r in (mpmath.sqrt(disc), -mpmath.sqrt(disc)))
+            ts = [mpmath.sign(u) * mpmath.cbrt(abs(u))
+                  + mpmath.sign(v) * mpmath.cbrt(abs(v))]
+        else:
+            m = 2 * mpmath.sqrt(-p / 3)
+            th = mpmath.acos(max(-1, min(1, 3 * q / (p * m)))) / 3
+            ts = [m * mpmath.cos(th - 2 * mpmath.pi * k / 3) for k in range(3)]
+        low, arg = mpf(0), mpf(0)
+        for t in ts:
+            x = t - a2 / (3 * a3)
+            for _ in range(8):
+                slope = (3 * a3 * x + 2 * a2) * x + a1
+                if slope == 0:
+                    break
+                x -= (((a3 * x + a2) * x + a1) * x + a0) / slope
+            h = x * (c[0] + x * (c[1] + x * (c[2] + x * c[3])))
+            if h < low:
+                low, arg = h, x
+        tol = 8 * physics._EPS * sum(abs(ck * arg ** (k + 1))
+                                     for k, ck in enumerate(c))
+        return float(-low), float(tol)
+
+
+def _random_cubics(seed, n):
+    """Cubics with random signs and magnitudes 1e-300 to 1e300, a positive
+    leading term, and s f(s) finite for |s| <= 100."""
+    rng = np.random.default_rng(seed)
+    out = []
+    for _ in range(n):
+        c = (rng.choice((-1.0, 1.0), 4) * 10.0 ** rng.uniform(-300, 300, 4))
+        c[3] = abs(c[3])
+        if math.isfinite(sum(abs(x) * 100.0 ** (k + 1)
+                             for k, x in enumerate(c))):
+            out.append(c.tolist())
+    return out
+
+
+# cubics whose critical points the companion roots miss
+_FAR_APART_CUBICS = [
+    # the companion roots return 0 for the real root -1.86e-10
+    [-1.0992288832725049e-110, 3.2275837501282436e-153,
+     -3.4296397914242406e+26, 2.461851146874583e+47],
+    # the companion matrix overflows: c0 / 4 c3 = 2.7e404
+    [-2.2270861369170533e+271, 2.8898593972890784e+234,
+     -4.58728185043904e-26, 2.0401385610916162e-134],
+    # the companion roots are 0, since -c0 / 4 c3 underflows
+    [-1.5059333036594945e-117, -1.6660758117394296e-215,
+     -1.883732763392774e-20, 4.850539179554051e+249],
+]
+
+
+def test_sign_constants_of_cubics_far_apart_in_size(monkeypatch):
+    # every cubic whose reference kappa2 is a finite float is certified,
+    # with a kappa2 that is sound, at most the certificate's tolerance
+    # below the reference's, and tight, within 1e-12 relative above it
+    brackets = []
+    bracketed = physics._bracketed_roots
+    monkeypatch.setattr(physics, "_bracketed_roots",
+                        lambda der: brackets.append(der) or bracketed(der))
+    wrong, checked = [], 0
+    for f in _FAR_APART_CUBICS + _random_cubics(2026, 120):
+        k2, tol = _reference_kappa2(f)
+        if not k2 < float(np.finfo(float).max):
+            continue
+        checked += 1
+        try:
+            got = make_nonlinearity(f, WORKLOAD_G).kappa2
+        except ValueError as e:
+            wrong.append((f, k2, str(e)))
+            continue
+        if not k2 - tol <= got <= k2 + tol + 1e-12 * k2:
+            wrong.append((f, k2, got))
+    assert not wrong, wrong
+    assert checked >= 60
+    # the random draws reach the bracketed search, not only the fixed three
+    assert len(brackets) > 5
+
+
+def test_real_roots_are_bracketed_by_adjacent_floats():
+    # roots 1e-200, -3 and 1e200, one decade apart from nothing: each lies
+    # between two adjacent floats of the brackets, found by exact signs
+    from fractions import Fraction
+    roots = [Fraction(1e-200), Fraction(-3), Fraction(1e200)]
+    coeffs = [Fraction(1)]
+    for r in roots:  # multiply by (x - r), ascending coefficients
+        coeffs = [-r * coeffs[0]] + [coeffs[k - 1] - r * coeffs[k]
+                                     for k in range(1, len(coeffs))] \
+            + [coeffs[-1]]
+    found = sorted(physics._real_roots(coeffs))
+    for r in roots:
+        assert any(lo <= r <= hi and np.nextafter(lo, np.inf) >= hi
+                   for lo, hi in zip(found, found[1:])), float(r)
+
+
+def test_a_point_where_a_term_overflows_is_no_root():
+    # (s - 1e200)(s^2 + 1) at its root 1e200, whose square and cube
+    # overflow, and 1e300 (s^2 + 1) at 1e10: inf <= inf would pass both
+    assert not physics._is_root([-1e200, 1.0, -1e200, 1.0], 1e200)
+    assert not physics._is_root([1e300, 0.0, 1e300], 1e10)
 
 
 def test_inadmissible_polynomials_are_rejected():
