@@ -226,9 +226,12 @@ class DiscreteDomain:
                 on = offset == o
                 c[upper.row[on]] = -upper.data[on]
                 edges.append((int(o), c))
-            full = k.tocoo()
+            # row sums over K's CSR segments; reduceat would return the
+            # next entry for an empty row, so only nonempty rows are summed
             sums = np.zeros(self.n_bulk, dtype=np.longdouble)
-            np.add.at(sums, full.row, full.data.astype(np.longdouble))
+            full = np.diff(k.indptr) > 0
+            sums[full] = np.add.reduceat(k.data.astype(np.longdouble),
+                                         k.indptr[:-1][full])
             sums = sums.astype(float)
             index = np.flatnonzero(sums)
             self._cache[key] = (tuple(edges), index, sums[index])

@@ -41,6 +41,19 @@ energies and having a zero d/ds row. All three change results by rounding
 only, and a history whose ``rest`` is n_s - 1 is treated bitwise as
 without the rule.
 
+A transported history also carries ``inflow = (C, ends)``: its k inflow
+rows, s <= dt, are bitwise ``C @ ends``, the cached k x 2 trapezoid block
+times the step's stacked end values, so they have rank 2 at every step,
+not only at start-up. ``advance_history`` sets the claim and ``copy``
+keeps it; a difference, a checkpoint load, a profile history and
+``zero_history`` claim nothing. The norms measure those rows in closed
+form from 2 x 2 Gram forms of the two end values, the V1 energies and
+their cross product, the pair images' three weighted products, and the
+mass form of the row differences ``C[i] - C[i-1]`` for d/ds, and walk only
+rows k to ``rest``. That changes results by rounding only; the memory load
+still reads every row, and a history without the claim is walked bitwise
+as without the rule.
+
 The memory response on the boundary matches the one in the interior, so
 the boundary history is the trace of the bulk history, not a second
 unknown: a history stores its bulk rows only and derives the boundary rows
@@ -279,13 +292,23 @@ class HistoryField:
     history at rest has ``rest`` 0 (``zero_history``), and the transport
     keeps the tail of the rows that still hold the initial history; the
     load and the norms treat the tail as one row of its summed weight.
-    Whoever writes into ``bulk`` keeps the claim true or resets ``rest``.
+
+    ``inflow``, when set, is ``(C, ends)``: rows 0 to k - 1 are bitwise
+    ``C @ ends``, the k x 2 inflow block of the transport times the stacked
+    bulk end values ``(u_new, u_prev)`` of the step that wrote them. Only
+    ``advance_history`` sets it, and ``copy`` keeps it; a difference, a
+    checkpoint load, a profile history and ``zero_history`` claim nothing
+    (None). The norms measure these rows in closed form, from 2 x 2 Gram
+    forms of the two end values; the load still reads every row.
+    Whoever writes into ``bulk`` keeps both claims true or resets them
+    (``rest`` to n_s - 1, ``inflow`` to None); ``ends`` is never written.
     """
 
     grid: HistoryGrid
     bulk: Array
     boundary_index: NDArray[np.int64]
     rest: Optional[int] = None
+    inflow: Optional[tuple] = None
 
     def __post_init__(self):
         if self.rest is None:
@@ -298,7 +321,7 @@ class HistoryField:
 
     def copy(self) -> "HistoryField":
         return HistoryField(self.grid, self.bulk.copy(), self.boundary_index,
-                            self.rest)
+                            self.rest, self.inflow)
 
     def __sub__(self, other: "HistoryField") -> "HistoryField":
         if not self.grid.same_nodes(other.grid):
@@ -332,12 +355,37 @@ def history_from_profile(grid: HistoryGrid, d: DiscreteDomain,
 _BLOCK_BYTES = 512 * 1024
 
 
+def _inflow_rows(phi: HistoryField) -> int:
+    """The number of leading rows measured in closed form: min(k, rest + 1)
+    when the history carries the inflow claim, else 0."""
+    if phi.inflow is None:
+        return 0
+    return min(phi.inflow[0].shape[0], phi.rest + 1)
+
+
 def _blocks(phi: HistoryField) -> list[slice]:
     """Consecutive s-row blocks of about ``_BLOCK_BYTES`` each, over rows
-    0 to ``phi.rest``: the rows of the flat tail above it are not walked."""
-    stop, n_bulk = phi.rest + 1, phi.bulk.shape[1]
-    step = max(1, _BLOCK_BYTES // (8 * (n_bulk + phi.boundary_index.size)))
-    return [slice(a, min(a + step, stop)) for a in range(0, stop, step)]
+    ``_inflow_rows(phi)`` to ``phi.rest``: the inflow rows below are
+    measured in closed form and the rows of the flat tail above are not
+    walked."""
+    start, stop = _inflow_rows(phi), phi.rest + 1
+    step = max(1, _BLOCK_BYTES // (8 * (phi.bulk.shape[1]
+                                        + phi.boundary_index.size)))
+    return [slice(a, min(a + step, stop)) for a in range(start, stop, step)]
+
+
+def _block_rows(blocks: list[slice]) -> int:
+    """Rows of the longest block, the first; 0 without blocks."""
+    return blocks[0].stop - blocks[0].start if blocks else 0
+
+
+def _gram_rows(C: Array, g00: float, g01: float, g11: float) -> Array:
+    """The quadratic form of the rows ``C[i, 0] e0 + C[i, 1] e1``, from
+    its Gram entries on e0 and e1. The entries are taken one at a time, not
+    as one product of stacked copies of e0 and e1, which on square 129's
+    rows raised a run's peak memory by 1 MiB."""
+    a, b = C[:, 0], C[:, 1]
+    return a * a * g00 + 2.0 * a * b * g01 + b * b * g11
 
 
 def _s_diff(values: Array, r: slice, buf: Array) -> Array:
@@ -354,11 +402,18 @@ def _s_diff(values: Array, r: slice, buf: Array) -> Array:
 
 def _v1_rows(phi: HistoryField, d: DiscreteDomain,
              alpha: float, beta: float) -> Array:
-    """First-order energy of each history row; the tail copies row
+    """First-order energy of each history row; the inflow rows from the
+    end values' two energies and their cross product, the tail copying row
     ``rest``'s."""
     rows = np.empty(phi.grid.n_s)
+    m = _inflow_rows(phi)
+    if m:
+        C, ends = phi.inflow
+        e00, e11 = d.v1_products(ends, ends, alpha, beta)
+        e01 = d.v1_products(ends[:1], ends[1:], alpha, beta)[0]
+        rows[:m] = _gram_rows(C[:m], e00, e01, e11)
     blocks = _blocks(phi)
-    buf = np.empty(blocks[0].stop * d.n_bulk)
+    buf = np.empty(_block_rows(blocks) * d.n_bulk)
     for r in blocks:
         x = phi.bulk[r]
         rows[r] = d.v1_products(x, x, alpha, beta, buf)
@@ -368,11 +423,18 @@ def _v1_rows(phi: HistoryField, d: DiscreteDomain,
 
 def _pair_rows(phi: HistoryField, d: DiscreteDomain,
                alpha: float, beta: float) -> Array:
-    """Flat energy of the equation-pair image of each history row; the tail
-    copies row ``rest``'s."""
+    """Flat energy of the equation-pair image of each history row; the
+    inflow rows from the images of the two end values, the tail copying
+    row ``rest``'s."""
     _, pair = d.bulk_operators(alpha, beta)
     w = np.concatenate([d.dx, d.dsigma])
     rows = np.empty(phi.grid.n_s)
+    m = _inflow_rows(phi)
+    if m:
+        C, ends = phi.inflow
+        p0, p1 = (pair @ ends.T).T
+        rows[:m] = _gram_rows(C[:m], w @ (p0 * p0), w @ (p0 * p1),
+                              w @ (p1 * p1))
     for r in _blocks(phi):
         p = pair @ phi.bulk[r].T.copy()
         p *= p
@@ -382,13 +444,20 @@ def _pair_rows(phi: HistoryField, d: DiscreteDomain,
 
 
 def _ds_rows(phi: HistoryField, d: DiscreteDomain) -> Array:
-    """Flat energy of the one-sided s-derivative of each history row; it is
-    exactly 0 on the tail above row ``rest``."""
+    """Flat energy of the one-sided s-derivative of each history row; the
+    inflow rows from the differences of the rows of C in the mass form of
+    the end values. It is exactly 0 on the tail above row ``rest``."""
     h2 = np.diff(phi.grid.s_nodes, prepend=0.0) ** 2
     mass = d.mass_diag()
     rows = np.zeros(phi.grid.n_s)
+    m = _inflow_rows(phi)
+    if m:
+        C, (e0, e1) = phi.inflow
+        rows[:m] = _gram_rows(np.diff(C[:m], axis=0, prepend=0.0),
+                              (e0 * e0) @ mass, (e0 * e1) @ mass,
+                              (e1 * e1) @ mass) / h2[:m]
     blocks = _blocks(phi)
-    buf = np.empty((blocks[0].stop, d.n_bulk))
+    buf = np.empty((_block_rows(blocks), d.n_bulk))
     for r in blocks:
         ds = _s_diff(phi.bulk, r, buf)
         ds *= ds
@@ -557,6 +626,10 @@ def advance_history(phi: HistoryField, u_new: StateField, dt: float,
     ``rest`` becomes T, or n_s - 1 if no row qualifies. Then the pull-back
     is the plain one: a history whose ``rest`` is n_s - 1 moves bitwise as
     without the rule.
+
+    The step records what it wrote on the inflow rows: ``phi.inflow``
+    becomes ``(C, ends)``, the cached block and the stacked end values the
+    product read, for the norms to measure those rows in closed form.
     """
     if dt <= 0.0:
         raise ValueError("dt must be positive")
@@ -592,6 +665,7 @@ def advance_history(phi: HistoryField, u_new: StateField, dt: float,
             stop = start
     out[k:stop] += inc
     np.matmul(C, ends, out=out[:k])
+    phi.inflow = (C, ends)
     return phi
 
 
@@ -684,9 +758,12 @@ def history_norms(phi: Optional[HistoryField], d: DiscreteDomain,
     of tau * tail, and the squared strong norm K2, which is the level-2
     energy plus eps times the d/ds flat energy plus that sup. The walks
     stop at row ``rest``, the rows of the flat tail above it taking its
-    energies and a zero d/ds row. ``phi=None`` and a history at rest, a
-    zero row 0 whose tail starts at row 0, give exact zeros without a
-    walk."""
+    energies and a zero d/ds row. A history with the inflow claim has its
+    rows with s <= dt measured in closed form from the step's two end
+    values and walked from row k; the claim is set by ``advance_history``
+    only, and the memory load reads every row regardless. ``phi=None``
+    and a history at rest, a zero row 0 whose tail starts at row 0, give
+    exact zeros without a walk."""
     if phi is None or (phi.rest == 0 and not phi.bulk[0].any()):
         return 0.0, 0.0, 0.0, 0.0
     w = phi.grid.weights

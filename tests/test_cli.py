@@ -250,7 +250,10 @@ def test_a_checkpoint_keeps_the_tail_start_a_resume_continues_from(tmp_path):
     header = json.loads((direct / "checkpoint.bin").read_bytes()
                         .split(b"\n", 1)[0])
     assert header["rest"] == 80
-    assert checkpoint_load(direct / "checkpoint.bin").state.phi.rest == 80
+    phi = checkpoint_load(direct / "checkpoint.bin").state.phi
+    # the inflow claim is not stored: the resumed seam sample walks every
+    # row, and the merge drops it for the direct run's
+    assert phi.rest == 80 and phi.inflow is None
     assert main(["resume", "--checkpoint", str(direct / "checkpoint.bin"),
                  "--out", str(resumed)]) == 0
     for name in ("trajectory.csv", "summary.json"):

@@ -438,6 +438,37 @@ def test_transport_matches_oracle_on_step_aligned_grid(interval):
     assert err < 1e-12
 
 
+def test_the_pullback_front_strays_from_the_oracle_by_a_pinned_amount(
+        interval):
+    # the benchmark's grid from rest, constant data: the linear pull-back
+    # spreads the front s = t, so the rows from the first node above it up
+    # to the flat tail hold, not the flat value int_0^t u, a value
+    # interpolated from the front. Measured, relative to the flat value:
+    # 6.71e-3, 3.95e-2 and 5.30e-2 at steps 20, 40 and 67, on the first row
+    # above the front, and below 4e-6 from eight rows above it; pinned at
+    # twice that. The tail itself holds the flat value to rounding.
+    cfg = _bench_cfg(interval, 0.2, 0.2)
+    y = lift(interval.constant_field(0.5), cfg)
+    times, path, seen = [0.0], [y.u], {}
+    for step in range(1, 68):
+        y = step_peps(y, cfg)
+        times.append(step * cfg.dt)
+        path.append(y.u)
+        if step in (20, 40, 67):
+            phi = y.phi
+            ref = history_oracle(np.array(times), path, phi.grid, interval,
+                                 step * cfg.dt)
+            front = int(np.searchsorted(phi.grid.s_nodes, step * cfg.dt,
+                                        side="right"))
+            dev = (np.abs(phi.bulk - ref.bulk).max(axis=1)
+                   / np.abs(ref.bulk[-1]).max())
+            assert dev[phi.rest:].max() <= 1e-14
+            seen[step] = (front, phi.rest, dev[front:phi.rest].max())
+    assert [v[:2] for v in seen.values()] == [(77, 80), (86, 100), (93, 127)]
+    for step, pin in ((20, 6.71e-3), (40, 3.95e-2), (67, 5.30e-2)):
+        assert seen[step][2] <= 2.0 * pin
+
+
 def test_oracle_carries_initial_history_beyond_elapsed_time(interval):
     k = exponential_kernel(0.5, rate=1.0)
     g = build_history_grid(k, 0.5, n_s=64, spacing="uniform", s_max=8.0)
@@ -643,6 +674,15 @@ def test_history_norms_allocate_no_history_sized_arrays():
         if kind == "square":
             assert _peak_bytes(lambda: history_norms(phi, d, 0.7, 1.3)) \
                 < 2 * 2**20
+        # with the inflow claim of a step, the closed-form rows too
+        u_prev, u_new = (d.field_from_bulk(rng.normal(size=d.n_bulk))
+                         for _ in range(2))
+        advance_history(phi, u_new, 0.0025, u_prev)
+        assert phi.inflow is not None
+        assert _peak_bytes(lambda: memory_norm_sq(phi, 1, d, 0.7, 1.3)) \
+            < 2 * 2**20
+        assert _peak_bytes(lambda: history_norms(phi, d, 0.7, 1.3)) \
+            < 2 * 2**20
 
 
 def test_transport_allocates_only_its_output():
@@ -724,6 +764,45 @@ def test_edge_form_weights_are_nonnegative(kind, n, alpha, beta):
     gap.eliminate_zeros()
     assert gap.nnz == 0
     np.testing.assert_allclose(diag, k.diagonal(), rtol=1e-14, atol=0.0)
+
+
+def _scattered_row_sums(k):
+    """K's row sums in extended precision by a scatter-add over its COO
+    entries, kept as the reference of ``edge_form``'s segment sums."""
+    full = k.tocoo()
+    sums = np.zeros(k.shape[0], dtype=np.longdouble)
+    np.add.at(sums, full.row, full.data.astype(np.longdouble))
+    return sums.astype(float)
+
+
+@pytest.mark.parametrize("kind, n", [("interval", 17), ("interval", 100),
+                                     ("square", 17), ("square", 100)])
+@pytest.mark.parametrize("alpha, beta", [(0.0, 1.0), (0.7, 1.3), (1.0, 0.0)])
+def test_edge_form_node_weights_equal_the_scattered_row_sums(kind, n, alpha,
+                                                              beta):
+    d = build_domain(kind, n)
+    _, index, weight = d.edge_form(alpha, beta)
+    sums = _scattered_row_sums(d.bulk_operators(alpha, beta)[0])
+    assert np.array_equal(index, np.flatnonzero(sums))
+    assert np.array_equal(weight, sums[index])
+
+
+def test_edge_form_row_sums_skip_empty_rows():
+    # a stiffness whose first, an inner and the last row are empty: a
+    # segment sum would hand each of them the entry that follows it
+    d = build_domain("interval", 17)
+    k, pair = d.bulk_operators(0.7, 1.3)
+    keep = sp.diags(np.isin(np.arange(d.n_bulk), (0, 8, 16), invert=True)
+                    .astype(float))
+    k = (keep @ k @ keep).tocsr()
+    k.eliminate_zeros()
+    assert np.all(np.diff(k.indptr)[[0, 8, 16]] == 0)
+    d._cache[("bulk", 0.7, 1.3)] = (k, pair)
+    _, index, weight = d.edge_form(0.7, 1.3)
+    sums = _scattered_row_sums(k)
+    assert not np.isin((0, 8, 16), index).any()
+    assert np.array_equal(index, np.flatnonzero(sums))
+    assert np.array_equal(weight, sums[index])
 
 
 @pytest.mark.parametrize("kind, n", [("interval", 1025), ("square", 33)])
@@ -932,6 +1011,141 @@ def test_folded_weights_carry_the_tail_mass(interval):
         assert np.array_equal(w[:rest], g.weights[:rest])
         assert w[rest] == pytest.approx(g.weights[rest:].sum(), rel=1e-15)
     assert np.array_equal(memory._folded_weights(g, 63), g.weights)
+
+
+# -- the inflow rows ----------------------------------------------------------
+
+
+def _without_inflow(phi):
+    """The same rows and tail, claiming no inflow rows."""
+    return HistoryField(phi.grid, phi.bulk, phi.boundary_index, phi.rest)
+
+
+def _bench_cfg(d, eps, t_final):
+    nl = make_nonlinearity([-0.125, 0.0, 0.0, 1.0], [-0.375, 0.0, 0.0, 1.0])
+    return ProblemConfig(d, exponential_kernel(0.5, rate=3.0), nl, alpha=0.0,
+                         beta=1.0, eps=eps, dt=0.0025, t_final=t_final,
+                         record_stride=1, history={"n_s": 128})
+
+
+@pytest.mark.parametrize("kind, n", [("interval", 1025), ("square", 33),
+                                     ("square", 65)])
+@pytest.mark.parametrize("eps", [0.2, 0.025])
+def test_inflow_rows_in_closed_form_match_the_walked_rows(kind, n, eps):
+    # 120 steps from smooth data: the rows with s <= dt are C @ ends
+    # bitwise, the walks start above them, and their V1, pair and d/ds
+    # energies from the Gram forms of the two end values agree with the
+    # walked ones
+    d = build_domain(kind, n)
+    cfg = _bench_cfg(d, eps, 0.3)
+    y = lift(smooth_profile(d) * 0.5 + d.constant_field(0.3), cfg)
+    w = np.concatenate([d.dx, d.dsigma])
+    for step in range(1, 121):
+        y = step_peps(y, cfg)
+        if step % 20:
+            continue
+        phi = y.phi
+        C, ends = phi.inflow
+        k = C.shape[0]
+        assert np.array_equal(phi.bulk[:k], C @ ends)
+        assert phi.rest >= k and memory._blocks(phi)[0].start == k
+        walked = _without_inflow(phi)
+        for alpha, beta in ((0.0, 1.0), (0.7, 1.3)):
+            # the rows above k are walked in both, in other blocks
+            for a, b in ((memory._v1_rows(phi, d, alpha, beta),
+                          memory._v1_rows(walked, d, alpha, beta)),
+                         (memory._ds_rows(phi, d),
+                          memory._ds_rows(walked, d))):
+                # measured: at most 6e-15
+                assert np.all(np.abs(a - b) <= 2e-14 * b)
+            a = memory._pair_rows(phi, d, alpha, beta)
+            b = memory._pair_rows(walked, d, alpha, beta)
+            # the pair image cancels: each form rounds on the scale of the
+            # image's terms |P| |x|, about 1e-6 of the image on interval
+            # 1025, where the walked rows themselves stray up to 4.4e-12
+            # from extended precision (measured: at most 0.15 ulp of
+            # sqrt(row * terms), and 3e-13 relative on the squares)
+            t = abs(d.bulk_operators(alpha, beta)[1]) @ np.abs(phi.bulk).T
+            terms = w @ (t * t)
+            assert np.all(np.abs(a - b) <= 1e-15 * np.sqrt(b * terms))
+            if kind == "square":
+                assert np.all(np.abs(a - b) <= 1e-12 * b)
+
+
+def test_the_inflow_claim_is_set_by_the_step_and_kept_by_copy_only(interval):
+    cfg = _bench_cfg(interval, 0.2, 0.01)
+    y = lift(smooth_profile(interval), cfg)
+    assert y.phi.inflow is None
+    for _ in range(2):
+        u_prev = y.u
+        y = step_peps(y, cfg)
+        C, ends = y.phi.inflow
+        # each step claims its own end values
+        assert np.array_equal(ends, np.stack([y.u.bulk, u_prev.bulk]))
+        assert C is memory._pullback(y.phi.grid, cfg.dt,
+                                     interval.n_bulk)[2]
+    phi = y.phi
+    assert phi.copy().inflow is phi.inflow
+    assert (phi - phi.copy()).inflow is None
+    g = phi.grid
+    assert zero_history(g, interval).inflow is None
+    assert history_from_profile(g, interval, lambda s: s,
+                                smooth_profile(interval)).inflow is None
+
+
+def _parent_walks(phi, d, alpha, beta):
+    """The V1, pair and d/ds rows walked over every row up to ``rest``, in
+    the blocks and by the products of the walks without the inflow rule,
+    kept as their reference."""
+    n_s, n_bulk = phi.bulk.shape
+    stop = phi.rest + 1
+    step = max(1, memory._BLOCK_BYTES
+               // (8 * (n_bulk + phi.boundary_index.size)))
+    blocks = [slice(a, min(a + step, stop)) for a in range(0, stop, step)]
+    _, pair = d.bulk_operators(alpha, beta)
+    w = np.concatenate([d.dx, d.dsigma])
+    h2 = np.diff(phi.grid.s_nodes, prepend=0.0) ** 2
+    mass = d.mass_diag()
+    v1, p2, ds = np.empty(n_s), np.empty(n_s), np.zeros(n_s)
+    buf = np.empty(blocks[0].stop * n_bulk)
+    dbuf = np.empty((blocks[0].stop, n_bulk))
+    for r in blocks:
+        x = phi.bulk[r]
+        v1[r] = d.v1_products(x, x, alpha, beta, buf)
+        p = pair @ x.T.copy()
+        p *= p
+        p2[r] = w @ p
+        diff = memory._s_diff(phi.bulk, r, dbuf)
+        diff *= diff
+        ds[r] = (diff @ mass) / h2[r]
+    v1[stop:] = v1[phi.rest]
+    p2[stop:] = p2[phi.rest]
+    return v1, p2, ds
+
+
+def test_a_history_without_the_inflow_claim_walks_every_row_as_before(
+        monkeypatch):
+    # a run's history with the claim dropped, inside and after the flat
+    # tail, and with blocks smaller than the inflow rows: bitwise the walks
+    # over rows 0 to rest
+    d = build_domain("square", 33)
+    cfg = _bench_cfg(d, 0.2, 0.2)
+    y = lift(smooth_profile(d), cfg)
+    histories = []
+    for step in range(1, 71):
+        y = step_peps(y, cfg)
+        if step in (1, 20, 70):
+            histories.append(_without_inflow(y.phi.copy()))
+    assert [phi.rest for phi in histories] == [36, 80, 127]
+    for block_bytes in (memory._BLOCK_BYTES, 40_000):
+        monkeypatch.setattr(memory, "_BLOCK_BYTES", block_bytes)
+        for phi in histories:
+            assert memory._blocks(phi)[0].start == 0
+            walks = (memory._v1_rows(phi, d, 0.7, 1.3),
+                     memory._pair_rows(phi, d, 0.7, 1.3),
+                     memory._ds_rows(phi, d))
+            for a, b in zip(walks, _parent_walks(phi, d, 0.7, 1.3)):
+                assert np.array_equal(a, b)
 
 
 @settings(max_examples=20, deadline=None)

@@ -322,7 +322,11 @@ def test_one_recorded_sample_on_a_multi_block_history_builds_each_row_set_once(
         monkeypatch.setattr(memory, name, counted)
     d = build_domain("square", 65)
     cfg = _memory_cfg(d, alpha=0.5)
-    y = step_peps(lift(smooth_profile(d), cfg), cfg)
+    y = lift(smooth_profile(d), cfg)
+    # three steps: the rows the walks read, between the inflow rows and
+    # the flat tail, then span more than one block
+    for _ in range(3):
+        y = step_peps(y, cfg)
     assert len(memory._blocks(y.phi)) > 1
     _trajectory_row(cfg, y, y.step)
     _trajectory_row(cfg, y, y.step)
