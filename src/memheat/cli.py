@@ -32,7 +32,7 @@ from .experiments import (GateError, _decay_gate, _decay_start,
                           energy_decay_experiment, fit_decay, robustness_sweep,
                           smooth_profile)
 
-CHECKPOINT_FORMAT = "memheat-checkpoint-5"
+CHECKPOINT_FORMAT = "memheat-checkpoint-6"
 
 EXIT_PASS = 0
 EXIT_ASSERTION = 1
@@ -49,8 +49,7 @@ class ConfigError(ValueError):
 _SCHEMA = {
     "experiment": (str, "trajectory"),
     "domain": {"kind": (str, "interval"), "n": (int, 65)},
-    "kernel": {"omega": (float, 0.5), "rate": (float, 1.0),
-               "delta": (float, None)},
+    "kernel": {"omega": (float, 0.5), "rate": (float, 1.0)},
     "nonlinearity": {"f": (list, [0.0, 0.0, 0.0, 1.0]),
                      "g": (list, [0.0, 0.0, 0.0, 1.0])},
     "alpha": (float, 0.0),
@@ -60,7 +59,7 @@ _SCHEMA = {
     "t_final": (float, 1.0),
     "record_stride": (int, 1),
     "history": {"n_s": (int, 128), "spacing": (str, "geometric"),
-                "s_max_factor": (float, 30.0), "s_max": (float, None)},
+                "s_max": (float, None)},
     "initial": {"kind": (str, "constant"), "value": (float, 0.5),
                 "offset": (float, 0.0), "amplitude": (float, 1.0)},
     "radius": (float, 10.0),
@@ -125,15 +124,11 @@ def _merge(schema: dict, user: dict) -> dict:
 
 def _canonical(user) -> dict:
     """A user config checked against the schema, with every default filled
-    in and the kernel's delta defaulting to its rate: the canonical form
-    that runs hash and checkpoints embed."""
+    in: the canonical form that runs hash and checkpoints embed."""
     if not isinstance(user, dict):
         raise ConfigError("config must be a JSON object")
     _check_keys(user, _SCHEMA)
-    canon = _merge(_SCHEMA, user)
-    if canon["kernel"]["delta"] is None:
-        canon["kernel"]["delta"] = canon["kernel"]["rate"]
-    return canon
+    return _merge(_SCHEMA, user)
 
 
 def canonical_text(canon: dict) -> str:
@@ -212,8 +207,7 @@ def build_from_canonical(canon: dict) -> LoadedConfig:
     try:
         d = build_domain(canon["domain"]["kind"], canon["domain"]["n"])
         kernel = exponential_kernel(canon["kernel"]["omega"],
-                                    canon["kernel"]["rate"],
-                                    delta=canon["kernel"]["delta"])
+                                    canon["kernel"]["rate"])
         nl = make_nonlinearity(canon["nonlinearity"]["f"],
                                canon["nonlinearity"]["g"])
         problem = ProblemConfig(d, kernel, nl, alpha=canon["alpha"],
@@ -279,19 +273,22 @@ class Checkpoint:
 
 def _state_arrays(state: SystemState, grid) -> list:
     """The arrays that determine a state: its field's bulk (the boundary
-    values are its trace) and, with a history, the history's bulk and the
-    grid nodes it lives on."""
+    values are its trace) and, with a history, the history's bulk rows up
+    to the start ``rest`` of its flat tail, which the rows above repeat,
+    and the grid nodes it lives on."""
     arrays = [("u_bulk", state.u.bulk)]
     if state.phi is not None:
-        arrays += [("phi_bulk", state.phi.bulk), ("s_nodes", grid.s_nodes)]
+        arrays += [("phi_bulk", state.phi.bulk[:state.phi.rest + 1]),
+                   ("s_nodes", grid.s_nodes)]
     return arrays
 
 
 def _check_arrays(declared, step, problem: ProblemConfig) -> None:
     """Refuse a header's [name, shape] list and step unless the list holds
-    each state array ``problem`` needs, in the shape it implies, and no
-    recorded columns or all of them with one row per sample up to ``step``,
-    an integer in [0, total steps] (with columns, a stride multiple)."""
+    each state array ``problem`` needs, in the shape it implies (for the
+    history, 1 to n_s rows of bulk nodes), and no recorded columns or all
+    of them with one row per sample up to ``step``, an integer in [0, total
+    steps] (with columns, a stride multiple)."""
     if not isinstance(declared, list) or not all(
             isinstance(e, list) and len(e) == 2 and isinstance(e[0], str)
             and isinstance(e[1], list)
@@ -303,14 +300,21 @@ def _check_arrays(declared, step, problem: ProblemConfig) -> None:
     d = problem.domain
     want = {"u_bulk": [d.n_bulk]}
     if problem.eps > 0.0:
-        want.update(phi_bulk=[problem.grid.n_s, d.n_bulk],
-                    s_nodes=[problem.grid.n_s])
+        n_s = problem.grid.n_s
+        want.update(phi_bulk=f"[1 to {n_s}, {d.n_bulk}]", s_nodes=[n_s])
     missing = [name for name in want if name not in shapes]
     if missing:
         raise ConfigError("checkpoint refused: it lacks the state arrays "
                           + ", ".join(missing))
+
+    def fits(name, shape):
+        if name == "phi_bulk":  # the rows up to the flat tail's start
+            return (len(shape) == 2 and 0 < shape[0] <= n_s
+                    and shape[1] == d.n_bulk)
+        return shape == want[name]
+
     wrong = [f"{name} has shape {shapes[name]}, the config implies {shape}"
-             for name, shape in want.items() if shapes[name] != shape]
+             for name, shape in want.items() if not fits(name, shapes[name])]
     if wrong:
         raise ConfigError("checkpoint refused: " + "; ".join(wrong))
     recs = {name[4:]: shape for name, shape in shapes.items()
@@ -335,29 +339,14 @@ def _check_arrays(declared, step, problem: ProblemConfig) -> None:
                           f"rows, found {rows[0]}")
 
 
-def _checked_rest(rest, bulk):
-    """The header's flat-tail start ``rest`` of a stored history, refused
-    unless it is an integer in [0, n_s) and the rows above it are bitwise
-    equal to row ``rest``."""
-    n_s = bulk.shape[0]
-    if type(rest) is not int or not 0 <= rest < n_s:
-        raise ConfigError("checkpoint refused: its rest must be an integer "
-                          f"in [0, {n_s}), found {rest!r}")
-    # row by row, so the check allocates no array the size of the history
-    bits = bulk.view(np.uint64)
-    if any((row != bits[rest]).any() for row in bits[rest + 1:]):
-        raise ConfigError(f"checkpoint refused: the history rows above its "
-                          f"rest {rest} are not bitwise equal to row {rest}")
-    return rest
-
-
 def checkpoint_save(state: SystemState, path, canon: dict,
                     records: Optional[dict] = None) -> None:
     """One-line JSON header, then raw little-endian binary64 arrays.
 
     The header embeds the full canonical config and its hash, so a resume
     needs no external config file and can refuse mismatched ones. Each
-    array is written from its own buffer, so saving copies no history.
+    array is written from its own buffer, so saving copies no history, and
+    a history is written up to the start of its flat tail.
     """
     grid = None if state.phi is None else state.phi.grid
     arrays = _state_arrays(state, grid)
@@ -369,7 +358,6 @@ def checkpoint_save(state: SystemState, path, canon: dict,
         "config": canon,
         "config_sha256": config_hash(canon),
         "step": state.step,
-        "rest": None if state.phi is None else state.phi.rest,
         "arrays": [[name, list(a.shape)] for name, a in arrays],
     }
     with open(path, "wb") as fh:
@@ -387,10 +375,12 @@ def checkpoint_load(path, expect_canon: Optional[dict] = None) -> Checkpoint:
     config that ``load_config`` would refuse or would change, a caller config
     that differs from the stored one, a state array that is missing or of
     another shape than the config implies, a step off the run's step grid,
-    recorded columns other than all samples up to that step, a rebuilt
-    history grid whose nodes do not match the stored ones bit for bit, or
-    a flat-tail start ``rest`` that is not null without a history, not in
-    [0, n_s) with one, or above which the rows are not all bitwise equal.
+    recorded columns other than all samples up to that step, or a rebuilt
+    history grid whose nodes do not match the stored ones bit for bit.
+
+    A history is stored as its rows up to the start of its flat tail: the
+    last stored row is ``rest``, and the rows above it are filled with it,
+    in the buffer of n_s rows that the stored rows are read into.
     """
     try:
         with open(path, "rb") as fh:
@@ -402,7 +392,7 @@ def checkpoint_load(path, expect_canon: Optional[dict] = None) -> Checkpoint:
     if found != CHECKPOINT_FORMAT:
         raise ConfigError(f"checkpoint refused: {path} has format {found!r}, "
                           f"expected {CHECKPOINT_FORMAT!r}")
-    missing = sorted({"config", "config_sha256", "step", "rest", "arrays"}
+    missing = sorted({"config", "config_sha256", "step", "arrays"}
                      - header.keys())
     if missing:
         raise ConfigError(f"checkpoint refused: the header of {path} lacks "
@@ -433,33 +423,35 @@ def checkpoint_load(path, expect_canon: Optional[dict] = None) -> Checkpoint:
                         "match the declared shapes")
     if 8 * sum(counts) != end - start:
         raise short
-    # each array is read from the file into its own buffer, so loading
-    # holds no payload-sized copy next to the arrays
+    # each array is read from the file into its own buffer, and a history
+    # into the leading rows of one of n_s rows, so loading holds no
+    # payload-sized copy next to the arrays
+    problem = loaded.problem
     arrays = {}
     try:
         with open(path, "rb") as fh:
             fh.seek(start)
             for (name, shape), count in zip(declared, counts):
-                arr = np.empty(count, dtype="<f8")
-                if fh.readinto(arr) != arr.nbytes:
+                full = name == "phi_bulk" and problem.eps > 0.0
+                arr = np.empty([problem.grid.n_s, shape[1]] if full else shape,
+                               dtype="<f8")
+                if fh.readinto(arr.reshape(-1)[:count]) != 8 * count:
                     raise short
-                arrays[name] = arr.reshape(shape)
+                arrays[name] = arr
     except OSError as e:
         raise ConfigError(f"cannot read checkpoint {path}: {e}") from e
 
-    u = loaded.problem.domain.field_from_bulk(arrays["u_bulk"])
+    u = problem.domain.field_from_bulk(arrays["u_bulk"])
     phi = None
-    if loaded.problem.eps > 0.0:
-        grid = loaded.problem.grid
+    if problem.eps > 0.0:
+        grid = problem.grid
         if not np.array_equal(arrays["s_nodes"], grid.s_nodes):
             raise ConfigError("checkpoint refused: stored history grid "
                               "differs from the one the config rebuilds")
-        phi = HistoryField(grid, arrays["phi_bulk"],
-                           loaded.problem.domain.boundary_index,
-                           _checked_rest(header["rest"], arrays["phi_bulk"]))
-    elif header["rest"] is not None:
-        raise ConfigError("checkpoint refused: its rest must be null "
-                          f"without a history, found {header['rest']!r}")
+        bulk = arrays["phi_bulk"]
+        rest = dict(declared)["phi_bulk"][0] - 1
+        bulk[rest + 1:] = bulk[rest]
+        phi = HistoryField(grid, bulk, problem.domain.boundary_index, rest)
     state = SystemState(u, phi, header["step"])
 
     records = {name[4:]: arrays[name] for name in arrays

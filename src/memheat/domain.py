@@ -237,14 +237,15 @@ class DiscreteDomain:
             self._cache[key] = (tuple(edges), index, sums[index])
         return self._cache[key]
 
-    def v1_products(self, x: Array, y: Array, alpha: float, beta: float,
+    def v1_products(self, x: Array, alpha: float, beta: float,
                     buf: Array | None = None) -> Array:
-        """The one V1 kernel: products ``x_j' K y_j`` of the rows of two (m,
-        n_bulk) row-major blocks of trace-compatible fields (a state is a
-        one-row block), in the edge form of ``edge_form``; ``y is x`` gives
-        the energies. ``buf``, of at least m n_bulk values, is scratch space
-        a walk reuses across its blocks, since a fresh block-sized temporary
-        is mapped and faulted in anew each time; without it one is made.
+        """The one V1 kernel: energies ``x_j' K x_j`` of the rows of an (m,
+        n_bulk) row-major block of trace-compatible fields (a state is a
+        one-row block), in the edge form of ``edge_form``; a cross product
+        follows by polarization. ``buf``, of at least m n_bulk values, is
+        scratch space a walk reuses across its blocks, since a fresh
+        block-sized temporary is mapped and faulted in anew each time;
+        without it one is made.
 
         The differences at offset o are taken on the flattened block, one
         contiguous subtraction; entry j n + i is then x[j, i + o] - x[j, i]
@@ -253,15 +254,15 @@ class DiscreteDomain:
         n that the product reads."""
         edges, index, weight = self.edge_form(alpha, beta)
         xi = x[:, index]
-        xi *= xi if y is x else y[:, index]
+        xi *= xi
         out = xi @ weight
         m, n = x.shape
-        xf, yf = x.reshape(-1), y.reshape(-1)
+        xf = x.reshape(-1)
         flat = (np.empty(m * n) if buf is None else buf)[:m * n]
         for o, c in edges:
             df = flat[:-o]
             np.subtract(xf[o:], xf[:-o], out=df)
-            df *= df if y is x else yf[o:] - yf[:-o]
+            df *= df
             out += flat.reshape(m, n)[:, :-o] @ c
         return out
 
@@ -419,8 +420,7 @@ def norm_v1_sq(u: StateField, d: DiscreteDomain, alpha: float, beta: float) -> f
     ``DiscreteDomain.v1_products``, the kernel of the history rows. With
     alpha > 0 or beta > 0 it vanishes only on zero; with alpha = beta = 0
     it is the seminorm killing constants."""
-    x = u.bulk[None]
-    return float(d.v1_products(x, x, alpha, beta)[0])
+    return float(d.v1_products(u.bulk[None], alpha, beta)[0])
 
 
 def apply_wentzell(u: StateField, d: DiscreteDomain,

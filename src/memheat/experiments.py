@@ -15,7 +15,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .domain import DiscreteDomain, StateField, norm_x2_sq
-from .memory import history_from_profile
+from .memory import _S_MAX_FACTOR, history_from_profile
 from .physics import SmallnessReport, check_smallness
 from .solver import (ProblemConfig, SystemState, TrajectoryRecord,
                      _budget_check, _h0_sq, _n_steps, evolve, lift, march,
@@ -423,7 +423,7 @@ def holder_pair_gap(cfg: ProblemConfig, eps1: float, eps2: float,
     if not 0.0 < eps2 <= eps1 <= 1.0:
         raise ValueError(f"need 0 < eps2 <= eps1 <= 1, got ({eps1}, {eps2})")
     if s_max is None:
-        s_max = 30.0 * eps1 / cfg.kernel.delta
+        s_max = _S_MAX_FACTOR * eps1 / cfg.kernel.delta
     history = dict(n_s=192, spacing="uniform", s_max=s_max)
     c1 = replace(cfg, eps=eps1, history=history)
     c2 = replace(cfg, eps=eps2, history=history)
@@ -441,7 +441,7 @@ def holder_sweep(cfg: ProblemConfig, pairs: Sequence[tuple],
     widest separations.
     """
     pairs = sorted(pairs, key=lambda p: p[0] - p[1], reverse=True)
-    s_max = 30.0 * max(p[0] for p in pairs) / cfg.kernel.delta
+    s_max = _S_MAX_FACTOR * max(p[0] for p in pairs) / cfg.kernel.delta
     gaps = np.array([holder_pair_gap(cfg, e1, e2, u0, t_star, s_max=s_max)
                      for e1, e2 in pairs])
     seps = np.array([e1 - e2 for e1, e2 in pairs])

@@ -4,10 +4,11 @@ The memory of the heat flux is carried by the exponential convolution
 kernel k(s) = rate exp(-rate s), of unit mass. Internally all quadrature
 runs against mu = -(1 - omega) k', the positive, decreasing density that
 weights the history. Its domination inequality mu' + delta mu <= 0 reads
-(delta - rate) mu <= 0 exactly, so a kernel is admissible if and only if
-0 < delta <= rate, and cell masses are exact integrals. So too a history
-with Phi(0) = 0 has <T Phi, Phi>_M1 = -(rate / 2 eps) ||Phi||_M1^2 exactly,
-an identity that only measures the s-grid's quadrature error. The singular
+(delta - rate) mu <= 0 exactly, so it holds with equality at delta = rate:
+the kernel's delta is its rate, derived, not set. Cell masses are exact
+integrals. So too a history with Phi(0) = 0 has <T Phi, Phi>_M1 =
+-(rate / 2 eps) ||Phi||_M1^2 exactly, an identity that only measures the
+s-grid's quadrature error. The singular
 family mu_eps(s) = eps^-2 mu(s/eps) concentrates the memory near s = 0 as
 eps -> 0; its total mass scales like 1/eps.
 
@@ -124,15 +125,10 @@ class KernelSpec:
         Instantaneous-conduction fraction, strictly between 0 and 1.
     rate : float
         Decay rate of k.
-    delta : float
-        Claimed decay rate in the domination inequality
-        ``mu' + delta mu <= 0``. Here mu' + delta mu = (delta - rate) mu
-        exactly, so the inequality holds if and only if delta <= rate.
     """
 
     omega: float
     rate: float
-    delta: float
 
     def __post_init__(self):
         if not (0.0 < self.omega < 1.0):
@@ -143,11 +139,13 @@ class KernelSpec:
         if not 0.0 < self.rate * self.rate < math.inf:
             raise ValueError("exponential rate must have a finite, "
                              f"nonzero square, got {self.rate}")
-        if not 0.0 < self.delta <= self.rate:
-            raise ValueError(
-                "kernel delta_domination fails: mu' + delta mu = "
-                "(delta - rate) mu <= 0 needs 0 < delta <= rate, got delta "
-                f"{self.delta!r} with rate {self.rate!r}")
+
+    @property
+    def delta(self) -> float:
+        """The decay rate of the domination inequality ``mu' + delta mu
+        <= 0``: mu' + delta mu = (delta - rate) mu exactly, so the largest
+        delta is the rate."""
+        return self.rate
 
     def mu(self, s) -> Array:
         s = np.asarray(s, dtype=float)
@@ -167,10 +165,9 @@ class KernelSpec:
         return self.integral(0.0, math.inf, eps)
 
 
-def exponential_kernel(omega: float, rate: float = 1.0,
-                       delta: Optional[float] = None) -> KernelSpec:
-    """Exponential kernel k(s) = rate exp(-rate s); delta defaults to rate."""
-    return KernelSpec(omega, rate, rate if delta is None else delta)
+def exponential_kernel(omega: float, rate: float = 1.0) -> KernelSpec:
+    """Exponential kernel k(s) = rate exp(-rate s)."""
+    return KernelSpec(omega, rate)
 
 
 # -- history grid ----------------------------------------------------------
@@ -218,19 +215,22 @@ class HistoryGrid:
 # the largest s_max whose squared cell edges stay finite
 _S_MAX_LIMIT = math.sqrt(np.finfo(np.float64).max)
 
+# The default history horizon, in decay lengths eps / delta of mu_eps: the
+# grid then truncates exp(-30), about 1e-13, of the kernel mass.
+_S_MAX_FACTOR = 30.0
+
 
 def build_history_grid(kernel: KernelSpec, eps: float, n_s: int = 128,
-                       s_max_factor: float = 30.0,
                        spacing: str = "geometric",
                        s_max: Optional[float] = None) -> HistoryGrid:
     """Build the graded s-grid with exact cell masses.
 
     Geometric spacing runs from eps * 1e-3 (comfortably below the eps/10
-    resolution requirement) to s_max = s_max_factor * eps / delta. Uniform
-    spacing is available for step-aligned quadrature studies. The truncated
-    mass must cover all but 1e-6 of the total. An s_max outside (eps * 1e-3,
-    ``_S_MAX_LIMIT``] (geometric) or (0, ``_S_MAX_LIMIT``] (uniform) raises
-    ValueError.
+    resolution requirement) to s_max, by default ``_S_MAX_FACTOR`` * eps /
+    delta with delta the kernel's rate. Uniform spacing is available for
+    step-aligned quadrature studies. The truncated mass must cover all but
+    1e-6 of the total. An s_max outside (eps * 1e-3, ``_S_MAX_LIMIT``]
+    (geometric) or (0, ``_S_MAX_LIMIT``] (uniform) raises ValueError.
     """
     if n_s < 16:
         raise ValueError(f"n_s must be >= 16, got {n_s}")
@@ -238,8 +238,8 @@ def build_history_grid(kernel: KernelSpec, eps: float, n_s: int = 128,
         raise ValueError(f"eps must lie in (0, 1], got {eps}")
     name = "s_max"
     if s_max is None:
-        s_max = s_max_factor * eps / kernel.delta
-        name = "s_max = s_max_factor * eps / delta"
+        s_max = _S_MAX_FACTOR * eps / kernel.delta
+        name = f"s_max = {_S_MAX_FACTOR:g} * eps / rate"
     # the geometric nodes start at s0 = eps * 1e-3, and the cell edges
     # multiply neighbouring nodes, so s_max^2 must stay finite
     s0 = eps * 1e-3
@@ -271,7 +271,7 @@ def build_history_grid(kernel: KernelSpec, eps: float, n_s: int = 128,
     if truncated > 1e-6:
         raise ValueError(
             f"history grid truncates {truncated:.2e} of the kernel mass; "
-            "increase s_max_factor or n_s"
+            "increase s_max"
         )
     return HistoryGrid(kernel=kernel, eps=float(eps), s_nodes=nodes,
                        edges=edges, weights=weights)
@@ -403,20 +403,21 @@ def _s_diff(values: Array, r: slice, buf: Array) -> Array:
 def _v1_rows(phi: HistoryField, d: DiscreteDomain,
              alpha: float, beta: float) -> Array:
     """First-order energy of each history row; the inflow rows from the
-    end values' two energies and their cross product, the tail copying row
+    end values' two energies and their cross product, which polarization
+    gives from the energy of their difference, the tail copying row
     ``rest``'s."""
     rows = np.empty(phi.grid.n_s)
     m = _inflow_rows(phi)
     if m:
         C, ends = phi.inflow
-        e00, e11 = d.v1_products(ends, ends, alpha, beta)
-        e01 = d.v1_products(ends[:1], ends[1:], alpha, beta)[0]
+        e00, e11 = d.v1_products(ends, alpha, beta)
+        e01 = 0.5 * (e00 + e11 - d.v1_products((ends[0] - ends[1])[None],
+                                               alpha, beta)[0])
         rows[:m] = _gram_rows(C[:m], e00, e01, e11)
     blocks = _blocks(phi)
     buf = np.empty(_block_rows(blocks) * d.n_bulk)
     for r in blocks:
-        x = phi.bulk[r]
-        rows[r] = d.v1_products(x, x, alpha, beta, buf)
+        rows[r] = d.v1_products(phi.bulk[r], alpha, beta, buf)
     rows[phi.rest + 1:] = rows[phi.rest]
     return rows
 
@@ -486,13 +487,15 @@ def memory_norm_sq(phi: Optional[HistoryField], level: int, d: DiscreteDomain,
 def _folded_weights(g: HistoryGrid, rest: int) -> Array:
     """The grid weights of rows 0 to ``rest``, row ``rest`` carrying the
     mass of the whole tail, sum_{i >= rest} w_i, from a reversed cumulative
-    sum cached on the grid; at rest n_s - 1, the plain weights."""
-    if rest == g.n_s - 1:
-        return g.weights
+    sum cached on the grid; at rest n_s - 1, bitwise the plain weights."""
     tail = g._cache.get("tail_mass")
     if tail is None:
         tail = g._cache["tail_mass"] = np.cumsum(g.weights[::-1])[::-1]
-    return np.append(g.weights[:rest], tail[rest])
+    # a copy and one store, not np.append, whose calls cost 2 us of the
+    # load's 26 us on interval 1025 (2-core Intel Xeon)
+    w = g.weights[:rest + 1].copy()
+    w[rest] = tail[rest]
+    return w
 
 
 def convolve_wentzell(phi: HistoryField, d: DiscreteDomain,
@@ -542,17 +545,16 @@ def _pullback(g: HistoryGrid, dt: float, width: int) -> tuple:
     """The characteristic pull-back s -> s - dt as dense row blocks for
     history rows of ``width`` nodes, cached on the grid for the last (dt,
     width), the number k of nodes with s <= dt, the k x 2 inflow block C,
-    and the row map ``(lo, hi, n_blocks)``. Those nodes are a prefix,
-    filled by the inflow. Each block is ``(rows, src, D)``: rows ``rows``
-    of the new history are ``D`` times the consecutive old rows ``src``;
-    the blocks partition rows k..n_s-1, and the first ``n_blocks[i]`` of
-    them start below row i.
+    and the lower source rows ``lo``. Those nodes are a prefix, filled by
+    the inflow. Each block is ``(rows, src, D)``: rows ``rows`` of the new
+    history are ``D`` times the consecutive old rows ``src``; the blocks
+    partition rows k..n_s-1.
     A block of more than one row reads a source slab of at most
     ``_BLOCK_BYTES``, so a wide row's block does not multiply mostly zeros,
     and fills its dense D at most ``_PULLBACK_FILL`` times its nonzeros.
     Row k + j interpolates linearly between the two nodes around
-    s_{k+j} - dt, old rows ``lo[j]`` to ``hi[j]``, the zero inflow anchor
-    at s = 0 dropping out (then ``lo[j]`` = ``hi[j]`` = 0). Row i of C
+    s_{k+j} - dt, old rows ``lo[j]`` and ``lo[j]`` + 1, the zero inflow
+    anchor at s = 0 dropping out (then row 0 alone). Row i of C
     holds the trapezoid weights of the step's end values,
     s_i - s_i^2 / 2dt on u_new and s_i^2 / 2dt on u_prev."""
     hit = g._cache.get("transport")
@@ -583,11 +585,9 @@ def _pullback(g: HistoryGrid, dt: float, width: int) -> tuple:
             blocks.append((slice(k + a, k + b), slice(lo[a], idx[b - 1] + 1), D))
             a = b
         curv = s[:k] ** 2 / (2.0 * dt)
-        starts = [rows.start for rows, _, _ in blocks]
-        n_blocks = np.searchsorted(starts, np.arange(s.size + 1)).tolist()
         hit = g._cache["transport"] = ((dt, width), tuple(blocks), k,
                                        np.stack([s[:k] - curv, curv], axis=1),
-                                       (lo, idx, n_blocks))
+                                       lo)
     return hit[1:]
 
 
@@ -621,11 +621,11 @@ def advance_history(phi: HistoryField, u_new: StateField, dt: float,
     sources' lowest row is nondecreasing in the row, so these rows are the
     new tail from the first of them, T, found by one ``searchsorted``;
     each gets the one vector ``bulk[rest] + inc``, computed before any
-    block writes, so the tail stays bitwise flat. The block that straddles
-    T is cut to its rows below T, the blocks above T are skipped, and
-    ``rest`` becomes T, or n_s - 1 if no row qualifies. Then the pull-back
-    is the plain one: a history whose ``rest`` is n_s - 1 moves bitwise as
-    without the rule.
+    block writes and written over rows T to n_s - 1 after the last block,
+    so the tail stays bitwise flat. The blocks that start at or above T are
+    skipped, the one that straddles T runs whole, and ``rest`` becomes T,
+    or n_s - 1 if no row qualifies. Then the pull-back is the plain one: a
+    history whose ``rest`` is n_s - 1 moves bitwise as without the rule.
 
     The step records what it wrote on the inflow rows: ``phi.inflow``
     becomes ``(C, ends)``, the cached block and the stacked end values the
@@ -633,8 +633,7 @@ def advance_history(phi: HistoryField, u_new: StateField, dt: float,
     """
     if dt <= 0.0:
         raise ValueError("dt must be positive")
-    blocks, k, C, (lo, hi, n_blocks) = _pullback(phi.grid, dt,
-                                                 phi.bulk.shape[1])
+    blocks, k, C, lo = _pullback(phi.grid, dt, phi.bulk.shape[1])
     out = phi.bulk
     ends = np.stack([u_new.bulk, u_prev.bulk])
     inc = ends[1] + ends[0]
@@ -645,18 +644,13 @@ def advance_history(phi: HistoryField, u_new: StateField, dt: float,
     if phi.rest < n_s - 1:
         tail = k + int(np.searchsorted(lo, max(phi.rest, 1)))
         if tail < n_s:
-            np.add(out[phi.rest], inc, out=out[tail])
-            out[tail + 1:] = out[tail]
+            flat = out[phi.rest] + inc
         phi.rest = min(tail, n_s - 1)
     run = max(1, _BLOCK_BYTES // (8 * out.shape[1]))
     stop = tail
-    for rows, src, D in reversed(blocks[:n_blocks[tail]]):
-        if rows.stop > tail:
-            # the block straddles the tail: cut to its rows below it, whose
-            # sources end at the last such row's upper source
-            src = slice(src.start, hi[tail - 1 - k] + 1)
-            D = D[:tail - rows.start, :src.stop - src.start]
-            rows = slice(rows.start, tail)
+    for rows, src, D in reversed(blocks):
+        if rows.start >= tail:
+            continue
         np.matmul(D, out[src], out=out[rows])
         # rows from rows.start on are final: no later block reads them
         start = stop - (stop - rows.start) // run * run
@@ -664,6 +658,8 @@ def advance_history(phi: HistoryField, u_new: StateField, dt: float,
             out[start:stop] += inc
             stop = start
     out[k:stop] += inc
+    if tail < n_s:
+        out[tail:] = flat
     np.matmul(C, ends, out=out[:k])
     phi.inflow = (C, ends)
     return phi
@@ -762,9 +758,9 @@ def history_norms(phi: Optional[HistoryField], d: DiscreteDomain,
     rows with s <= dt measured in closed form from the step's two end
     values and walked from row k; the claim is set by ``advance_history``
     only, and the memory load reads every row regardless. ``phi=None``
-    and a history at rest, a zero row 0 whose tail starts at row 0, give
-    exact zeros without a walk."""
-    if phi is None or (phi.rest == 0 and not phi.bulk[0].any()):
+    gives exact zeros, and so does a history at rest, whose walk is its
+    zero row 0."""
+    if phi is None:
         return 0.0, 0.0, 0.0, 0.0
     w = phi.grid.weights
     v1 = _v1_rows(phi, d, alpha, beta)

@@ -93,8 +93,8 @@ class ProblemConfig:
     """One fully assembled problem instance.
 
     eps = 0 selects the instantaneous limit problem; eps in (0, 1] selects
-    the memory problem. omega and the decay rate delta are owned by the
-    kernel. ``history`` holds the keyword arguments of
+    the memory problem. omega and the decay rate delta, the kernel's rate,
+    are owned by the kernel. ``history`` holds the keyword arguments of
     ``build_history_grid`` (its defaults when empty). A problem keeps that
     recipe at every eps, the limit included, so
     ``dataclasses.replace(cfg, eps=...)`` is the same problem at another

@@ -244,10 +244,10 @@ def test_criterion_11_runs_resume_and_repeat_bitwise(tmp_path):
     direct, resumed, again = (tmp_path / n for n in ("a", "b", "c"))
     assert main(["run", "--config", str(path), "--out", str(direct)]) == 0
     # the seam lies inside the tail phase: the history still holds a flat
-    # tail, whose start the resume must continue from
+    # tail, stored up to its start, which the resume must continue from
     header = json.loads((direct / "checkpoint.bin").read_bytes()
                         .split(b"\n", 1)[0])
-    assert 0 < header["rest"] < 127
+    assert 1 < dict(header["arrays"])["phi_bulk"][0] < 128
     assert main(["resume", "--checkpoint", str(direct / "checkpoint.bin"),
                  "--out", str(resumed)]) == 0
     for name in ("trajectory.csv", "summary.json"):

@@ -99,13 +99,30 @@ def test_missing_config_file_is_a_config_error(tmp_path, capsys):
 
 
 def test_overclaimed_kernel_decay_is_refused(tmp_path, capsys):
-    # the slow kernel overclaims by 19%, but mu(0) is only 5e-7: an absolute
-    # tolerance of 1e-10 on mu' + delta mu let it pass
+    # delta is derived as the rate, so a config that claims one, even one
+    # the old check let pass (19% over a slow kernel's rate), is refused
     for rate, delta in [(3.0, 4.0), (0.001, 0.00119)]:
         path = write_cfg(tmp_path, kernel={"omega": 0.5, "rate": rate,
                                            "delta": delta})
         assert main(["validate", "--config", str(path)]) == 2
-        assert "delta_domination" in capsys.readouterr().err
+        assert capsys.readouterr().err == (
+            "error: unknown config key 'kernel.delta'\n")
+
+
+@pytest.mark.parametrize("command", ["run", "validate"])
+@pytest.mark.parametrize("path, value", [
+    # delta is the kernel's rate, and the history horizon one constant of
+    # the history grid
+    ("kernel.delta", 1e-300), ("history.s_max_factor", -1)])
+def test_a_config_that_sets_a_derived_value_is_refused(tmp_path, capsys,
+                                                       command, path, value):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(_with_leaf(BASE, path, value)))
+    out = tmp_path / "out"
+    args = ["--out", str(out)] if command == "run" else []
+    assert main([command, "--config", str(cfg), *args]) == 2
+    assert capsys.readouterr().err == f"error: unknown config key {path!r}\n"
+    assert not out.exists()
 
 
 def test_unknown_experiment_is_refused(tmp_path, capsys):
@@ -194,13 +211,14 @@ def test_resume_refuses_a_checkpoint_of_another_format(tmp_path, capsys):
     assert main(["run", "--config", str(path), "--out", str(out)]) == 0
     head, payload = (out / "checkpoint.bin").read_bytes().split(b"\n", 1)
     header = json.loads(head)
-    assert header["format"] == "memheat-checkpoint-5"
+    assert header["format"] == "memheat-checkpoint-6"
     assert [name for name, _ in header["arrays"]][:3] == [
         "u_bulk", "phi_bulk", "s_nodes"]
     # format 1 also stored the boundary history, the trace of phi_bulk, and
     # formats 1 and 2 the field's boundary values, the trace of u_bulk;
     # format 3 stored today's arrays, but its embedded config held a seed;
-    # format 4 stored no flat-tail start ``rest``
+    # format 4 stored no flat-tail start ``rest``; format 5 stored it, with
+    # every history row
     old_arrays = {1: [["u_bulk", [65]], ["u_boundary", [2]],
                       ["phi_bulk", [128, 65]], ["phi_boundary", [128, 2]],
                       ["s_nodes", [128]]],
@@ -215,7 +233,7 @@ def test_resume_refuses_a_checkpoint_of_another_format(tmp_path, capsys):
                      "--out", str(tmp_path / "r")]) == 2
         err = capsys.readouterr().err
         assert f"'memheat-checkpoint-{version}'" in err
-        assert "'memheat-checkpoint-5'" in err
+        assert "'memheat-checkpoint-6'" in err
     canon = dict(header["config"], seed=0)
     old = tmp_path / "old3.bin"
     old.write_bytes(json.dumps(dict(
@@ -225,35 +243,43 @@ def test_resume_refuses_a_checkpoint_of_another_format(tmp_path, capsys):
                  "--out", str(tmp_path / "r3")]) == 2
     err = capsys.readouterr().err
     assert err == (f"error: checkpoint refused: {old} has format "
-                   "'memheat-checkpoint-3', expected 'memheat-checkpoint-5'\n")
+                   "'memheat-checkpoint-3', expected 'memheat-checkpoint-6'\n")
     assert not (tmp_path / "r3").exists()
-    old = tmp_path / "old4.bin"
-    four = {key: value for key, value in header.items() if key != "rest"}
-    old.write_bytes(json.dumps(dict(four, format="memheat-checkpoint-4"))
-                    .encode() + b"\n" + payload)
-    assert main(["resume", "--checkpoint", str(old),
-                 "--out", str(tmp_path / "r4")]) == 2
-    err = capsys.readouterr().err
-    assert err == (f"error: checkpoint refused: {old} has format "
-                   "'memheat-checkpoint-4', expected 'memheat-checkpoint-5'\n")
-    assert not (tmp_path / "r4").exists()
+    # the refusal reads the format alone, before the header's other keys
+    for version, rest in ((4, {}), (5, {"rest": 0})):
+        old = tmp_path / f"old{version}.bin"
+        old.write_bytes(json.dumps(dict(
+            header, format=f"memheat-checkpoint-{version}", **rest)).encode()
+            + b"\n" + payload)
+        assert main(["resume", "--checkpoint", str(old),
+                     "--out", str(tmp_path / f"r{version}")]) == 2
+        err = capsys.readouterr().err
+        assert err == (f"error: checkpoint refused: {old} has format "
+                       f"'memheat-checkpoint-{version}', expected "
+                       "'memheat-checkpoint-6'\n")
+        assert not (tmp_path / f"r{version}").exists()
 
 
 def test_a_checkpoint_keeps_the_tail_start_a_resume_continues_from(tmp_path):
     # the benchmark's square 65 history grid and dt on square n = 17: the
     # tail start depends on the grid and dt only, and is row 80 at the seam
-    # of step 20; the resume continues from it and matches the direct run
+    # of step 20; the checkpoint stores the rows up to it, the load fills
+    # the rows above with it, and the resume matches the direct run
     path = write_cfg(tmp_path, domain={"kind": "square", "n": 17},
                      dt=0.0025, record_stride=1, checkpoint_step=20)
     direct, resumed = tmp_path / "direct", tmp_path / "resumed"
     assert main(["run", "--config", str(path), "--out", str(direct)]) == 0
     header = json.loads((direct / "checkpoint.bin").read_bytes()
                         .split(b"\n", 1)[0])
-    assert header["rest"] == 80
+    assert "rest" not in header
+    assert dict(header["arrays"])["phi_bulk"] == [81, 17 * 17]
     phi = checkpoint_load(direct / "checkpoint.bin").state.phi
     # the inflow claim is not stored: the resumed seam sample walks every
     # row, and the merge drops it for the direct run's
     assert phi.rest == 80 and phi.inflow is None
+    assert phi.bulk.shape == (128, 17 * 17)
+    bits = phi.bulk.view(np.uint64)
+    assert np.all(bits[80:] == bits[80])
     assert main(["resume", "--checkpoint", str(direct / "checkpoint.bin"),
                  "--out", str(resumed)]) == 0
     for name in ("trajectory.csv", "summary.json"):
@@ -659,9 +685,9 @@ def test_validate_accepts_or_refuses_any_leaf(tmp_path_factory, path, value):
     ("seed", None, "unknown config key 'seed'"),  # no run reads a seed
     ("tol_frac", None, "'tol_frac'"),
     ("history.s_max", -1, "s_max must lie in"),  # NaN nodes before
-    ("history.s_max_factor", -1, "s_max = s_max_factor * eps / delta must"),
     ("history.s_max", 1e300, "s_max must lie in"),  # overflow warning before
-    ("kernel.delta", 1e-300, "eps / delta must lie in"),
+    # the default horizon 30 eps / rate falls below the grid's first node
+    ("kernel.rate", 1e5, "s_max = 30 * eps / rate must lie in"),
     ("kernel.rate", 1e300, "rate must have a finite"),  # OverflowError before
     ("kernel.rate", 1e-300, "rate must have a finite"),
     ("t_final", 10**400, "'t_final' must be finite"),  # OverflowError before
@@ -706,8 +732,7 @@ def test_config_load_refuses_bad_reaction_coefficients(tmp_path, path, value,
     assert err.count("\n") == 1, err
 
 
-@pytest.mark.parametrize("path", ["kernel.delta", "history.s_max",
-                                  "checkpoint_step"])
+@pytest.mark.parametrize("path", ["history.s_max", "checkpoint_step"])
 def test_null_keeps_selecting_a_none_default(tmp_path, path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps(_with_leaf(SMALL, path, None)))
@@ -835,19 +860,15 @@ def test_a_run_steps_one_history_and_moves_it_to_disk_without_a_copy(
         assert peaks["checkpoint_load"] < 1.5 * history
 
 
-def _hand_written_checkpoint(path, canon, arrays, declared=None, step=0,
-                             rest=0):
-    """A format-5 checkpoint of ``canon`` at ``step`` holding ``arrays``, a
+def _hand_written_checkpoint(path, canon, arrays, declared=None, step=0):
+    """A format-6 checkpoint of ``canon`` at ``step`` holding ``arrays``, a
     list of (name, array), under the header entry ``declared`` (by default
-    their names and shapes), with the flat-tail start ``rest`` (``...``:
-    no ``rest`` entry)."""
+    their names and shapes)."""
     if declared is None:
         declared = [[name, list(a.shape)] for name, a in arrays]
-    header = {"format": "memheat-checkpoint-5", "config": canon,
+    header = {"format": "memheat-checkpoint-6", "config": canon,
               "config_sha256": config_hash(canon), "step": step,
               "arrays": declared}
-    if rest is not ...:
-        header["rest"] = rest
     path.write_bytes(json.dumps(header).encode() + b"\n"
                      + b"".join(a.astype("<f8").tobytes() for _, a in arrays))
     return path
@@ -872,13 +893,17 @@ _CHECKPOINT_REFUSALS = {
                                    "be a JSON object",
     "resume-config-with-a-string-n": "embedded config is invalid: config key "
                                      "'domain.n' must be int",
-    "resume-without-rest": "lacks rest",
-    "resume-rest-past-the-grid": "its rest must be an integer in [0, 128), "
-                                 "found 128",
-    "resume-fractional-rest": "its rest must be an integer in [0, 128), "
-                              "found 2.5",
-    "resume-rest-below-a-moved-row": "the history rows above its rest 0 are "
-                                     "not bitwise equal to row 0",
+    # a history is stored as its rows up to its flat tail's start, the
+    # last stored row: 1 to n_s rows of bulk nodes; a shape [] has no row
+    # count to index
+    "resume-phi-bulk-of-no-axes": "phi_bulk has shape [], the config "
+                                  "implies [1 to 128, 65]",
+    "resume-phi-bulk-without-rows": "phi_bulk has shape [0, 65], the config "
+                                    "implies [1 to 128, 65]",
+    "resume-phi-bulk-past-the-grid": "phi_bulk has shape [129, 65], the "
+                                     "config implies [1 to 128, 65]",
+    "resume-phi-bulk-of-wrong-width": "phi_bulk has shape [3, 64], the "
+                                      "config implies [1 to 128, 65]",
 }
 
 
@@ -888,7 +913,7 @@ def _bad_input(tmp_path):
     afile = tmp_path / "afile"
     afile.write_text("")
     headless = tmp_path / "headless.bin"
-    headless.write_bytes(json.dumps({"format": "memheat-checkpoint-5"}).encode()
+    headless.write_bytes(json.dumps({"format": "memheat-checkpoint-6"}).encode()
                          + b"\n")
     loaded = load_config(cfg)
     d, grid = loaded.problem.domain, loaded.problem.grid
@@ -912,14 +937,12 @@ def _bad_input(tmp_path):
         "resume-empty-config": state,
         "resume-config-not-an-object": state,
         "resume-config-with-a-string-n": state,
-        "resume-without-rest": state,
-        "resume-rest-past-the-grid": state,
-        "resume-fractional-rest": state,
-        # the last row differs from the at-rest rows in its sign bit only
-        "resume-rest-below-a-moved-row":
-            state[:1] + [("phi_bulk", np.vstack([
-                np.zeros((grid.n_s - 1, d.n_bulk)),
-                np.full((1, d.n_bulk), -0.0)]))] + state[2:],
+        **{case: state[:1] + [("phi_bulk", np.zeros(shape))] + state[2:]
+           for case, shape in [
+               ("resume-phi-bulk-of-no-axes", ()),
+               ("resume-phi-bulk-without-rows", (0, d.n_bulk)),
+               ("resume-phi-bulk-past-the-grid", (grid.n_s + 1, d.n_bulk)),
+               ("resume-phi-bulk-of-wrong-width", (3, d.n_bulk - 1))]},
     }
     configs = {"resume-empty-config": {},
                "resume-config-not-an-object": [1, 2],
@@ -928,16 +951,13 @@ def _bad_input(tmp_path):
     declared = {"resume-malformed-array-list": "u_bulk"}
     steps = {"resume-records-cut-short": 10, "resume-negative-step": -4,
              "resume-fractional-step": 2.7, "resume-step-off-the-stride": 7}
-    rests = {"resume-without-rest": ..., "resume-rest-past-the-grid": 128,
-             "resume-fractional-rest": 2.5}
     return {
         **{case: ["resume", "--checkpoint",
                   str(_hand_written_checkpoint(tmp_path / f"{case}.bin",
                                                configs.get(case, loaded.canon),
                                                arrays,
                                                declared.get(case),
-                                               steps.get(case, 0),
-                                               rests.get(case, 0))),
+                                               steps.get(case, 0))),
                   "--out", str(tmp_path / "r")]
            for case, arrays in checkpoints.items()},
         "sweep-out-under-a-file": ["sweep-eps", "--config", str(cfg), "--eps",

@@ -186,9 +186,6 @@ def test_flat_inner_product_is_symmetric_bilinear(seed, c):
     lhs = inner_x2(u + c * v, w, d)
     rhs = inner_x2(u, w, d) + c * inner_x2(v, w, d)
     assert lhs == pytest.approx(rhs, rel=1e-9, abs=1e-9)
-    x, y = u.bulk[None], v.bulk[None]
-    assert d.v1_products(x, y, 0.4, 0.9)[0] == pytest.approx(
-        d.v1_products(y, x, 0.4, 0.9)[0], rel=1e-10, abs=1e-10)
 
 
 def _reference_normal_deriv(d):

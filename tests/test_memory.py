@@ -1,5 +1,6 @@
 """Kernels, history grids, weighted norms, and the transport step."""
 
+import dataclasses
 import math
 import tracemalloc
 
@@ -50,30 +51,16 @@ def test_kernel_parameter_validation():
         exponential_kernel(1.0, rate=1.0)
     with pytest.raises(ValueError):
         exponential_kernel(0.5, rate=-1.0)
-    # mu' + delta mu = (delta - rate) mu: only 0 < delta <= rate is
-    # admissible, with no tolerance, whatever the scale of mu
-    for rate, delta in [(1.0, -1.0), (0.001, 0.00119),
-                        (1.0, float("nan")), (1.0, math.inf), (1.0, 0.0),
-                        (1.0, 1 + 1e-12), (1e-3, 1e-3 * (1 + 1e-12))]:
-        with pytest.raises(ValueError, match="delta_domination"):
-            exponential_kernel(0.5, rate=rate, delta=delta)
-    with pytest.raises(ValueError, match="delta_domination"):
-        KernelSpec(0.5, 1.0, -1.0)
 
 
 def test_validate_kernel_passes_exponential():
-    # the kernel checks itself on construction: delta == rate is the exact
-    # decay of mu, and the exponential kernel has unit mass
+    # mu' + delta mu = (delta - rate) mu exactly, so delta is derived as the
+    # rate, not set; the exponential kernel has unit mass
+    assert [f.name for f in dataclasses.fields(KernelSpec)] == ["omega", "rate"]
     for rate in (1e-3, 1.0, 2.0, 3.0):
-        assert exponential_kernel(0.5, rate=rate, delta=rate).delta == rate
         assert exponential_kernel(0.5, rate=rate).delta == rate
     k = exponential_kernel(0.5, rate=2.0)
     assert k.mass() == pytest.approx(1.0, abs=1e-12)
-
-
-def test_validate_kernel_flags_overclaimed_decay_rate():
-    with pytest.raises(ValueError, match="delta_domination"):
-        exponential_kernel(0.5, rate=2.0, delta=3.0)
 
 
 def test_rescaled_kernel_scaling_identities():
@@ -624,8 +611,7 @@ def test_blocked_norms_match_the_unblocked_formulas(kind, n, monkeypatch):
         _unblocked_norms(phi, d, alpha, beta), rel=1e-12, abs=0.0)
 
 
-def test_history_norms_of_a_history_at_rest_walk_no_rows(interval,
-                                                        monkeypatch):
+def test_history_norms_of_a_history_at_rest_walk_no_rows(interval):
     g = build_history_grid(exponential_kernel(0.5, rate=3.0), 0.2, n_s=64)
     rng = np.random.default_rng(31)
     moved = HistoryField(g, rng.normal(size=(g.n_s, interval.n_bulk)),
@@ -635,11 +621,7 @@ def test_history_norms_of_a_history_at_rest_walk_no_rows(interval,
     expect = _unblocked_norms(moved, interval, 0.7, 1.3)[:4]
     assert history_norms(moved, interval, 0.7, 1.3) == pytest.approx(
         expect, rel=1e-12, abs=0.0)
-
-    def walk(*args):
-        raise AssertionError("a history at rest walks no rows")
-    for name in ("_v1_rows", "_pair_rows", "_ds_rows"):
-        monkeypatch.setattr(memory, name, walk)
+    # at rest the walk is the zero row 0 alone, and gives exact zeros
     rest = zero_history(g, interval)
     norms = history_norms(rest, interval, 0.7, 1.3)
     assert norms == (0.0, 0.0, 0.0, 0.0)
@@ -948,7 +930,7 @@ def test_a_history_without_a_tail_moves_loads_and_records_as_before(square):
     load = convolve_wentzell(phi, d, 0.7, 1.3)
     assert np.array_equal(np.concatenate([load.bulk, load.boundary]),
                           pair @ (g.weights @ phi.bulk))
-    v1 = np.concatenate([d.v1_products(phi.bulk[r], phi.bulk[r], 0.7, 1.3,
+    v1 = np.concatenate([d.v1_products(phi.bulk[r], 0.7, 1.3,
                                        np.empty(phi.bulk[r].size))
                          for r in memory._blocks(phi)])
     assert memory._blocks(phi)[-1].stop == g.n_s
@@ -972,12 +954,12 @@ def test_a_tail_start_survives_copy_and_difference(interval):
 
 
 def test_the_tail_rule_is_cut_per_row_and_read_before_written(square):
-    # a straddling block is cut to its rows below the tail and the tail
-    # gets bulk[rest] + inc of the old history, against the rows the plain
-    # pull-back computes from the same history, to rounding
+    # the blocks above the tail are skipped, the straddling one runs whole,
+    # and the tail gets bulk[rest] + inc of the old history, against the
+    # rows the plain pull-back computes from the same history, to rounding
     g = build_history_grid(exponential_kernel(0.5, rate=3.0), 0.2, n_s=128)
     dt, d = 0.0025, square
-    blocks, k, _, (lo, _, _) = memory._pullback(g, dt, d.n_bulk)
+    blocks, k, _, lo = memory._pullback(g, dt, d.n_bulk)
     starts = [rows.start for rows, _, _ in blocks]
     rng = np.random.default_rng(47)
     for rest in (0, 1, 40, 80, 126):
@@ -1111,7 +1093,7 @@ def _parent_walks(phi, d, alpha, beta):
     dbuf = np.empty((blocks[0].stop, n_bulk))
     for r in blocks:
         x = phi.bulk[r]
-        v1[r] = d.v1_products(x, x, alpha, beta, buf)
+        v1[r] = d.v1_products(x, alpha, beta, buf)
         p = pair @ x.T.copy()
         p *= p
         p2[r] = w @ p
