@@ -186,15 +186,17 @@ def _check_history_size(canon: dict) -> None:
 _MAX_WORK = 10**13
 
 
-def _check_work(n_steps: int, n_bulk: int, n_s: int) -> None:
-    """Refuse a run whose work exceeds ``_MAX_WORK``, before it starts."""
-    work = float(n_steps) * n_bulk * n_s
+def _check_work(n_steps: int, n_bulk: int, n_s: int, runs: int = 1) -> None:
+    """Refuse a run, or a sweep of ``runs`` memory runs, whose total work
+    exceeds ``_MAX_WORK``, before it starts."""
+    work = float(runs) * n_steps * n_bulk * n_s
     if work > _MAX_WORK:
+        what, count = ("run", "") if runs == 1 else ("sweep", f"{runs} runs x ")
         raise ConfigError(
-            f"the run needs {float(n_steps):.3g} steps x {n_bulk} bulk nodes x "
-            f"{n_s} history nodes = {work:.3g}, more than the {_MAX_WORK:.0e} "
-            "a run may take; raise dt or lower t_final, domain.n or "
-            "history.n_s")
+            f"the {what} needs {count}{float(n_steps):.3g} steps x {n_bulk} "
+            f"bulk nodes x {n_s} history nodes = {work:.3g}, more than the "
+            f"{_MAX_WORK:.0e} a {what} may take; raise dt or lower t_final, "
+            "domain.n or history.n_s")
 
 
 def build_from_canonical(canon: dict) -> LoadedConfig:
@@ -630,7 +632,8 @@ def _sweep_eps(text: str, problem: ProblemConfig) -> list[float]:
     (its own rules: eps in (0, 1] and dt <= eps / 10), and one whose audit
     window [sqrt(eps), t_final] holds an observed step, by the observer's
     own rule (step k is in it if k dt >= sqrt(eps) - 1e-12, and the last
-    step is always observed). The check builds no grid."""
+    step is always observed). The sweep's total work, one memory run per
+    entry, must stay within ``_MAX_WORK``. The check builds no grid."""
     toks = [tok for tok in text.split(",") if tok]
     try:
         eps_list = [float(tok) for tok in toks]
@@ -655,6 +658,8 @@ def _sweep_eps(text: str, problem: ProblemConfig) -> list[float]:
                                  "is empty")
         except ValueError as e:
             raise ConfigError(f"bad --eps entry {tok!r}: {e}") from e
+    _check_work(_n_steps(problem), problem.domain.n_bulk,
+                problem.history["n_s"], runs=len(eps_list))
     return eps_list
 
 

@@ -117,8 +117,9 @@ class DiscreteDomain:
     ``_cache``: ``bulk_operators`` builds the trace, the closed-grid
     Laplacian and the Laplace-Beltrami stencil, and from them the merged
     stiffness K and the equation pair P; ``edge_form`` reads K as edge and
-    node weights, which ``v1_products`` evaluates on blocks of rows, states
-    and histories alike.
+    node weights. Two kernels measure blocks of rows, states and histories
+    alike: ``v1_products`` the V1 energy in that edge form, and
+    ``pair_products`` the flat energy of the pair image.
     """
 
     kind: str
@@ -265,6 +266,16 @@ class DiscreteDomain:
             df *= df
             out += flat.reshape(m, n)[:, :-o] @ c
         return out
+
+    def pair_products(self, x: Array, alpha: float, beta: float) -> Array:
+        """The one pair kernel: flat energies ``|P x_j|^2_X2`` of the rows
+        of an (m, n_bulk) block of trace-compatible fields (a state is a
+        one-row block), P the pair of ``bulk_operators``, by one sparse
+        product of the block copied to node-major order."""
+        pair = self.bulk_operators(alpha, beta)[1]
+        p = pair @ x.T.copy()
+        p *= p
+        return np.concatenate([self.dx, self.dsigma]) @ p
 
     def weigh_pair(self, rhs: StateField) -> Array:
         """Measure-weighted load vector of a (bulk, boundary) pair."""
@@ -442,14 +453,14 @@ def apply_wentzell(u: StateField, d: DiscreteDomain,
 
 
 def norm_v2_sq(u: StateField, d: DiscreteDomain, alpha: float, beta: float) -> float:
-    """Second-order energy ``||A_W u||^2_X2`` of the equation pair.
-
-    Requires alpha > 0 or beta > 0 so the underlying first-order form is a
-    norm.
-    """
+    """Second-order energy ``||A_W u||^2_X2`` of the equation pair of a
+    trace-compatible state, measured as a one-row block by
+    ``DiscreteDomain.pair_products``, the kernel of the level-2 history
+    rows. Requires alpha > 0 or beta > 0 so the underlying first-order
+    form is a norm."""
     if alpha <= 0.0 and beta <= 0.0:
         raise ValueError("norm_v2_sq needs alpha > 0 or beta > 0")
-    return norm_x2_sq(apply_wentzell(u, d, alpha, beta), d)
+    return float(d.pair_products(u.bulk[None], alpha, beta)[0])
 
 
 def solve_wentzell_shifted(c0: float, c_a: float, rhs: StateField,

@@ -44,16 +44,15 @@ without the rule.
 
 A transported history also carries ``inflow = (C, ends)``: its k inflow
 rows, s <= dt, are bitwise ``C @ ends``, the cached k x 2 trapezoid block
-times the step's stacked end values, so they have rank 2 at every step,
-not only at start-up. ``advance_history`` sets the claim and ``copy``
-keeps it; a difference, a checkpoint load, a profile history and
-``zero_history`` claim nothing. The norms measure those rows in closed
-form from 2 x 2 Gram forms of the two end values, the V1 energies and
-their cross product, the pair images' three weighted products, and the
-mass form of the row differences ``C[i] - C[i-1]`` for d/ds, and walk only
-rows k to ``rest``. That changes results by rounding only; the memory load
-still reads every row, and a history without the claim is walked bitwise
-as without the rule.
+times the step's stacked end values e0 and e1, so they have rank 2 at
+every step. ``advance_history`` sets the claim and ``copy`` keeps it;
+nothing else makes one. The norms measure those rows in closed form by
+one polarization rule: a form g of the rows ``C[i, 0] e0 + C[i, 1] e1``
+follows from g(e0), g(e1) and g(e0 - e1), the cross value being
+(g(e0) + g(e1) - g(e0 - e1)) / 2; the d/ds rows take the mass form and the
+row differences of C. The walks then start at row k. That changes results
+by rounding only, and a history without the claim is walked bitwise as
+without the rule.
 
 The memory response on the boundary matches the one in the interior, so
 the boundary history is the trace of the bulk history, not a second
@@ -62,22 +61,18 @@ on demand. The history norms have two entry points: ``memory_norm_sq``
 gives one level, and ``history_norms`` gives the recorded set (levels 1 and
 2, the dyadic tail sup and the strong norm K2) in one pass. Both walk the
 bulk in cache-sized blocks of consecutive s-rows, so no norm allocates an
-array the size of the history. The first-order (V1) rows are measured by
-the one V1 kernel, ``DiscreteDomain.v1_products``, which measures a state
-too: the merged stiffness K as nonnegative edge and node weights
-(``DiscreteDomain.edge_form``), so the energy is a sum of nonnegative
-terms and keeps about full precision where x'Kx by a sparse product
-cancels. It is a method, not a module function, since the benchmark's
-tracer wraps each function one module imports from another and would
-move the recorder's time out of this module. The second-order (M2) rows
-copy each block once to node-major order for one sparse product of the
-equation pair P (``bulk_operators``). That walk is hoisted on purpose: P
-and the weights are taken once per walk, and each block's image lives
-until the next product is allocated; a per-block helper that freed it
-made the walk twice as slow on square 65 (2-core Intel Xeon), each image
-mapped and faulted in anew. The d/ds rows write the s-differences of a
-block into one buffer reused across the walk and reduce them by one BLAS
-product with the merged measure.
+array the size of the history. The first-order (V1) and second-order
+(M2) rows share one walk, ``_form_rows``, and differ only in the kernel it
+applies to a block, which measures a state too: the domain's
+``v1_products`` reads the merged stiffness K as nonnegative edge and node
+weights (``edge_form``), so nothing cancels, and its ``pair_products``
+takes one sparse product of the equation pair P per block. They are
+methods, since the benchmark's tracer wraps each function one module
+imports from another and would move the recorder's time out of this
+module. The d/ds rows, s-differences with a zero tail, keep their own
+walk, one BLAS product with the merged measure per block. A walk's
+scratch holds as many rows as fit in ``_BLOCK_BYTES``, and at least the
+three of the inflow stack.
 """
 
 from __future__ import annotations
@@ -298,8 +293,8 @@ class HistoryField:
     bulk end values ``(u_new, u_prev)`` of the step that wrote them. Only
     ``advance_history`` sets it, and ``copy`` keeps it; a difference, a
     checkpoint load, a profile history and ``zero_history`` claim nothing
-    (None). The norms measure these rows in closed form, from 2 x 2 Gram
-    forms of the two end values; the load still reads every row.
+    (None). The norms measure these rows in closed form from the end
+    values, by polarization; the load still reads every row.
     Whoever writes into ``bulk`` keeps both claims true or resets them
     (``rest`` to n_s - 1, ``inflow`` to None); ``ends`` is never written.
     """
@@ -374,18 +369,24 @@ def _blocks(phi: HistoryField) -> list[slice]:
     return [slice(a, min(a + step, stop)) for a in range(start, stop, step)]
 
 
-def _block_rows(blocks: list[slice]) -> int:
-    """Rows of the longest block, the first; 0 without blocks."""
-    return blocks[0].stop - blocks[0].start if blocks else 0
+def _scratch(n: int) -> Array:
+    """Flat scratch of a walk over rows of n values: as many rows as fit
+    in ``_BLOCK_BYTES``, which hold any block, and at least three."""
+    return np.empty(max(3, _BLOCK_BYTES // (8 * n)) * n)
 
 
-def _gram_rows(C: Array, g00: float, g01: float, g11: float) -> Array:
+def _ends_stack(phi: HistoryField) -> Array:
+    """The inflow stack of the end values, rows e0, e1 and e0 - e1."""
+    e0, e1 = phi.inflow[1]
+    return np.stack([e0, e1, e0 - e1])
+
+
+def _gram_rows(C: Array, g0: float, g1: float, gd: float) -> Array:
     """The quadratic form of the rows ``C[i, 0] e0 + C[i, 1] e1``, from
-    its Gram entries on e0 and e1. The entries are taken one at a time, not
-    as one product of stacked copies of e0 and e1, which on square 129's
-    rows raised a run's peak memory by 1 MiB."""
+    its values g0, g1 and gd on e0, e1 and e0 - e1, by polarization: the
+    cross value is (g0 + g1 - gd) / 2."""
     a, b = C[:, 0], C[:, 1]
-    return a * a * g00 + 2.0 * a * b * g01 + b * b * g11
+    return a * a * g0 + a * b * (g0 + g1 - gd) + b * b * g1
 
 
 def _s_diff(values: Array, r: slice, buf: Array) -> Array:
@@ -400,66 +401,51 @@ def _s_diff(values: Array, r: slice, buf: Array) -> Array:
     return out
 
 
-def _v1_rows(phi: HistoryField, d: DiscreteDomain,
-             alpha: float, beta: float) -> Array:
-    """First-order energy of each history row; the inflow rows from the
-    end values' two energies and their cross product, which polarization
-    gives from the energy of their difference, the tail copying row
-    ``rest``'s."""
+def _form_rows(phi: HistoryField, energy: Callable[[Array], Array]) -> Array:
+    """One quadratic form of each history row, ``energy`` giving it on the
+    rows of a block: the inflow rows from its values on the inflow stack by
+    ``_gram_rows``, rows k to ``rest`` walked in ``_blocks``, and the flat
+    tail copying row ``rest``'s."""
     rows = np.empty(phi.grid.n_s)
     m = _inflow_rows(phi)
     if m:
-        C, ends = phi.inflow
-        e00, e11 = d.v1_products(ends, alpha, beta)
-        e01 = 0.5 * (e00 + e11 - d.v1_products((ends[0] - ends[1])[None],
-                                               alpha, beta)[0])
-        rows[:m] = _gram_rows(C[:m], e00, e01, e11)
-    blocks = _blocks(phi)
-    buf = np.empty(_block_rows(blocks) * d.n_bulk)
-    for r in blocks:
-        rows[r] = d.v1_products(phi.bulk[r], alpha, beta, buf)
+        rows[:m] = _gram_rows(phi.inflow[0][:m], *energy(_ends_stack(phi)))
+    for r in _blocks(phi):
+        rows[r] = energy(phi.bulk[r])
     rows[phi.rest + 1:] = rows[phi.rest]
     return rows
+
+
+def _v1_rows(phi: HistoryField, d: DiscreteDomain,
+             alpha: float, beta: float) -> Array:
+    """First-order energy of each history row."""
+    buf = _scratch(d.n_bulk)
+    return _form_rows(phi, lambda x: d.v1_products(x, alpha, beta, buf))
 
 
 def _pair_rows(phi: HistoryField, d: DiscreteDomain,
                alpha: float, beta: float) -> Array:
-    """Flat energy of the equation-pair image of each history row; the
-    inflow rows from the images of the two end values, the tail copying
-    row ``rest``'s."""
-    _, pair = d.bulk_operators(alpha, beta)
-    w = np.concatenate([d.dx, d.dsigma])
-    rows = np.empty(phi.grid.n_s)
-    m = _inflow_rows(phi)
-    if m:
-        C, ends = phi.inflow
-        p0, p1 = (pair @ ends.T).T
-        rows[:m] = _gram_rows(C[:m], w @ (p0 * p0), w @ (p0 * p1),
-                              w @ (p1 * p1))
-    for r in _blocks(phi):
-        p = pair @ phi.bulk[r].T.copy()
-        p *= p
-        rows[r] = w @ p
-    rows[phi.rest + 1:] = rows[phi.rest]
-    return rows
+    """Flat energy of the equation-pair image of each history row."""
+    return _form_rows(phi, lambda x: d.pair_products(x, alpha, beta))
 
 
 def _ds_rows(phi: HistoryField, d: DiscreteDomain) -> Array:
     """Flat energy of the one-sided s-derivative of each history row; the
-    inflow rows from the differences of the rows of C in the mass form of
-    the end values. It is exactly 0 on the tail above row ``rest``."""
+    inflow rows from the mass form of the inflow stack and the differences
+    of the rows of C. It is exactly 0 on the tail above row ``rest``."""
     h2 = np.diff(phi.grid.s_nodes, prepend=0.0) ** 2
     mass = d.mass_diag()
     rows = np.zeros(phi.grid.n_s)
     m = _inflow_rows(phi)
     if m:
-        C, (e0, e1) = phi.inflow
-        rows[:m] = _gram_rows(np.diff(C[:m], axis=0, prepend=0.0),
-                              (e0 * e0) @ mass, (e0 * e1) @ mass,
-                              (e1 * e1) @ mass) / h2[:m]
-    blocks = _blocks(phi)
-    buf = np.empty((_block_rows(blocks), d.n_bulk))
-    for r in blocks:
+        # a dot per row: at e1 = 0 the rows e0 and e0 - e1 then give one
+        # value, so the cross value is 0 (a product with the stack was
+        # not, which cost row k - 1 6e-15 relative on interval 1025)
+        g = [(e * e) @ mass for e in _ends_stack(phi)]
+        dC = np.diff(phi.inflow[0][:m], axis=0, prepend=0.0)
+        rows[:m] = _gram_rows(dC, *g) / h2[:m]
+    buf = _scratch(d.n_bulk).reshape(-1, d.n_bulk)
+    for r in _blocks(phi):
         ds = _s_diff(phi.bulk, r, buf)
         ds *= ds
         rows[r] = (ds @ mass) / h2[r]
@@ -753,11 +739,7 @@ def history_norms(phi: Optional[HistoryField], d: DiscreteDomain,
     pair and d/ds rows: ``memory_norm_sq`` at levels 1 and 2, the dyadic sup
     of tau * tail, and the squared strong norm K2, which is the level-2
     energy plus eps times the d/ds flat energy plus that sup. The walks
-    stop at row ``rest``, the rows of the flat tail above it taking its
-    energies and a zero d/ds row. A history with the inflow claim has its
-    rows with s <= dt measured in closed form from the step's two end
-    values and walked from row k; the claim is set by ``advance_history``
-    only, and the memory load reads every row regardless. ``phi=None``
+    cover rows k to ``rest`` only (see the module docstring). ``phi=None``
     gives exact zeros, and so does a history at rest, whose walk is its
     zero row 0."""
     if phi is None:

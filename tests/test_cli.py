@@ -598,6 +598,26 @@ def test_a_run_past_the_work_budget_is_refused_at_load(tmp_path, capsys,
     assert time.perf_counter() - start < 5.0
 
 
+def test_a_sweep_past_the_work_budget_is_refused_before_it_runs(tmp_path,
+                                                                capsys):
+    # one run of 5e7 steps x 1025 x 128 = 6.6e12 is within the budget, so
+    # the config validates, but a sweep runs it once per eps: 1.3e13
+    path = write_cfg(tmp_path, domain={"kind": "interval", "n": 1025},
+                     dt=0.0025, t_final=125000.0, checkpoint_step=None)
+    assert main(["validate", "--config", str(path)]) == 0
+    capsys.readouterr()
+    out = tmp_path / "s"
+    start = time.perf_counter()
+    assert main(["sweep-eps", "--config", str(path), "--eps", "0.2,0.1",
+                 "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: the sweep needs 2 runs x 5e+07 steps x "
+                          "1025 bulk nodes x 128 history nodes = 1.31e+13")
+    assert err.count("\n") == 1, err
+    assert not out.exists()
+    assert time.perf_counter() - start < 5.0
+
+
 def test_the_work_budget_clears_every_benchmark_run_a_thousandfold():
     sys.path.insert(0, str(Path(__file__).parents[1] / "perfbench"))
     try:

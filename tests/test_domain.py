@@ -116,6 +116,22 @@ def test_second_order_norm_needs_positive_zero_order(interval):
     assert norm_v2_sq(u, interval, 1.0, 2.0) > 0.0
 
 
+@pytest.mark.parametrize("alpha, beta", [(0.0, 1.0), (0.7, 1.3), (2.0, 0.0)])
+def test_second_order_norm_is_the_flat_norm_of_the_equation_pair(
+        interval, square, alpha, beta):
+    # measured as a one-row block of the pair kernel, the norm agrees with
+    # the flat norm of the pair image that apply_wentzell returns
+    rng = np.random.default_rng(5)
+    for d in (interval, square):
+        smooth = d.field_from_function(
+            lambda p: np.cos(3.0 * p[..., 0]) + p[..., -1] ** 2)
+        rough = d.field_from_bulk(rng.normal(size=d.n_bulk))
+        for u in (smooth, rough):
+            assert norm_v2_sq(u, d, alpha, beta) == pytest.approx(
+                norm_x2_sq(apply_wentzell(u, d, alpha, beta), d),
+                rel=1e-13, abs=0.0)
+
+
 def test_solve_roundtrips_the_operator(interval, square):
     rng = np.random.default_rng(11)
     for d in (interval, square):

@@ -1003,6 +1003,16 @@ def _without_inflow(phi):
     return HistoryField(phi.grid, phi.bulk, phi.boundary_index, phi.rest)
 
 
+def _with_ends(phi, ends):
+    """A copy of ``phi`` whose inflow rows are those of the end values
+    ``ends``, with the claim."""
+    C = phi.inflow[0]
+    out = phi.copy()
+    np.matmul(C, ends, out=out.bulk[:C.shape[0]])
+    out.inflow = (C, ends)
+    return out
+
+
 def _bench_cfg(d, eps, t_final):
     nl = make_nonlinearity([-0.125, 0.0, 0.0, 1.0], [-0.375, 0.0, 0.0, 1.0])
     return ProblemConfig(d, exponential_kernel(0.5, rate=3.0), nl, alpha=0.0,
@@ -1017,7 +1027,9 @@ def test_inflow_rows_in_closed_form_match_the_walked_rows(kind, n, eps):
     # 120 steps from smooth data: the rows with s <= dt are C @ ends
     # bitwise, the walks start above them, and their V1, pair and d/ds
     # energies from the Gram forms of the two end values agree with the
-    # walked ones
+    # walked ones; so do those of degenerate end values put in the last
+    # history's inflow rows, equal ends (a step of a steady state) and
+    # e1 = 0 (the first step from rest), whose difference is 0 or e0
     d = build_domain(kind, n)
     cfg = _bench_cfg(d, eps, 0.3)
     y = lift(smooth_profile(d) * 0.5 + d.constant_field(0.3), cfg)
@@ -1026,32 +1038,39 @@ def test_inflow_rows_in_closed_form_match_the_walked_rows(kind, n, eps):
         y = step_peps(y, cfg)
         if step % 20:
             continue
-        phi = y.phi
-        C, ends = phi.inflow
+        C, ends = y.phi.inflow
         k = C.shape[0]
-        assert np.array_equal(phi.bulk[:k], C @ ends)
-        assert phi.rest >= k and memory._blocks(phi)[0].start == k
-        walked = _without_inflow(phi)
-        for alpha, beta in ((0.0, 1.0), (0.7, 1.3)):
-            # the rows above k are walked in both, in other blocks
-            for a, b in ((memory._v1_rows(phi, d, alpha, beta),
-                          memory._v1_rows(walked, d, alpha, beta)),
-                         (memory._ds_rows(phi, d),
-                          memory._ds_rows(walked, d))):
-                # measured: at most 6e-15
-                assert np.all(np.abs(a - b) <= 2e-14 * b)
-            a = memory._pair_rows(phi, d, alpha, beta)
-            b = memory._pair_rows(walked, d, alpha, beta)
-            # the pair image cancels: each form rounds on the scale of the
-            # image's terms |P| |x|, about 1e-6 of the image on interval
-            # 1025, where the walked rows themselves stray up to 4.4e-12
-            # from extended precision (measured: at most 0.15 ulp of
-            # sqrt(row * terms), and 3e-13 relative on the squares)
-            t = abs(d.bulk_operators(alpha, beta)[1]) @ np.abs(phi.bulk).T
-            terms = w @ (t * t)
-            assert np.all(np.abs(a - b) <= 1e-15 * np.sqrt(b * terms))
-            if kind == "square":
-                assert np.all(np.abs(a - b) <= 1e-12 * b)
+        assert np.array_equal(y.phi.bulk[:k], C @ ends)
+        assert y.phi.rest >= k and memory._blocks(y.phi)[0].start == k
+        histories = [y.phi]
+        if step == 120:
+            e0 = ends[0]
+            histories += [_with_ends(y.phi, np.stack(pair)) for pair in
+                          ((e0, e0), (e0, np.zeros_like(e0)))]
+        for phi in histories:
+            walked = _without_inflow(phi)
+            for alpha, beta in ((0.0, 1.0), (0.7, 1.3)):
+                # the rows above k are walked in both, in other blocks
+                for a, b in ((memory._v1_rows(phi, d, alpha, beta),
+                              memory._v1_rows(walked, d, alpha, beta)),
+                             (memory._ds_rows(phi, d),
+                              memory._ds_rows(walked, d))):
+                    # measured: at most 6e-15, and 1.5e-14 for e1 = 0,
+                    # whose walked d/ds row k - 1 differences two rows
+                    # that agree to 2 digits
+                    assert np.all(np.abs(a - b) <= 2e-14 * b)
+                a = memory._pair_rows(phi, d, alpha, beta)
+                b = memory._pair_rows(walked, d, alpha, beta)
+                # the pair image cancels: each form rounds on the scale of the
+                # image's terms |P| |x|, about 1e-6 of the image on interval
+                # 1025, where the walked rows themselves stray up to 4.4e-12
+                # from extended precision (measured: at most 0.15 ulp of
+                # sqrt(row * terms), and 3e-13 relative on the squares)
+                t = abs(d.bulk_operators(alpha, beta)[1]) @ np.abs(phi.bulk).T
+                terms = w @ (t * t)
+                assert np.all(np.abs(a - b) <= 1e-15 * np.sqrt(b * terms))
+                if kind == "square":
+                    assert np.all(np.abs(a - b) <= 1e-12 * b)
 
 
 def test_the_inflow_claim_is_set_by_the_step_and_kept_by_copy_only(interval):
