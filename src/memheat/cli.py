@@ -32,7 +32,7 @@ from .experiments import (GateError, _decay_gate, _decay_start,
                           energy_decay_experiment, fit_decay, robustness_sweep,
                           smooth_profile)
 
-CHECKPOINT_FORMAT = "memheat-checkpoint-6"
+CHECKPOINT_FORMAT = "memheat-checkpoint-7"
 
 EXIT_PASS = 0
 EXIT_ASSERTION = 1
@@ -268,117 +268,70 @@ def load_config(path) -> LoadedConfig:
 
 @dataclass
 class Checkpoint:
+    """A loaded checkpoint: its state, the problem its config rebuilds, and
+    the recorded columns up to its step."""
+
     state: SystemState
     loaded: LoadedConfig
-    records: Optional[dict]
+    records: dict
 
 
-def _state_arrays(state: SystemState, grid) -> list:
-    """The arrays that determine a state: its field's bulk (the boundary
-    values are its trace) and, with a history, the history's bulk rows up
-    to the start ``rest`` of its flat tail, which the rows above repeat,
-    and the grid nodes it lives on."""
-    arrays = [("u_bulk", state.u.bulk)]
-    if state.phi is not None:
-        arrays += [("phi_bulk", state.phi.bulk[:state.phi.rest + 1]),
-                   ("s_nodes", grid.s_nodes)]
-    return arrays
-
-
-def _check_arrays(declared, step, problem: ProblemConfig) -> None:
-    """Refuse a header's [name, shape] list and step unless the list holds
-    each state array ``problem`` needs, in the shape it implies (for the
-    history, 1 to n_s rows of bulk nodes), and no recorded columns or all
-    of them with one row per sample up to ``step``, an integer in [0, total
-    steps] (with columns, a stride multiple)."""
-    if not isinstance(declared, list) or not all(
-            isinstance(e, list) and len(e) == 2 and isinstance(e[0], str)
-            and isinstance(e[1], list)
-            and all(type(n) is int and n >= 0 for n in e[1])
-            for e in declared):
-        raise ConfigError("checkpoint refused: the header's array list is "
-                          "not a list of [name, shape] pairs")
-    shapes = dict(declared)
-    d = problem.domain
-    want = {"u_bulk": [d.n_bulk]}
-    if problem.eps > 0.0:
-        n_s = problem.grid.n_s
-        want.update(phi_bulk=f"[1 to {n_s}, {d.n_bulk}]", s_nodes=[n_s])
-    missing = [name for name in want if name not in shapes]
-    if missing:
-        raise ConfigError("checkpoint refused: it lacks the state arrays "
-                          + ", ".join(missing))
-
-    def fits(name, shape):
-        if name == "phi_bulk":  # the rows up to the flat tail's start
-            return (len(shape) == 2 and 0 < shape[0] <= n_s
-                    and shape[1] == d.n_bulk)
-        return shape == want[name]
-
-    wrong = [f"{name} has shape {shapes[name]}, the config implies {shape}"
-             for name, shape in want.items() if not fits(name, shapes[name])]
-    if wrong:
-        raise ConfigError("checkpoint refused: " + "; ".join(wrong))
-    recs = {name[4:]: shape for name, shape in shapes.items()
-            if name.startswith("rec_")}
-    rows = next(iter(recs.values()), None)
-    if recs and (recs.keys() != set(TrajectoryRecord.COLUMNS) or len(rows) != 1
-                 or any(shape != rows for shape in recs.values())):
-        raise ConfigError("checkpoint refused: its recorded columns must be "
-                          "none or all of " + ", ".join(TrajectoryRecord.COLUMNS)
-                          + ", 1-d and of equal lengths")
-    n_total = _n_steps(problem)
-    if type(step) is not int or not 0 <= step <= n_total:
-        raise ConfigError("checkpoint refused: its step must be an integer "
-                          f"in [0, {n_total}], found {step!r}")
-    stride = problem.record_stride
-    if recs and step % stride:
-        raise ConfigError(f"checkpoint refused: its step {step} is not a "
-                          f"multiple of record_stride {stride}")
-    if recs and rows[0] != step // stride + 1:
-        raise ConfigError(f"checkpoint refused: step {step} at record_stride "
-                          f"{stride} implies {step // stride + 1} recorded "
-                          f"rows, found {rows[0]}")
+def _layout(n_bulk: int, grid, phi_rows: int, samples: int) -> list:
+    """The (name, shape) of each stored array, in file order: the field's
+    bulk (its boundary values are its trace); with a history (``grid`` not
+    None), its first ``phi_rows`` bulk rows, up to the start of its flat
+    tail, which the rows above repeat, and the grid's nodes; then each
+    recorded column, ``samples`` values long."""
+    layout = [("u_bulk", (n_bulk,))]
+    if grid is not None:
+        layout += [("phi_bulk", (phi_rows, n_bulk)), ("s_nodes", (grid.n_s,))]
+    return layout + [(f"rec_{name}", (samples,))
+                     for name in TrajectoryRecord.COLUMNS]
 
 
 def checkpoint_save(state: SystemState, path, canon: dict,
-                    records: Optional[dict] = None) -> None:
+                    records: dict) -> None:
     """One-line JSON header, then raw little-endian binary64 arrays.
 
     The header embeds the full canonical config and its hash, so a resume
-    needs no external config file and can refuse mismatched ones. Each
-    array is written from its own buffer, so saving copies no history, and
-    a history is written up to the start of its flat tail.
+    needs no external config file, and the count ``phi_rows`` of stored
+    history rows, the one number of the ``_layout`` the config does not
+    imply. ``records`` holds the recorded columns up to ``state.step``.
+    Each array is written from its own buffer, so saving copies no history,
+    and a history is written up to the start of its flat tail.
     """
-    grid = None if state.phi is None else state.phi.grid
-    arrays = _state_arrays(state, grid)
-    if records is not None:
-        arrays += [(f"rec_{name}", np.asarray(col))
-                   for name, col in records.items()]
+    phi = state.phi
+    phi_rows = 0 if phi is None else phi.rest + 1
+    values = {f"rec_{name}": col for name, col in records.items()}
+    values["u_bulk"] = state.u.bulk
+    if phi is not None:
+        values.update(phi_bulk=phi.bulk[:phi_rows], s_nodes=phi.grid.s_nodes)
     header = {
         "format": CHECKPOINT_FORMAT,
         "config": canon,
         "config_sha256": config_hash(canon),
         "step": state.step,
-        "arrays": [[name, list(a.shape)] for name, a in arrays],
+        "phi_rows": phi_rows,
     }
+    layout = _layout(state.u.bulk.size, None if phi is None else phi.grid,
+                     phi_rows, state.step // canon["record_stride"] + 1)
     with open(path, "wb") as fh:
         fh.write(json.dumps(header, sort_keys=True,
                             separators=(",", ":")).encode() + b"\n")
-        for _, a in arrays:
-            fh.write(np.ascontiguousarray(a, dtype="<f8").data)
+        for name, _ in layout:
+            fh.write(np.ascontiguousarray(values[name], dtype="<f8").data)
 
 
-def checkpoint_load(path, expect_canon: Optional[dict] = None) -> Checkpoint:
+def checkpoint_load(path) -> Checkpoint:
     """Load a checkpoint, rebuilding the problem from the embedded config.
 
     Refuses on any inconsistency: an unreadable file, a header of another
     format or with entries missing, corrupted header hash, an embedded
-    config that ``load_config`` would refuse or would change, a caller config
-    that differs from the stored one, a state array that is missing or of
-    another shape than the config implies, a step off the run's step grid,
-    recorded columns other than all samples up to that step, or a rebuilt
-    history grid whose nodes do not match the stored ones bit for bit.
+    config that ``load_config`` would refuse or would change, a step off
+    the run's record grid, a ``phi_rows`` outside 1 to n_s (0 without a
+    history), a payload of another size than the ``_layout`` the config
+    implies, or a rebuilt history grid whose nodes do not match the stored
+    ones bit for bit.
 
     A history is stored as its rows up to the start of its flat tail: the
     last stored row is ``rest``, and the rows above it are filled with it,
@@ -394,7 +347,7 @@ def checkpoint_load(path, expect_canon: Optional[dict] = None) -> Checkpoint:
     if found != CHECKPOINT_FORMAT:
         raise ConfigError(f"checkpoint refused: {path} has format {found!r}, "
                           f"expected {CHECKPOINT_FORMAT!r}")
-    missing = sorted({"config", "config_sha256", "step", "arrays"}
+    missing = sorted({"config", "config_sha256", "step", "phi_rows"}
                      - header.keys())
     if missing:
         raise ConfigError(f"checkpoint refused: the header of {path} lacks "
@@ -411,54 +364,57 @@ def checkpoint_load(path, expect_canon: Optional[dict] = None) -> Checkpoint:
     if canonical != canon:
         raise ConfigError("checkpoint refused: its embedded config is not "
                           "canonical; load_config would fill in defaults")
-    if expect_canon is not None and config_hash(expect_canon) != header["config_sha256"]:
-        raise ConfigError("checkpoint refused: it was written under a "
-                          f"different config (stored hash {header['config_sha256'][:12]}..., "
-                          f"current {config_hash(expect_canon)[:12]}...)")
 
     loaded = build_from_canonical(canon)
-    declared = header["arrays"]
-    _check_arrays(declared, header["step"], loaded.problem)
-    counts = [int(np.prod(shape, dtype=np.int64)) if shape else 1
-              for _, shape in declared]
-    short = ConfigError("checkpoint refused: binary payload size does not "
-                        "match the declared shapes")
+    problem = loaded.problem
+    step, phi_rows = header["step"], header["phi_rows"]
+    stride, n_total = problem.record_stride, _n_steps(problem)
+    if type(step) is not int or not 0 <= step <= n_total:
+        raise ConfigError("checkpoint refused: its step must be an integer "
+                          f"in [0, {n_total}], found {step!r}")
+    if step % stride:
+        raise ConfigError(f"checkpoint refused: its step {step} is not a "
+                          f"multiple of record_stride {stride}")
+    grid = problem.grid
+    lo, hi = (0, 0) if grid is None else (1, grid.n_s)
+    if type(phi_rows) is not int or not lo <= phi_rows <= hi:
+        raise ConfigError("checkpoint refused: its phi_rows must be an "
+                          f"integer in [{lo}, {hi}], found {phi_rows!r}")
+    layout = _layout(problem.domain.n_bulk, grid, phi_rows, step // stride + 1)
+    counts = [math.prod(shape) for _, shape in layout]
+    short = ConfigError(f"checkpoint refused: binary payload size "
+                        f"{end - start} does not match the {8 * sum(counts)} "
+                        "bytes of the layout its config implies")
     if 8 * sum(counts) != end - start:
         raise short
     # each array is read from the file into its own buffer, and a history
     # into the leading rows of one of n_s rows, so loading holds no
     # payload-sized copy next to the arrays
-    problem = loaded.problem
     arrays = {}
     try:
         with open(path, "rb") as fh:
             fh.seek(start)
-            for (name, shape), count in zip(declared, counts):
-                full = name == "phi_bulk" and problem.eps > 0.0
-                arr = np.empty([problem.grid.n_s, shape[1]] if full else shape,
-                               dtype="<f8")
+            for (name, shape), count in zip(layout, counts):
+                arr = np.empty((grid.n_s, shape[1]) if name == "phi_bulk"
+                               else shape, dtype="<f8")
                 if fh.readinto(arr.reshape(-1)[:count]) != 8 * count:
                     raise short
                 arrays[name] = arr
     except OSError as e:
         raise ConfigError(f"cannot read checkpoint {path}: {e}") from e
 
-    u = problem.domain.field_from_bulk(arrays["u_bulk"])
+    u = problem.domain.field_from_bulk(arrays.pop("u_bulk"))
     phi = None
-    if problem.eps > 0.0:
-        grid = problem.grid
-        if not np.array_equal(arrays["s_nodes"], grid.s_nodes):
+    if grid is not None:
+        if not np.array_equal(arrays.pop("s_nodes"), grid.s_nodes):
             raise ConfigError("checkpoint refused: stored history grid "
                               "differs from the one the config rebuilds")
-        bulk = arrays["phi_bulk"]
-        rest = dict(declared)["phi_bulk"][0] - 1
-        bulk[rest + 1:] = bulk[rest]
-        phi = HistoryField(grid, bulk, problem.domain.boundary_index, rest)
-    state = SystemState(u, phi, header["step"])
-
-    records = {name[4:]: arrays[name] for name in arrays
-               if name.startswith("rec_")} or None
-    return Checkpoint(state=state, loaded=loaded, records=records)
+        bulk = arrays.pop("phi_bulk")
+        bulk[phi_rows:] = bulk[phi_rows - 1]
+        phi = HistoryField(grid, bulk, problem.domain.boundary_index,
+                           phi_rows - 1)
+    records = {name[4:]: col for name, col in arrays.items()}
+    return Checkpoint(SystemState(u, phi, step), loaded, records)
 
 
 # -- artifact writers --------------------------------------------------------

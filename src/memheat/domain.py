@@ -76,9 +76,6 @@ class StateField:
 
     __rmul__ = __mul__
 
-    def __neg__(self) -> "StateField":
-        return StateField(-self.bulk, -self.boundary)
-
 
 @dataclass
 class DiscreteDomain:
@@ -238,15 +235,11 @@ class DiscreteDomain:
             self._cache[key] = (tuple(edges), index, sums[index])
         return self._cache[key]
 
-    def v1_products(self, x: Array, alpha: float, beta: float,
-                    buf: Array | None = None) -> Array:
+    def v1_products(self, x: Array, alpha: float, beta: float) -> Array:
         """The one V1 kernel: energies ``x_j' K x_j`` of the rows of an (m,
         n_bulk) row-major block of trace-compatible fields (a state is a
         one-row block), in the edge form of ``edge_form``; a cross product
-        follows by polarization. ``buf``, of at least m n_bulk values, is
-        scratch space a walk reuses across its blocks, since a fresh
-        block-sized temporary is mapped and faulted in anew each time;
-        without it one is made.
+        follows by polarization.
 
         The differences at offset o are taken on the flattened block, one
         contiguous subtraction; entry j n + i is then x[j, i + o] - x[j, i]
@@ -259,7 +252,7 @@ class DiscreteDomain:
         out = xi @ weight
         m, n = x.shape
         xf = x.reshape(-1)
-        flat = (np.empty(m * n) if buf is None else buf)[:m * n]
+        flat = np.empty(m * n)
         for o, c in edges:
             df = flat[:-o]
             np.subtract(xf[o:], xf[:-o], out=df)

@@ -70,9 +70,7 @@ takes one sparse product of the equation pair P per block. They are
 methods, since the benchmark's tracer wraps each function one module
 imports from another and would move the recorder's time out of this
 module. The d/ds rows, s-differences with a zero tail, keep their own
-walk, one BLAS product with the merged measure per block. A walk's
-scratch holds as many rows as fit in ``_BLOCK_BYTES``, and at least the
-three of the inflow stack.
+walk, one BLAS product with the merged measure per block.
 """
 
 from __future__ import annotations
@@ -369,12 +367,6 @@ def _blocks(phi: HistoryField) -> list[slice]:
     return [slice(a, min(a + step, stop)) for a in range(start, stop, step)]
 
 
-def _scratch(n: int) -> Array:
-    """Flat scratch of a walk over rows of n values: as many rows as fit
-    in ``_BLOCK_BYTES``, which hold any block, and at least three."""
-    return np.empty(max(3, _BLOCK_BYTES // (8 * n)) * n)
-
-
 def _ends_stack(phi: HistoryField) -> Array:
     """The inflow stack of the end values, rows e0, e1 and e0 - e1."""
     e0, e1 = phi.inflow[1]
@@ -387,18 +379,6 @@ def _gram_rows(C: Array, g0: float, g1: float, gd: float) -> Array:
     cross value is (g0 + g1 - gd) / 2."""
     a, b = C[:, 0], C[:, 1]
     return a * a * g0 + a * b * (g0 + g1 - gd) + b * b * g1
-
-
-def _s_diff(values: Array, r: slice, buf: Array) -> Array:
-    """One-sided s-differences of rows ``r``, anchored at the zero inflow
-    value, written into the leading rows of the block buffer ``buf``."""
-    out = buf[:r.stop - r.start]
-    if r.start > 0:
-        np.subtract(values[r], values[r.start - 1:r.stop - 1], out=out)
-    else:
-        out[0] = values[0]
-        np.subtract(values[1:r.stop], values[:r.stop - 1], out=out[1:])
-    return out
 
 
 def _form_rows(phi: HistoryField, energy: Callable[[Array], Array]) -> Array:
@@ -419,8 +399,7 @@ def _form_rows(phi: HistoryField, energy: Callable[[Array], Array]) -> Array:
 def _v1_rows(phi: HistoryField, d: DiscreteDomain,
              alpha: float, beta: float) -> Array:
     """First-order energy of each history row."""
-    buf = _scratch(d.n_bulk)
-    return _form_rows(phi, lambda x: d.v1_products(x, alpha, beta, buf))
+    return _form_rows(phi, lambda x: d.v1_products(x, alpha, beta))
 
 
 def _pair_rows(phi: HistoryField, d: DiscreteDomain,
@@ -444,9 +423,11 @@ def _ds_rows(phi: HistoryField, d: DiscreteDomain) -> Array:
         g = [(e * e) @ mass for e in _ends_stack(phi)]
         dC = np.diff(phi.inflow[0][:m], axis=0, prepend=0.0)
         rows[:m] = _gram_rows(dC, *g) / h2[:m]
-    buf = _scratch(d.n_bulk).reshape(-1, d.n_bulk)
     for r in _blocks(phi):
-        ds = _s_diff(phi.bulk, r, buf)
+        # one-sided differences, the first row's against the zero inflow
+        # value
+        ds = (phi.bulk[r] - phi.bulk[r.start - 1:r.stop - 1] if r.start
+              else np.diff(phi.bulk[r], axis=0, prepend=0.0))
         ds *= ds
         rows[r] = (ds @ mass) / h2[r]
     return rows

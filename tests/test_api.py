@@ -47,9 +47,12 @@ def test_what_no_run_read_is_gone():
     assert not hasattr(memory, "DissipationReport")
     assert [op for op in ("__add__", "__mul__", "__rmul__")
             if hasattr(memory.HistoryField, op)] == []
+    assert not hasattr(domain.StateField, "__neg__")
     assert "seed" not in cli._SCHEMA
     assert "seed" not in {f.name for f in dataclasses.fields(cli.LoadedConfig)}
     assert list(inspect.signature(cli.load_config).parameters) == ["path"]
+    # a checkpoint is checked against its own embedded config only
+    assert list(inspect.signature(cli.checkpoint_load).parameters) == ["path"]
 
 
 # the span tracer of the benchmark reads these arguments by position and

@@ -20,7 +20,6 @@ import memheat
 from memheat import cli, solver
 from memheat.cli import (
     _SCHEMA,
-    ConfigError,
     checkpoint_load,
     checkpoint_save,
     config_hash,
@@ -29,6 +28,7 @@ from memheat.cli import (
     main,
 )
 from memheat.domain import build_domain
+from memheat.experiments import smooth_profile
 from memheat.memory import HistoryField, build_history_grid, exponential_kernel
 from memheat.solver import SystemState, TrajectoryRecord
 
@@ -137,6 +137,18 @@ def test_checkpoint_step_constraints(tmp_path, capsys):
     assert "multiple of" in capsys.readouterr().err
     path2 = write_cfg(tmp_path, name="c2.json", checkpoint_step=50)
     assert main(["validate", "--config", str(path2)]) == 2
+    capsys.readouterr()
+    # the config of test_energy_decay_run_passes_its_assertions, which
+    # validates without a checkpoint_step
+    path3 = write_cfg(tmp_path, name="c3.json", experiment="energy_decay",
+                      beta=0.1, nonlinearity={"f": [0.0, -1.0, 0.0, 1.0],
+                                              "g": [0.0, -1.0, 0.0, 1.0]},
+                      kernel={"omega": 0.5, "rate": 1.0}, eps=0.1,
+                      dt=0.0016, t_final=0.4, record_stride=10,
+                      checkpoint_step=100)
+    assert main(["validate", "--config", str(path3)]) == 2
+    assert capsys.readouterr().err == (
+        "error: checkpoint_step only applies to the trajectory experiment\n")
 
 
 def test_run_writes_deterministic_artifacts(tmp_path):
@@ -171,6 +183,33 @@ def test_resume_reproduces_the_direct_run(tmp_path):
                  "--out", str(resumed)]) == 0
     for name in ("trajectory.csv", "summary.json"):
         assert (out / name).read_bytes() == (resumed / name).read_bytes()
+
+
+def test_a_limit_run_checkpoints_and_resumes_bitwise(tmp_path):
+    # at eps = 0 a checkpoint stores no history rows
+    path = write_cfg(tmp_path, eps=0.0)
+    direct, resumed = tmp_path / "direct", tmp_path / "resumed"
+    assert main(["run", "--config", str(path), "--out", str(direct)]) == 0
+    header = json.loads((direct / "checkpoint.bin").read_bytes()
+                        .split(b"\n", 1)[0])
+    assert header["phi_rows"] == 0 and header["step"] == 10
+    assert checkpoint_load(direct / "checkpoint.bin").state.phi is None
+    assert main(["resume", "--checkpoint", str(direct / "checkpoint.bin"),
+                 "--out", str(resumed)]) == 0
+    for name in ("trajectory.csv", "summary.json"):
+        assert (direct / name).read_bytes() == (resumed / name).read_bytes()
+
+
+def test_a_smooth_start_is_the_offset_plus_the_scaled_profile(tmp_path):
+    path = write_cfg(tmp_path, initial={"kind": "smooth", "offset": 0.1,
+                                        "amplitude": 0.4})
+    loaded = load_config(path)
+    d = loaded.problem.domain
+    want = d.constant_field(0.1) + smooth_profile(d) * 0.4
+    assert loaded.initial.bulk.tobytes() == want.bulk.tobytes()
+    assert loaded.initial.boundary.tobytes() == want.boundary.tobytes()
+    assert main(["run", "--config", str(path),
+                 "--out", str(tmp_path / "out")]) == 0
 
 
 def test_resume_refuses_truncated_payload(tmp_path, capsys):
@@ -211,14 +250,16 @@ def test_resume_refuses_a_checkpoint_of_another_format(tmp_path, capsys):
     assert main(["run", "--config", str(path), "--out", str(out)]) == 0
     head, payload = (out / "checkpoint.bin").read_bytes().split(b"\n", 1)
     header = json.loads(head)
-    assert header["format"] == "memheat-checkpoint-6"
-    assert [name for name, _ in header["arrays"]][:3] == [
-        "u_bulk", "phi_bulk", "s_nodes"]
+    assert header["format"] == "memheat-checkpoint-7"
+    # the config implies every array's shape but the history's row count
+    assert header.keys() == {"format", "config", "config_sha256", "step",
+                             "phi_rows"}
     # format 1 also stored the boundary history, the trace of phi_bulk, and
     # formats 1 and 2 the field's boundary values, the trace of u_bulk;
-    # format 3 stored today's arrays, but its embedded config held a seed;
-    # format 4 stored no flat-tail start ``rest``; format 5 stored it, with
-    # every history row
+    # format 3 stored the arrays of format 6, but its embedded config held
+    # a seed; format 4 stored no flat-tail start ``rest``; format 5 stored
+    # it, with every history row; format 6 declared every array's name and
+    # shape
     old_arrays = {1: [["u_bulk", [65]], ["u_boundary", [2]],
                       ["phi_bulk", [128, 65]], ["phi_boundary", [128, 2]],
                       ["s_nodes", [128]]],
@@ -233,7 +274,7 @@ def test_resume_refuses_a_checkpoint_of_another_format(tmp_path, capsys):
                      "--out", str(tmp_path / "r")]) == 2
         err = capsys.readouterr().err
         assert f"'memheat-checkpoint-{version}'" in err
-        assert "'memheat-checkpoint-6'" in err
+        assert "'memheat-checkpoint-7'" in err
     canon = dict(header["config"], seed=0)
     old = tmp_path / "old3.bin"
     old.write_bytes(json.dumps(dict(
@@ -243,10 +284,12 @@ def test_resume_refuses_a_checkpoint_of_another_format(tmp_path, capsys):
                  "--out", str(tmp_path / "r3")]) == 2
     err = capsys.readouterr().err
     assert err == (f"error: checkpoint refused: {old} has format "
-                   "'memheat-checkpoint-3', expected 'memheat-checkpoint-6'\n")
+                   "'memheat-checkpoint-3', expected 'memheat-checkpoint-7'\n")
     assert not (tmp_path / "r3").exists()
     # the refusal reads the format alone, before the header's other keys
-    for version, rest in ((4, {}), (5, {"rest": 0})):
+    arrays = [["u_bulk", [65]], ["phi_bulk", [header["phi_rows"], 65]],
+              ["s_nodes", [128]]]
+    for version, rest in ((4, {}), (5, {"rest": 0}), (6, {"arrays": arrays})):
         old = tmp_path / f"old{version}.bin"
         old.write_bytes(json.dumps(dict(
             header, format=f"memheat-checkpoint-{version}", **rest)).encode()
@@ -256,7 +299,7 @@ def test_resume_refuses_a_checkpoint_of_another_format(tmp_path, capsys):
         err = capsys.readouterr().err
         assert err == (f"error: checkpoint refused: {old} has format "
                        f"'memheat-checkpoint-{version}', expected "
-                       "'memheat-checkpoint-6'\n")
+                       "'memheat-checkpoint-7'\n")
         assert not (tmp_path / f"r{version}").exists()
 
 
@@ -272,7 +315,7 @@ def test_a_checkpoint_keeps_the_tail_start_a_resume_continues_from(tmp_path):
     header = json.loads((direct / "checkpoint.bin").read_bytes()
                         .split(b"\n", 1)[0])
     assert "rest" not in header
-    assert dict(header["arrays"])["phi_bulk"] == [81, 17 * 17]
+    assert header["phi_rows"] == 81
     phi = checkpoint_load(direct / "checkpoint.bin").state.phi
     # the inflow claim is not stored: the resumed seam sample walks every
     # row, and the merge drops it for the direct run's
@@ -301,7 +344,7 @@ def test_checkpoint_roundtrip_preserves_state_bitwise(tmp_path):
     ck_path = tmp_path / "state.bin"
     checkpoint_save(state, ck_path, loaded.canon, records=records)
 
-    ck = checkpoint_load(ck_path, expect_canon=loaded.canon)
+    ck = checkpoint_load(ck_path)
     assert ck.state.step == 10
     assert ck.state.u.bulk.tobytes() == u.bulk.tobytes()
     # the boundary values are rebuilt as the trace of the bulk
@@ -309,11 +352,6 @@ def test_checkpoint_roundtrip_preserves_state_bitwise(tmp_path):
     assert ck.state.phi.bulk.tobytes() == phi.bulk.tobytes()
     assert ck.state.phi.boundary.tobytes() == phi.boundary.tobytes()
     assert ck.records["energy_h0"].tobytes() == records["energy_h0"].tobytes()
-
-    other = dict(loaded.canon, eps=0.1)
-    with pytest.raises(ConfigError, match="different config"):
-        checkpoint_load(ck_path, expect_canon=other)
-    assert config_hash(other) != config_hash(loaded.canon)
 
 
 def test_failed_gate_maps_to_config_error(tmp_path, capsys):
@@ -880,15 +918,13 @@ def test_a_run_steps_one_history_and_moves_it_to_disk_without_a_copy(
         assert peaks["checkpoint_load"] < 1.5 * history
 
 
-def _hand_written_checkpoint(path, canon, arrays, declared=None, step=0):
-    """A format-6 checkpoint of ``canon`` at ``step`` holding ``arrays``, a
-    list of (name, array), under the header entry ``declared`` (by default
-    their names and shapes)."""
-    if declared is None:
-        declared = [[name, list(a.shape)] for name, a in arrays]
-    header = {"format": "memheat-checkpoint-6", "config": canon,
+def _hand_written_checkpoint(path, canon, arrays, step=0, phi_rows=0):
+    """A format-7 checkpoint of ``canon`` at ``step`` claiming ``phi_rows``
+    history rows, with the arrays of the list of (name, array) ``arrays``
+    as its payload."""
+    header = {"format": "memheat-checkpoint-7", "config": canon,
               "config_sha256": config_hash(canon), "step": step,
-              "arrays": declared}
+              "phi_rows": phi_rows}
     path.write_bytes(json.dumps(header).encode() + b"\n"
                      + b"".join(a.astype("<f8").tobytes() for _, a in arrays))
     return path
@@ -896,14 +932,17 @@ def _hand_written_checkpoint(path, canon, arrays, declared=None, step=0):
 
 # the checkpoint refusals of _bad_input and the words that name each one
 _CHECKPOINT_REFUSALS = {
-    "resume-header-without-arrays": "lacks the state arrays u_bulk, "
-                                    "phi_bulk, s_nodes",
-    "resume-u-bulk-of-wrong-length": "u_bulk has shape [64], the config "
-                                     "implies [65]",
-    "resume-partial-records": "recorded columns",
-    "resume-records-of-unequal-length": "recorded columns",
-    "resume-malformed-array-list": "not a list of [name, shape] pairs",
-    "resume-records-cut-short": "implies 6 recorded rows, found 2",
+    # the layout is derived from the config, so arrays of other lengths or
+    # counts than it implies show as a payload of another size: 8 x (65
+    # + 128 x 65 + 128 + 8) bytes at step 0
+    "resume-header-without-arrays": "payload size 0 does not match the "
+                                    "68168 bytes",
+    "resume-u-bulk-of-wrong-length": "payload size 68160 does not match",
+    "resume-partial-records": "payload size 68112 does not match",
+    "resume-records-of-unequal-length": "payload size 68176 does not match",
+    # step 10 at record_stride 2 implies 6 samples per column
+    "resume-records-cut-short": "payload size 68232 does not match the "
+                                "68488 bytes",
     "resume-negative-step": "integer in [0, 200], found -4",
     "resume-fractional-step": "integer in [0, 200], found 2.7",
     "resume-step-off-the-stride": "step 7 is not a multiple of record_stride 2",
@@ -914,16 +953,20 @@ _CHECKPOINT_REFUSALS = {
     "resume-config-with-a-string-n": "embedded config is invalid: config key "
                                      "'domain.n' must be int",
     # a history is stored as its rows up to its flat tail's start, the
-    # last stored row: 1 to n_s rows of bulk nodes; a shape [] has no row
-    # count to index
-    "resume-phi-bulk-of-no-axes": "phi_bulk has shape [], the config "
-                                  "implies [1 to 128, 65]",
-    "resume-phi-bulk-without-rows": "phi_bulk has shape [0, 65], the config "
-                                    "implies [1 to 128, 65]",
-    "resume-phi-bulk-past-the-grid": "phi_bulk has shape [129, 65], the "
-                                     "config implies [1 to 128, 65]",
-    "resume-phi-bulk-of-wrong-width": "phi_bulk has shape [3, 64], the "
-                                      "config implies [1 to 128, 65]",
+    # last stored row: 1 to n_s rows of bulk nodes, and none at eps = 0
+    "resume-phi-bulk-of-no-axes": "phi_rows must be an integer in [1, 128], "
+                                  "found []",
+    "resume-phi-bulk-without-rows": "phi_rows must be an integer in [1, 128], "
+                                    "found 0",
+    "resume-phi-bulk-past-the-grid": "phi_rows must be an integer in "
+                                     "[1, 128], found 129",
+    "resume-limit-with-history-rows": "phi_rows must be an integer in "
+                                      "[0, 0], found 1",
+    "resume-phi-bulk-of-wrong-width": "payload size 3144 does not match the "
+                                      "3168 bytes",
+    # the last bit of the last history node flipped
+    "resume-s-nodes-off-the-grid": "stored history grid differs from the "
+                                   "one the config rebuilds",
 }
 
 
@@ -933,51 +976,57 @@ def _bad_input(tmp_path):
     afile = tmp_path / "afile"
     afile.write_text("")
     headless = tmp_path / "headless.bin"
-    headless.write_bytes(json.dumps({"format": "memheat-checkpoint-6"}).encode()
+    headless.write_bytes(json.dumps({"format": "memheat-checkpoint-7"}).encode()
                          + b"\n")
     loaded = load_config(cfg)
     d, grid = loaded.problem.domain, loaded.problem.grid
+    n_s = grid.n_s
     state = [("u_bulk", np.zeros(d.n_bulk)),
-             ("phi_bulk", np.zeros((grid.n_s, d.n_bulk))),
+             ("phi_bulk", np.zeros((n_s, d.n_bulk))),
              ("s_nodes", grid.s_nodes)]
-    records = [(f"rec_{name}", np.zeros(3)) for name in TrajectoryRecord.COLUMNS]
+    records = [(f"rec_{name}", np.zeros(1)) for name in TrajectoryRecord.COLUMNS]
     rows = [(name, np.zeros(2)) for name, _ in records]
+    s_off = grid.s_nodes.copy()
+    s_off.view(np.uint64)[-1] ^= 1
     checkpoints = {
         "resume-header-without-arrays": [],
         "resume-u-bulk-of-wrong-length": [("u_bulk", np.zeros(d.n_bulk - 1))]
-                                         + state[1:],
+                                         + state[1:] + records,
         "resume-partial-records": state + records[:1],
         "resume-records-of-unequal-length":
-            state + records[:-1] + [(records[-1][0], np.zeros(4))],
-        "resume-malformed-array-list": state,
+            state + records[:-1] + [(records[-1][0], np.zeros(2))],
         "resume-records-cut-short": state + rows,
-        "resume-negative-step": state,
-        "resume-fractional-step": state,
-        "resume-step-off-the-stride": state + rows,
-        "resume-empty-config": state,
-        "resume-config-not-an-object": state,
-        "resume-config-with-a-string-n": state,
-        **{case: state[:1] + [("phi_bulk", np.zeros(shape))] + state[2:]
-           for case, shape in [
-               ("resume-phi-bulk-of-no-axes", ()),
-               ("resume-phi-bulk-without-rows", (0, d.n_bulk)),
-               ("resume-phi-bulk-past-the-grid", (grid.n_s + 1, d.n_bulk)),
-               ("resume-phi-bulk-of-wrong-width", (3, d.n_bulk - 1))]},
+        "resume-phi-bulk-of-wrong-width":
+            state[:1] + [("phi_bulk", np.zeros((3, d.n_bulk - 1)))]
+            + state[2:] + records,
+        "resume-s-nodes-off-the-grid": state[:2] + [("s_nodes", s_off)]
+                                       + records,
+        "resume-limit-with-history-rows": state[:1] + records,
+        **{case: state + records for case in (
+            "resume-negative-step", "resume-fractional-step",
+            "resume-step-off-the-stride", "resume-empty-config",
+            "resume-config-not-an-object", "resume-config-with-a-string-n",
+            "resume-phi-bulk-of-no-axes", "resume-phi-bulk-without-rows",
+            "resume-phi-bulk-past-the-grid")},
     }
     configs = {"resume-empty-config": {},
                "resume-config-not-an-object": [1, 2],
                "resume-config-with-a-string-n":
-                   dict(loaded.canon, domain={"kind": "interval", "n": "65"})}
-    declared = {"resume-malformed-array-list": "u_bulk"}
+                   dict(loaded.canon, domain={"kind": "interval", "n": "65"}),
+               "resume-limit-with-history-rows": dict(loaded.canon, eps=0.0)}
     steps = {"resume-records-cut-short": 10, "resume-negative-step": -4,
              "resume-fractional-step": 2.7, "resume-step-off-the-stride": 7}
+    phi_rows = {"resume-phi-bulk-of-no-axes": [],
+                "resume-phi-bulk-without-rows": 0,
+                "resume-phi-bulk-past-the-grid": n_s + 1,
+                "resume-limit-with-history-rows": 1,
+                "resume-phi-bulk-of-wrong-width": 3}
     return {
         **{case: ["resume", "--checkpoint",
                   str(_hand_written_checkpoint(tmp_path / f"{case}.bin",
                                                configs.get(case, loaded.canon),
-                                               arrays,
-                                               declared.get(case),
-                                               steps.get(case, 0))),
+                                               arrays, steps.get(case, 0),
+                                               phi_rows.get(case, n_s))),
                   "--out", str(tmp_path / "r")]
            for case, arrays in checkpoints.items()},
         "sweep-out-under-a-file": ["sweep-eps", "--config", str(cfg), "--eps",

@@ -930,8 +930,7 @@ def test_a_history_without_a_tail_moves_loads_and_records_as_before(square):
     load = convolve_wentzell(phi, d, 0.7, 1.3)
     assert np.array_equal(np.concatenate([load.bulk, load.boundary]),
                           pair @ (g.weights @ phi.bulk))
-    v1 = np.concatenate([d.v1_products(phi.bulk[r], 0.7, 1.3,
-                                       np.empty(phi.bulk[r].size))
+    v1 = np.concatenate([d.v1_products(phi.bulk[r], 0.7, 1.3)
                          for r in memory._blocks(phi)])
     assert memory._blocks(phi)[-1].stop == g.n_s
     assert np.array_equal(memory._v1_rows(phi, d, 0.7, 1.3), v1)
@@ -1108,15 +1107,15 @@ def _parent_walks(phi, d, alpha, beta):
     h2 = np.diff(phi.grid.s_nodes, prepend=0.0) ** 2
     mass = d.mass_diag()
     v1, p2, ds = np.empty(n_s), np.empty(n_s), np.zeros(n_s)
-    buf = np.empty(blocks[0].stop * n_bulk)
-    dbuf = np.empty((blocks[0].stop, n_bulk))
+    # the s-differences anchored at the zero inflow value
+    below = np.concatenate([np.zeros((1, n_bulk)), phi.bulk[:-1]])
     for r in blocks:
         x = phi.bulk[r]
-        v1[r] = d.v1_products(x, alpha, beta, buf)
+        v1[r] = d.v1_products(x, alpha, beta)
         p = pair @ x.T.copy()
         p *= p
         p2[r] = w @ p
-        diff = memory._s_diff(phi.bulk, r, dbuf)
+        diff = x - below[r]
         diff *= diff
         ds[r] = (diff @ mass) / h2[r]
     v1[stop:] = v1[phi.rest]
