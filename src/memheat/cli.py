@@ -33,6 +33,9 @@ from .experiments import (GateError, _decay_gate, _decay_start,
                           smooth_profile)
 
 CHECKPOINT_FORMAT = "memheat-checkpoint-7"
+# bytes a checkpoint's header line may take, newline included; a header
+# holds the canonical config and four short entries, well under 1 KiB
+CHECKPOINT_HEADER_LIMIT = 64 * 1024
 
 EXIT_PASS = 0
 EXIT_ASSERTION = 1
@@ -325,13 +328,14 @@ def checkpoint_save(state: SystemState, path, canon: dict,
 def checkpoint_load(path) -> Checkpoint:
     """Load a checkpoint, rebuilding the problem from the embedded config.
 
-    Refuses on any inconsistency: an unreadable file, a header of another
-    format or with entries missing, corrupted header hash, an embedded
-    config that ``load_config`` would refuse or would change, a step off
-    the run's record grid, a ``phi_rows`` outside 1 to n_s (0 without a
-    history), a payload of another size than the ``_layout`` the config
-    implies, or a rebuilt history grid whose nodes do not match the stored
-    ones bit for bit.
+    Refuses on any inconsistency: an unreadable file, a header line that
+    does not end within ``CHECKPOINT_HEADER_LIMIT`` bytes or that is not a
+    UTF-8 JSON object, a header of another format or with entries missing,
+    corrupted header hash, an embedded config that ``load_config`` would
+    refuse or would change, a step off the run's record grid, a
+    ``phi_rows`` outside 1 to n_s (0 without a history), a payload of
+    another size than the ``_layout`` the config implies, or a rebuilt
+    history grid whose nodes do not match the stored ones bit for bit.
 
     A history is stored as its rows up to the start of its flat tail: the
     last stored row is ``rest``, and the rows above it are filled with it,
@@ -339,11 +343,27 @@ def checkpoint_load(path) -> Checkpoint:
     """
     try:
         with open(path, "rb") as fh:
-            header = json.loads(fh.readline().decode())
+            line = fh.readline(CHECKPOINT_HEADER_LIMIT)
             start, end = fh.tell(), os.fstat(fh.fileno()).st_size
     except OSError as e:
         raise ConfigError(f"cannot read checkpoint {path}: {e}") from e
-    found = header.get("format") if isinstance(header, dict) else None
+    if not line.endswith(b"\n"):
+        where = (f"within its first {CHECKPOINT_HEADER_LIMIT} bytes"
+                 if len(line) == CHECKPOINT_HEADER_LIMIT else "before its end")
+        raise ConfigError(f"checkpoint refused: {path} has no header line "
+                          f"{where}")
+    try:
+        header = json.loads(line.decode())
+    except UnicodeDecodeError as e:
+        raise ConfigError(f"checkpoint refused: the header of {path} is not "
+                          f"UTF-8: {e}") from e
+    except json.JSONDecodeError as e:
+        raise ConfigError(f"checkpoint refused: the header of {path} is not "
+                          f"JSON: {e}") from e
+    if not isinstance(header, dict):
+        raise ConfigError(f"checkpoint refused: the header of {path} is not "
+                          "a JSON object")
+    found = header.get("format")
     if found != CHECKPOINT_FORMAT:
         raise ConfigError(f"checkpoint refused: {path} has format {found!r}, "
                           f"expected {CHECKPOINT_FORMAT!r}")

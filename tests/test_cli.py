@@ -244,6 +244,40 @@ def test_resume_refuses_a_non_checkpoint_file(tmp_path, capsys):
                  "--out", str(tmp_path / "r")]) == 2
 
 
+@pytest.mark.parametrize("blob, reason", [
+    (b"\x01" * (1 << 20), "within its first 65536 bytes"),
+    (b'{"format": "memheat-checkpoint-7"}', "before its end"),
+    (b"\xff\xfe{}\n", "is not UTF-8"),
+    (b"not json\n", "is not JSON"),
+    (b"[1, 2, 3]\n", "is not a JSON object"),
+], ids=["over-the-limit", "no-newline", "not-utf8", "not-json", "not-object"])
+def test_resume_refuses_a_bad_header_line_naming_the_file(tmp_path, capsys,
+                                                          blob, reason):
+    bad = tmp_path / "bad.bin"
+    bad.write_bytes(blob)
+    out = tmp_path / "r"
+    assert main(["resume", "--checkpoint", str(bad), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert err.startswith("error: checkpoint refused: ")
+    assert str(bad) in err and reason in err
+    assert not out.exists()
+
+
+def test_a_header_without_a_newline_is_refused_after_the_limit(tmp_path):
+    # the header line is read up to the limit, never the whole file
+    bad = tmp_path / "junk.bin"
+    bad.write_bytes(b"\x01" * (8 << 20))
+    tracemalloc.start()
+    try:
+        with pytest.raises(cli.ConfigError, match="no header line"):
+            checkpoint_load(bad)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
 def test_resume_refuses_a_checkpoint_of_another_format(tmp_path, capsys):
     path = write_cfg(tmp_path)
     out = tmp_path / "direct"

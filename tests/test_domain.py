@@ -9,6 +9,8 @@ from hypothesis import strategies as st
 
 from memheat.domain import (
     StateField,
+    _factor_symmetric,
+    _TridiagonalLDLt,
     apply_wentzell,
     build_domain,
     inner_x2,
@@ -164,9 +166,75 @@ def test_cached_step_matrix_is_symmetric_and_ordered_for_it(interval, square):
         assert abs(sys - sys.T).max() == 0.0
     d = build_domain("square", 65)
     solve_wentzell_shifted(400.0, 0.5, d.constant_field(1.0), d, 0.0, 1.0)
-    lu, sys, _ = d._cache[key]
+    lu, sys = d._cache[key][:2]
     colamd = spla.splu(sys, permc_spec="COLAMD")
     assert lu.L.nnz + lu.U.nnz < colamd.L.nnz + colamd.U.nnz
+
+
+@pytest.mark.parametrize("n", [65, 1025])
+def test_interval_systems_get_the_ldlt_factor_and_match_superlu(n):
+    # every interval system is tridiagonal, for the memory key and the
+    # limit key alike, so it is factored by LAPACK's LDL'; its solution
+    # agrees with the SuperLU factor the square keeps
+    d = build_domain("interval", n)
+    rng = np.random.default_rng(n)
+    rhs = d.field_from_bulk(rng.normal(size=d.n_bulk))
+    for c0, c_a, alpha, beta in ((400.0, 0.5, 0.0, 1.0), (400.0, 1.0, 0.0, 0.5),
+                                 (1.0, 1.0, 0.7, 1.3)):
+        sol = solve_wentzell_shifted(c0, c_a, rhs, d, alpha, beta)
+        factor, sys = d._cache[("solve", c0, c_a, alpha, beta)][:2]
+        assert isinstance(factor, _TridiagonalLDLt)
+        want = _factor_symmetric(sys).solve(d.weigh_pair(rhs))
+        assert np.max(np.abs(sol.bulk - want)) <= 1e-12 * np.max(np.abs(want))
+        assert d.is_trace_compatible(sol, tol=0.0)
+
+
+def test_the_factor_follows_the_bandwidth_not_the_domain():
+    # with no stiffness the square's system is the diagonal c0 M, so it is
+    # tridiagonal too, and (c0 M) u = M rhs gives u = rhs / c0
+    d = build_domain("square", 17)
+    rhs = d.field_from_function(lambda p: np.sin(3 * p[:, 0]) + p[:, 1])
+    sol = solve_wentzell_shifted(4.0, 0.0, rhs, d, 0.0, 1.0)
+    assert isinstance(d._cache[("solve", 4.0, 0.0, 0.0, 1.0)][0],
+                      _TridiagonalLDLt)
+    np.testing.assert_allclose(sol.bulk, rhs.bulk / 4.0, rtol=1e-15, atol=0)
+
+
+def test_the_residual_contract_holds_for_both_factor_kinds():
+    class Perturbed:
+        def __init__(self, factor):
+            self.factor = factor
+
+        def solve(self, b):
+            x = self.factor.solve(b)
+            x[len(x) // 2] += 1e-3 * np.max(np.abs(x))
+            return x
+
+    key = ("solve", 400.0, 0.5, 0.0, 1.0)
+    for kind, factor_kind in (("interval", _TridiagonalLDLt),
+                              ("square", spla.SuperLU)):
+        d = build_domain(kind, 17)
+        rhs = d.constant_field(1.0)
+        solve_wentzell_shifted(400.0, 0.5, rhs, d, 0.0, 1.0)
+        factor, *rest = d._cache[key]
+        assert isinstance(factor, factor_kind)
+        d._cache[key] = (Perturbed(factor), *rest)
+        with pytest.raises(RuntimeError, match="exceeds contract"):
+            solve_wentzell_shifted(400.0, 0.5, rhs, d, 0.0, 1.0)
+
+
+def test_the_residual_view_is_the_system_and_its_product_is_bitwise():
+    # the residual reads the CSR view of the cached CSC system: it shares
+    # the system's arrays, and its product equals the CSC one bit for bit
+    d = build_domain("square", 65)
+    solve_wentzell_shifted(400.0, 0.5, d.constant_field(1.0), d, 0.0, 1.0)
+    _, sys, _, rows = d._cache[("solve", 400.0, 0.5, 0.0, 1.0)]
+    assert sys.format == "csc" and rows.format == "csr"
+    assert np.shares_memory(rows.data, sys.data)
+    assert np.shares_memory(rows.indices, sys.indices)
+    x = np.random.default_rng(5).normal(size=d.n_bulk)
+    assert (rows @ x).tobytes() == (sys @ x).tobytes()
+    assert (sys.T @ x).tobytes() == (sys @ x).tobytes()
 
 
 def test_manufactured_solution_second_order(interval):
